@@ -30,6 +30,7 @@ from .operators import (
     exact_action_matrix,
     riesz_minus,
     riesz_plus,
+    toeplitz_window,
 )
 from .symbols import (
     ConditioningError,
@@ -286,21 +287,15 @@ class BridgeReport:
 def toeplitz_kernel_bridge(symbol: LaurentPoly, band: int) -> BridgeReport:
     """Compare ker of the analytic compression of M_G with P+ ker of (G, 1).
 
-    Both null spaces are computed from exact actions; the report carries the
-    largest principal angle between them, which the bridge identity forces to
+    The Toeplitz null vectors come from the coefficient window and are each
+    certified by exact application; the report carries the largest principal
+    angle between the two null spaces, which the bridge identity forces to
     zero (tested at 1e-8).
     """
     if symbol.is_zero:
         raise ValueError("bridge requires a nonzero symbol")
     top = band + max(0, symbol.kmax)
-    row_index = {k: i for i, k in enumerate(range(0, top + 1))}
-    matrix = np.zeros((top + 1, band + 1), dtype=complex)
-    for j in range(band + 1):
-        image = riesz_plus(symbol * LaurentPoly.monomial(j))
-        for exp, c in image.coeffs.items():
-            if exp in row_index:
-                matrix[row_index[exp], j] = c
-    columns, svals = _null_space(matrix)
+    columns, svals = _null_space(toeplitz_window(symbol, range(top + 1), range(band + 1)))
     toeplitz_null = []
     for j in range(columns.shape[1]):
         v = LaurentPoly.from_dense(columns[:, j], 0)
@@ -425,10 +420,6 @@ class FactorizationProvenance:
     outer_plus: RationalSymbol | None
     inner_minus: RationalSymbol | None
     outer_minus: RationalSymbol | None
-    quotient_num_plus: RationalSymbol | None
-    quotient_den_plus: RationalSymbol | None
-    quotient_num_minus: RationalSymbol | None
-    quotient_den_minus: RationalSymbol | None
     convention: str
 
 
@@ -459,8 +450,7 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
     inner*outer, reflect the co-analytic part to an analytic polynomial and
     factor it likewise, then combine the inner factors with reflected outer
     factors into a co-analytic symbol ``a`` and an analytic symbol ``b`` with
-    a*phi_plus + b*phi_minus = 0 on the circle.  The polynomial outer factors
-    serve as their own bounded quotient representations.
+    a*phi_plus + b*phi_minus = 0 on the circle.
 
     If one Riesz part vanishes identically, no nondegenerate pair can
     annihilate the function (its kernel mate would have to vanish on a set of
@@ -475,9 +465,7 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
         return KernelPair(
             a=RationalSymbol(LaurentPoly.zero()),
             b=RationalSymbol.one(),
-            provenance=FactorizationProvenance(
-                None, None, None, None, None, None, None, None, "analytic_halfspace"
-            ),
+            provenance=FactorizationProvenance(None, None, None, None, "analytic_halfspace"),
             source=phi,
             residual=0.0,
         )
@@ -485,9 +473,7 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
         return KernelPair(
             a=RationalSymbol.one(),
             b=RationalSymbol(LaurentPoly.zero()),
-            provenance=FactorizationProvenance(
-                None, None, None, None, None, None, None, None, "coanalytic_halfspace"
-            ),
+            provenance=FactorizationProvenance(None, None, None, None, "coanalytic_halfspace"),
             source=phi,
             residual=0.0,
         )
@@ -522,10 +508,6 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
             outer_plus=io_plus.outer,
             inner_minus=inner_minus,
             outer_minus=outer_minus,
-            quotient_num_plus=RationalSymbol.one(),
-            quotient_den_plus=io_plus.outer,
-            quotient_num_minus=RationalSymbol.one(),
-            quotient_den_minus=io_refl.outer,
             convention="generic",
         ),
         source=phi,

@@ -6,6 +6,11 @@ truncation, so algebraic identities hold to rounding; it backs every kernel
 and identity computation.  The *finite section* regime compresses an operator
 to the exponent window [-N, N] and is used only where a limit N -> infinity
 is the object of interest (operator norms, adjoint/block structure).
+
+Both regimes build their matrices from symbol coefficients, not by applying
+operators to basis vectors: the paired operator has entry a[i - j] in the
+columns j >= 0 and b[i - j] in the others, its transposed companion splits
+by row instead, and :func:`toeplitz_window` gathers each such window.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "op_norm",
     "riesz_minus",
     "riesz_plus",
+    "toeplitz_window",
 ]
 
 # Role alias: a CoeffVector is a trigonometric polynomial regarded as an
@@ -202,10 +208,41 @@ class FiniteSection:
         return {"n": self.matrix.shape[0], "m": self.matrix.shape[1], "entries": entries}
 
 
-def _section_exponents(kind: str, band: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    full = tuple(range(-band, band + 1))
-    plus = tuple(range(0, band + 1))
-    minus = tuple(range(-band, 0))
+def toeplitz_window(
+    symbol: LaurentPoly, rows: range, cols: range, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Entry (i, j) is the coefficient of ``symbol`` at ``rows[i] - cols[j]``.
+
+    ``rows`` and ``cols`` are nonempty ranges of step 1.  A strided view over
+    the symbol's dense coefficients on the window's offsets is copied into
+    ``out`` (a new complex matrix by default).
+    """
+    if out is None:
+        out = np.empty((len(rows), len(cols)), dtype=complex)
+    dense = symbol.to_dense(rows.start - cols[-1], rows[-1] - cols.start)
+    out[...] = np.lib.stride_tricks.sliding_window_view(dense, len(cols))[:, ::-1]
+    return out
+
+
+def _paired_window(pair: SymbolPair, kind: str, rows: range, band: int) -> np.ndarray:
+    """Paired (a on columns >= 0, b on the rest) or transposed (split by row)
+    matrix on the columns -N..N."""
+    cols = range(-band, band + 1)
+    matrix = np.empty((len(rows), len(cols)), dtype=complex)
+    if kind == "paired":
+        toeplitz_window(pair.b, rows, cols[:band], matrix[:, :band])
+        toeplitz_window(pair.a, rows, cols[band:], matrix[:, band:])
+    else:
+        split = -rows.start
+        toeplitz_window(pair.b, rows[:split], cols, matrix[:split])
+        toeplitz_window(pair.a, rows[split:], cols, matrix[split:])
+    return matrix
+
+
+def _section_exponents(kind: str, band: int) -> tuple[range, range]:
+    full = range(-band, band + 1)
+    plus = range(0, band + 1)
+    minus = range(-band, 0)
     if kind in ("paired", "transposed", "multiplication"):
         return full, full
     if kind == "toeplitz":
@@ -222,32 +259,18 @@ def finite_section(operand, kind: SectionKind, band: int) -> FiniteSection:
 
     ``operand`` is a :class:`SymbolPair` for the paired/transposed kinds and a
     single symbol for multiplication, Toeplitz and the two Hankel kinds.
-    Columns are computed by exact application followed by truncation.
+    Every kind is a window of symbol coefficients at row - col exponent (see
+    :func:`toeplitz_window`); the paired and transposed kinds take a on one
+    side of exponent 0 and b on the other.
     """
     if band < 1:
         raise ValueError("band must be at least 1")
     rows, cols = _section_exponents(kind, band)
-    if kind == "paired":
-        image = lambda e: apply_paired(operand, e)
-    elif kind == "transposed":
-        image = lambda e: apply_transposed(operand, e)
-    elif kind == "multiplication":
-        image = lambda e: operand * e
-    elif kind == "toeplitz":
-        image = lambda e: riesz_plus(operand * e)
-    elif kind == "hankel_minus":
-        image = lambda e: riesz_minus(operand * e)
+    if kind in ("paired", "transposed"):
+        matrix = _paired_window(operand, kind, rows, band)
     else:
-        image = lambda e: riesz_plus(operand * e)
-    row_index = {k: i for i, k in enumerate(rows)}
-    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, k in enumerate(cols):
-        out = image(LaurentPoly.monomial(k))
-        for exp, c in out.coeffs.items():
-            i = row_index.get(exp)
-            if i is not None:
-                matrix[i, j] = c
-    return FiniteSection(kind=kind, band=band, matrix=matrix, row_exponents=rows, col_exponents=cols)
+        matrix = toeplitz_window(operand, rows, cols)
+    return FiniteSection(kind, band, matrix, row_exponents=tuple(rows), col_exponents=tuple(cols))
 
 
 def exact_action_matrix(pair: SymbolPair, band: int, kind: str = "paired") -> np.ndarray:
@@ -261,16 +284,8 @@ def exact_action_matrix(pair: SymbolPair, band: int, kind: str = "paired") -> np
         raise ValueError("band must be at least 1")
     if kind not in ("paired", "transposed"):
         raise ValueError("kind must be 'paired' or 'transposed'")
-    apply = apply_paired if kind == "paired" else apply_transposed
     d = pair.band_radius()
-    rows = range(-(band + d), band + d + 1)
-    row_index = {k: i for i, k in enumerate(rows)}
-    matrix = np.zeros((2 * (band + d) + 1, 2 * band + 1), dtype=complex)
-    for j, k in enumerate(range(-band, band + 1)):
-        out = apply(pair, LaurentPoly.monomial(k))
-        for exp, c in out.coeffs.items():
-            matrix[row_index[exp], j] = c
-    return matrix
+    return _paired_window(pair, kind, range(-(band + d), band + d + 1), band)
 
 
 def op_norm(pair: SymbolPair, band: int) -> float:

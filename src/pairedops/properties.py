@@ -573,27 +573,27 @@ def suite_brown_halmos(cfg: GeneratorConfig) -> TrialReport:
         return run.finish()
     band = 8
 
-    pinned_first = SymbolPair(parse_cached("1"), parse_cached("z"))
+    pinned_first = SymbolPair(parse_symbol("1"), parse_symbol("z"))
     pinned = check_composition(
-        pinned_first, SymbolPair(parse_cached("z"), parse_cached("z^-1")), band, "paired"
+        pinned_first, SymbolPair(parse_symbol("z"), parse_symbol("z^-1")), band, "paired"
     )
     run.observe(pinned["residual"], pinned["discrepancy"])
     if pinned["residual"] > cfg.exact_tol:
         run.violation(
             -1,
             "composition",
-            {"first": pinned_first, "second": SymbolPair(parse_cached("z"), parse_cached("z^-1")), "band": band, "kind": "paired"},
+            {"first": pinned_first, "second": SymbolPair(parse_symbol("z"), parse_symbol("z^-1")), "band": band, "kind": "paired"},
             pinned,
             "pinned conforming composition not exact",
         )
     witness = check_composition(
-        pinned_first, SymbolPair(parse_cached("z^-1"), parse_cached("z^-1")), band, "paired"
+        pinned_first, SymbolPair(parse_symbol("z^-1"), parse_symbol("z^-1")), band, "paired"
     )
     if witness["residual"] < cfg.numeric_tol:
         run.violation(
             -1,
             "composition",
-            {"first": pinned_first, "second": SymbolPair(parse_cached("z^-1"), parse_cached("z^-1")), "band": band, "kind": "paired"},
+            {"first": pinned_first, "second": SymbolPair(parse_symbol("z^-1"), parse_symbol("z^-1")), "band": band, "kind": "paired"},
             witness,
             "pinned nonconforming composition unexpectedly small",
         )
@@ -696,8 +696,8 @@ def suite_commutant(cfg: GeneratorConfig) -> TrialReport:
         return run.finish()
     band = 8
 
-    base = SymbolPair(parse_cached("1"), parse_cached("z"))
-    shift = SymbolPair(parse_cached("z"), parse_cached("z"))
+    base = SymbolPair(parse_symbol("1"), parse_symbol("z"))
+    shift = SymbolPair(parse_symbol("z"), parse_symbol("z"))
     pinned = check_commutator(base, shift, band)
     if pinned["commutator_norm"] < cfg.numeric_tol:
         run.violation(-1, "commutator", {"first": base, "second": shift, "band": band}, pinned, "pinned shift commutator vanished")
@@ -773,14 +773,14 @@ def suite_pointwise_commutation(cfg: GeneratorConfig) -> TrialReport:
         }
         return res, flags
 
-    pinned_pair = SymbolPair(parse_cached("1"), parse_cached("z"))
+    pinned_pair = SymbolPair(parse_symbol("1"), parse_symbol("z"))
     for eta_text, f_text, expected in (("z", "z^-2", True), ("z", "z^-1", False)):
-        res, flags = classify_flags(pinned_pair, parse_cached(eta_text), parse_cached(f_text))
+        res, flags = classify_flags(pinned_pair, parse_symbol(eta_text), parse_symbol(f_text))
         if set(flags.values()) != {expected}:
             run.violation(
                 -1,
                 "pointwise_commutation",
-                {"pair": pinned_pair, "eta": parse_cached(eta_text), "f": parse_cached(f_text)},
+                {"pair": pinned_pair, "eta": parse_symbol(eta_text), "f": parse_symbol(f_text)},
                 res,
                 f"pinned case ({eta_text}, {f_text}) did not uniformly evaluate to {expected}",
             )
@@ -951,7 +951,7 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
         ("1", "1 - z", 0),
     )
     for a_text, b_text, expected in pinned:
-        pair = SymbolPair(parse_cached(a_text), parse_cached(b_text))
+        pair = SymbolPair(parse_symbol(a_text), parse_symbol(b_text))
         result = check_kernel_dimension(pair, 32)
         if result["dim"] != expected or not result["stabilized"]:
             run.violation(
@@ -1243,7 +1243,7 @@ def suite_coburn(cfg: GeneratorConfig) -> TrialReport:
                         )
 
     for a_text, b_text in (("1", "z"), ("z^-1", "z"), ("1", "1 - z"), ("z", "1"), ("1", "z^-1")):
-        process(SymbolPair(parse_cached(a_text), parse_cached(b_text)), -1)
+        process(SymbolPair(parse_symbol(a_text), parse_symbol(b_text)), -1)
 
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg, trial + 1_300_000)
@@ -1261,18 +1261,6 @@ def suite_coburn(cfg: GeneratorConfig) -> TrialReport:
             pair = _draw_nondegenerate_pair(cfg, run, trial * 96)
         process(pair, trial)
     return run.finish()
-
-
-# parse cache for pinned expressions (avoids repeated parsing in suites)
-_PARSE_CACHE: dict[str, LaurentPoly] = {}
-
-
-def parse_cached(text: str) -> LaurentPoly:
-    poly = _PARSE_CACHE.get(text)
-    if poly is None:
-        poly = parse_symbol(text)
-        _PARSE_CACHE[text] = poly
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -644,10 +644,6 @@ class RationalSymbol:
     # -- helpers ---------------------------------------------------------------
 
     @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RationalSymbol":
-        return cls(p)
-
-    @classmethod
     def one(cls) -> "RationalSymbol":
         return cls(LaurentPoly.one())
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from pairedops import kernels
 from pairedops.operators import (
     DegeneratePairError,
     SymbolPair,
@@ -225,25 +226,118 @@ def test_exact_action_identity_embedding():
     assert np.array_equal(m, np.eye(7))
 
 
-def _bruteforce_action_matrix(a: LaurentPoly, b: LaurentPoly, band: int) -> np.ndarray:
-    """Independent construction of the exact action, straight from indices."""
-    d = max(abs(a.kmin), abs(a.kmax), abs(b.kmin), abs(b.kmax), 0)
-    rows = {exp: i for i, exp in enumerate(range(-(band + d), band + d + 1))}
-    out = np.zeros((len(rows), 2 * band + 1), dtype=complex)
-    for j, k in enumerate(range(-band, band + 1)):
-        source = a if k >= 0 else b
-        for exp, c in source.coeffs.items():
-            out[rows[exp + k], j] = c
+def _column_oracle(image, rows: range, cols: range, exact: bool = False) -> np.ndarray:
+    """Column by column exact application, truncated to the row window.
+
+    Column j is ``image`` of the monomial z^cols[j]; with ``exact`` no
+    coefficient of any image may fall outside ``rows``.
+    """
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for j, k in enumerate(cols):
+        for exp, c in image(LaurentPoly.monomial(k)).coeffs.items():
+            if exp in rows:
+                out[exp - rows.start, j] = c
+            else:
+                assert not exact, f"image of z^{k} has a coefficient at z^{exp}"
     return out
 
 
 def test_exact_action_null_dimension_bruteforce_oracle():
     p = pair("z^-1", "z")
     m = exact_action_matrix(p, 2)
-    oracle = _bruteforce_action_matrix(p.a, p.b, 2)
+    oracle = _column_oracle(lambda e: apply_paired(p, e), range(-3, 4), range(-2, 3), exact=True)
     assert np.array_equal(m, oracle)
     rank = np.linalg.matrix_rank(oracle)
     assert oracle.shape[1] - rank == 2
+
+
+_ORACLE_RNG = np.random.default_rng(61)
+# zero, analytic, co-analytic, mixed, and wider than the N = 1, 2 windows
+_ORACLE_SYMBOLS = (
+    LaurentPoly.zero(),
+    _random_poly(_ORACLE_RNG, 0, 4),
+    _random_poly(_ORACLE_RNG, -4, -1),
+    _random_poly(_ORACLE_RNG, -4, 4),
+    lp("z^5"),
+    lp("2 - z^-5"),
+)
+_ORACLE_PAIRS = tuple(SymbolPair(a, b) for a in _ORACLE_SYMBOLS for b in _ORACLE_SYMBOLS)
+
+
+def _bridge_matrix(monkeypatch, symbol: LaurentPoly, band: int) -> np.ndarray:
+    """The matrix toeplitz_kernel_bridge hands to its first null-space call."""
+
+    class Captured(Exception):
+        pass
+
+    def capture(matrix, *args, **kwargs):
+        raise Captured(matrix)
+
+    monkeypatch.setattr(kernels, "_null_space", capture)
+    with pytest.raises(Captured) as info:
+        kernels.toeplitz_kernel_bridge(symbol, band)
+    monkeypatch.undo()
+    return info.value.args[0]
+
+
+def _builder_cases(builder: str, n: int, monkeypatch):
+    """(library matrix, oracle matrix) for every oracle symbol or pair."""
+    full, plus, minus = range(-n, n + 1), range(0, n + 1), range(-n, 0)
+    windows = {
+        "paired": (full, full, apply_paired),
+        "transposed": (full, full, apply_transposed),
+        "multiplication": (full, full, mul_apply),
+        "toeplitz": (plus, plus, lambda g, e: riesz_plus(g * e)),
+        "hankel_minus": (minus, plus, hankel_minus),
+        "hankel_plus": (plus, minus, hankel_plus),
+    }
+    if builder in ("paired", "transposed"):
+        rows, cols, apply = windows[builder]
+        for p in _ORACLE_PAIRS:
+            sec = finite_section(p, builder, n)
+            assert (sec.row_exponents, sec.col_exponents) == (tuple(rows), tuple(cols))
+            yield sec.matrix, _column_oracle(lambda e: apply(p, e), rows, cols)
+    elif builder in windows:
+        rows, cols, apply = windows[builder]
+        for g in _ORACLE_SYMBOLS:
+            sec = finite_section(g, builder, n)
+            assert (sec.row_exponents, sec.col_exponents) == (tuple(rows), tuple(cols))
+            yield sec.matrix, _column_oracle(lambda e: apply(g, e), rows, cols)
+    elif builder.startswith("exact_"):
+        kind = builder[len("exact_"):]
+        apply = apply_paired if kind == "paired" else apply_transposed
+        for p in _ORACLE_PAIRS:
+            d = p.band_radius()
+            rows = range(-(n + d), n + d + 1)
+            oracle = _column_oracle(lambda e: apply(p, e), rows, full, exact=True)
+            yield exact_action_matrix(p, n, kind), oracle
+    else:
+        for g in _ORACLE_SYMBOLS[1:]:
+            rows = range(0, n + max(0, g.kmax) + 1)
+            yield _bridge_matrix(monkeypatch, g, n), _column_oracle(lambda e: riesz_plus(g * e), rows, plus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+@pytest.mark.parametrize(
+    "builder",
+    [
+        "paired",
+        "transposed",
+        "multiplication",
+        "toeplitz",
+        "hankel_minus",
+        "hankel_plus",
+        "exact_paired",
+        "exact_transposed",
+        "bridge",
+    ],
+)
+def test_builders_match_column_oracle(builder, n, monkeypatch):
+    cases = list(_builder_cases(builder, n, monkeypatch))
+    assert cases
+    for matrix, oracle in cases:
+        assert matrix.shape == oracle.shape
+        assert np.array_equal(matrix, oracle)
 
 
 def test_exact_action_trivial_null_space():
