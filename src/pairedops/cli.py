@@ -228,7 +228,7 @@ def _cmd_pair_from(args, cfg: RunConfig):
         f"a = ({kp.a.num.to_expression()}) / ({kp.a.den.to_expression()})",
         f"b = ({kp.b.num.to_expression()}) / ({kp.b.den.to_expression()})",
         f"annihilation residual = {kp.residual:.3e}",
-        f"convention = {kp.provenance.convention}",
+        f"convention = {kp.convention}",
     ]
     csv_rows = [["part", "exponent", "re", "im"]]
     for name, sym in (("a_num", kp.a.num), ("a_den", kp.a.den), ("b_num", kp.b.num), ("b_den", kp.b.den)):

@@ -50,7 +50,6 @@ __all__ = [
     "AmbiguousKernelError",
     "BridgeReport",
     "CoburnReport",
-    "FactorizationProvenance",
     "InvarianceReport",
     "KernelBasis",
     "KernelPair",
@@ -413,23 +412,12 @@ def kernel_element_from_inner_factor(
 
 
 @dataclass(frozen=True)
-class FactorizationProvenance:
-    """Factorization data behind a constructed annihilating pair."""
-
-    inner_plus: RationalSymbol | None
-    outer_plus: RationalSymbol | None
-    inner_minus: RationalSymbol | None
-    outer_minus: RationalSymbol | None
-    convention: str
-
-
-@dataclass(frozen=True)
 class KernelPair:
     """A symbol pair whose paired kernel contains a prescribed function."""
 
     a: RationalSymbol
     b: RationalSymbol
-    provenance: FactorizationProvenance
+    convention: str  # "generic", "analytic_halfspace" or "coanalytic_halfspace"
     source: CoeffVector
     residual: float
 
@@ -438,7 +426,7 @@ class KernelPair:
             "a": self.a.to_json_dict(),
             "b": self.b.to_json_dict(),
             "residual": self.residual,
-            "convention": self.provenance.convention,
+            "convention": self.convention,
             "source": self.source.to_json_dict(),
         }
 
@@ -465,7 +453,7 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
         return KernelPair(
             a=RationalSymbol(LaurentPoly.zero()),
             b=RationalSymbol.one(),
-            provenance=FactorizationProvenance(None, None, None, None, "analytic_halfspace"),
+            convention="analytic_halfspace",
             source=phi,
             residual=0.0,
         )
@@ -473,7 +461,7 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
         return KernelPair(
             a=RationalSymbol.one(),
             b=RationalSymbol(LaurentPoly.zero()),
-            provenance=FactorizationProvenance(None, None, None, None, "coanalytic_halfspace"),
+            convention="coanalytic_halfspace",
             source=phi,
             residual=0.0,
         )
@@ -481,9 +469,6 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
     io_plus = inner_outer_factor(plus)
     reflected = minus.conj_reflect()  # analytic, vanishing at 0
     io_refl = inner_outer_factor(reflected)
-
-    inner_minus = io_refl.inner.conj_reflect().shift(1)  # z * conj(reflected inner)
-    outer_minus = io_refl.outer.conj_reflect().shift(-1)  # zbar * conj(reflected outer)
 
     a = io_plus.inner.conj_reflect() * io_refl.outer.conj_reflect()
     b = -(io_refl.inner * io_plus.outer)
@@ -503,13 +488,7 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
     return KernelPair(
         a=a,
         b=b,
-        provenance=FactorizationProvenance(
-            inner_plus=io_plus.inner,
-            outer_plus=io_plus.outer,
-            inner_minus=inner_minus,
-            outer_minus=outer_minus,
-            convention="generic",
-        ),
+        convention="generic",
         source=phi,
         residual=float(residual),
     )

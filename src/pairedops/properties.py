@@ -54,7 +54,6 @@ from .symbols import (
     blaschke,
     parse_symbol,
     poly_from_roots,
-    poly_roots,
     rational_to_coeffs,
 )
 
@@ -444,16 +443,31 @@ def check_coburn(pair: SymbolPair, band: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_nondegenerate_pair(cfg: GeneratorConfig, run: _SuiteRun, base: int) -> SymbolPair:
-    for offset in range(50):
-        a = gen_symbol(replace(cfg, family="general"), base + 2 * offset)
-        b = gen_symbol(replace(cfg, family="general"), base + 2 * offset + 1)
-        pair = SymbolPair(a, b)
-        if pair.nondegenerate:
-            if offset:
-                run.bump("resamples", offset)
+def _draw_pair(
+    cfg: GeneratorConfig,
+    run: _SuiteRun,
+    family_a: str,
+    key_a: int,
+    family_b: str,
+    key_b: int,
+    step: int = 1,
+    accept: Callable[[SymbolPair], bool] = lambda pair: pair.nondegenerate,
+) -> SymbolPair:
+    """First accepted pair over 50 attempts, keys advancing by ``step``; each
+    rejected candidate counts as one resample."""
+    for offset in range(0, 50 * step, step):
+        pair = SymbolPair(
+            gen_symbol(replace(cfg, family=family_a), key_a + offset),
+            gen_symbol(replace(cfg, family=family_b), key_b + offset),
+        )
+        if accept(pair):
             return pair
-    raise RuntimeError("could not draw a nondegenerate pair")
+        run.bump("resamples")
+    raise RuntimeError(f"could not draw an accepted ({family_a}, {family_b}) pair")
+
+
+def _draw_nondegenerate_pair(cfg: GeneratorConfig, run: _SuiteRun, base: int) -> SymbolPair:
+    return _draw_pair(cfg, run, "general", base, "general", base + 1, step=2)
 
 
 def _forced_nonconforming(
@@ -489,13 +503,6 @@ def _rooted_analytic(rng: np.random.Generator, interior: int, exterior: int) -> 
     if abs(lead) < 0.3:
         lead += 0.5
     return poly_from_roots(roots, leading=lead)
-
-
-def _roots_clear_of_circle(p: LaurentPoly, distance: float) -> bool:
-    lifted = p.shift(-p.kmin)
-    if lifted.kmax == 0:
-        return True
-    return all(abs(abs(r) - 1.0) > distance for r in poly_roots(lifted).roots)
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +608,7 @@ def suite_brown_halmos(cfg: GeneratorConfig) -> TrialReport:
     for trial in range(cfg.trials):
         first = _draw_nondegenerate_pair(cfg, run, trial * 64)
         # conforming second factor: analytic upper symbol, coanalytic lower symbol
-        second = None
-        for offset in range(50):
-            cand = SymbolPair(
-                gen_symbol(replace(cfg, family="analytic"), trial * 64 + 7_000 + offset),
-                gen_symbol(replace(cfg, family="coanalytic"), trial * 64 + 8_000 + offset),
-            )
-            if cand.nondegenerate:
-                second = cand
-                break
-            run.bump("resamples")
+        second = _draw_pair(cfg, run, "analytic", trial * 64 + 7_000, "coanalytic", trial * 64 + 8_000)
         result = check_composition(first, second, band, "paired")
         run.observe(result["residual"], result["discrepancy"])
         if result["residual"] > cfg.exact_tol or result["discrepancy"] > cfg.exact_tol:
@@ -623,16 +621,9 @@ def suite_brown_halmos(cfg: GeneratorConfig) -> TrialReport:
             )
 
         # transposed version: the criterion sits on the first factor
-        transposed_first = None
-        for offset in range(50):
-            cand = SymbolPair(
-                gen_symbol(replace(cfg, family="coanalytic"), trial * 64 + 9_000 + offset),
-                gen_symbol(replace(cfg, family="analytic"), trial * 64 + 10_000 + offset),
-            )
-            if cand.nondegenerate:
-                transposed_first = cand
-                break
-            run.bump("resamples")
+        transposed_first = _draw_pair(
+            cfg, run, "coanalytic", trial * 64 + 9_000, "analytic", trial * 64 + 10_000
+        )
         transposed_second = _draw_nondegenerate_pair(cfg, run, trial * 64 + 11_000)
         transposed_result = check_composition(transposed_first, transposed_second, band, "transposed")
         run.observe(transposed_result["residual"], transposed_result["discrepancy"])
@@ -966,16 +957,7 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
         rng = _trial_rng(cfg, trial + 1_100_000)
 
         # analytic/coanalytic pairs have trivial kernels (vacuous invariance)
-        pair_i = None
-        for offset in range(50):
-            cand = SymbolPair(
-                gen_symbol(replace(cfg, family="analytic"), trial * 48 + offset),
-                gen_symbol(replace(cfg, family="coanalytic"), trial * 48 + 1_000 + offset),
-            )
-            if cand.nondegenerate:
-                pair_i = cand
-                break
-            run.bump("resamples")
+        pair_i = _draw_pair(cfg, run, "analytic", trial * 48, "coanalytic", trial * 48 + 1_000)
         band_i = max(4, pair_i.band_radius() + 2)
         try:
             band_i, (k_i,) = _kernels_at_common_band([pair_i], band_i, run)
@@ -1010,16 +992,9 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
             )
 
         # strictly co-analytic against analytic: direct element and containment
-        base = None
-        for offset in range(50):
-            cand = SymbolPair(
-                gen_symbol(replace(cfg, family="coanalytic_vanishing"), trial * 48 + 3_000 + offset),
-                gen_symbol(replace(cfg, family="analytic"), trial * 48 + 4_000 + offset),
-            )
-            if cand.nondegenerate:
-                base = cand
-                break
-            run.bump("resamples")
+        base = _draw_pair(
+            cfg, run, "coanalytic_vanishing", trial * 48 + 3_000, "analytic", trial * 48 + 4_000
+        )
         f_iii = kernel_element_direct(base.a, base.b)
         res_iii = check_kernel_annihilation(base, f_iii)
         run.observe(res_iii["residual"])
@@ -1045,20 +1020,19 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
             )
 
         # independent pair: cross products differ, so kernels must differ
-        other = None
-        for offset in range(50):
-            cand = SymbolPair(
-                gen_symbol(replace(cfg, family="coanalytic_vanishing"), trial * 48 + 6_000 + offset),
-                gen_symbol(replace(cfg, family="analytic"), trial * 48 + 7_000 + offset),
+        try:
+            other = _draw_pair(
+                cfg,
+                run,
+                "coanalytic_vanishing",
+                trial * 48 + 6_000,
+                "analytic",
+                trial * 48 + 7_000,
+                accept=lambda cand: cand.nondegenerate
+                and (cand.a * base.b - base.a * cand.b).max_abs_coeff() > 1e-6,
             )
-            if not cand.nondegenerate:
-                run.bump("resamples")
-                continue
-            cross = cand.a * base.b - base.a * cand.b
-            if cross.max_abs_coeff() > 1e-6:
-                other = cand
-                break
-            run.bump("resamples")
+        except RuntimeError:
+            other = None
 
         band = max(4, abs(f_iii.kmin), f_iii.kmax) + 2
         group = [base, scaled] + ([other] if other is not None else [])
@@ -1129,8 +1103,8 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
             run.bump("resamples")
             continue
         if not (
-            _roots_clear_of_circle(riesz_plus(phi), 1e-2)
-            and _roots_clear_of_circle(riesz_minus(phi).conj_reflect(), 1e-2)
+            invertible_on_circle(riesz_plus(phi), 1e-2)
+            and invertible_on_circle(riesz_minus(phi).conj_reflect(), 1e-2)
         ):
             run.bump("conditioning_skips")
             continue

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pairedops
 from pairedops.cli import RunConfig, main
 
 
@@ -230,3 +235,16 @@ def test_json_embeds_config(capsys):
     data = json.loads(out)
     assert set(data) == {"command", "config", "result"}
     assert data["config"]["N"] == 32
+
+
+def test_python_dash_m_runs_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(pairedops.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairedops", "norm", "--a", "1", "--b", "z", "--N", "4", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["command"] == "norm"

@@ -239,13 +239,13 @@ def test_pair_from_function_matches_known_kernels():
 
 def test_pair_from_function_halfspace_conventions():
     kp = pair_from_function(lp("z - 0.5"))
-    assert kp.provenance.convention == "analytic_halfspace"
+    assert kp.convention == "analytic_halfspace"
     assert kp.a.num.is_zero and kp.b.num == LaurentPoly.one()
     # the degenerate pair still annihilates the source
     assert apply_paired(SymbolPair(kp.a.num, kp.b.num), lp("z - 0.5")).is_zero
 
     kp = pair_from_function(lp("z^-2 + z^-1"))
-    assert kp.provenance.convention == "coanalytic_halfspace"
+    assert kp.convention == "coanalytic_halfspace"
     assert apply_paired(SymbolPair(kp.a.num, kp.b.num), lp("z^-2 + z^-1")).is_zero
 
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from pairedops import kernels
 from pairedops.operators import (
+    CommutatorResidual,
+    CompositionResidual,
     DegeneratePairError,
     SymbolPair,
     apply_paired,
@@ -489,6 +493,123 @@ def test_commutator_scalar_and_shift():
     assert commutator_residual(base, shift, 6).commutator_norm > 1e-8
     const = pair("2", "2")
     assert commutator_residual(base, const, 6).commutator_norm <= 1e-13
+
+
+def _composition_oracle(first, second, band, kind):
+    """Composition defect applied to each basis vector z^k by exact products.
+
+    Returns the report fields and the column norms of the direct defect.
+    """
+    apply = apply_paired if kind == "paired" else apply_transposed
+    product = first.product(second)
+    diff1 = first.a - first.b
+    diff2 = second.a - second.b
+    residual = 0.0
+    formula_residual = 0.0
+    discrepancy = 0.0
+    worst = -band
+    norms = []
+    for k in range(-band, band + 1):
+        e = LaurentPoly.monomial(k)
+        direct = apply(first, apply(second, e)) - apply(product, e)
+        if kind == "paired":
+            formula = diff1 * (
+                riesz_plus(second.b * riesz_minus(e)) - riesz_minus(second.a * riesz_plus(e))
+            )
+        else:
+            w = diff2 * e
+            formula = riesz_minus(first.b * riesz_plus(w)) - riesz_plus(first.a * riesz_minus(w))
+        norm = direct.l2_norm()
+        norms.append(norm)
+        if norm > residual:
+            residual = norm
+            worst = k
+        formula_residual = max(formula_residual, formula.l2_norm())
+        discrepancy = max(discrepancy, (direct - formula).l2_norm())
+    report = CompositionResidual(kind, band, residual, formula_residual, discrepancy, worst)
+    return report, norms
+
+
+def _commutator_oracle(first, second, band):
+    """Commutator applied to each basis vector z^k by exact products, checked
+    against its closed-form difference of one-sided defect operators."""
+    diff1 = first.a - first.b
+    diff2 = second.a - second.b
+    commutator_norm = 0.0
+    discrepancy = 0.0
+    worst = -band
+    norms = []
+    for k in range(-band, band + 1):
+        e = LaurentPoly.monomial(k)
+        direct = apply_paired(first, apply_paired(second, e)) - apply_paired(
+            second, apply_paired(first, e)
+        )
+        plus = riesz_plus(e)
+        minus = riesz_minus(e)
+        lhs = diff1 * (riesz_minus(second.a * plus) - riesz_plus(second.b * minus))
+        rhs = diff2 * (riesz_minus(first.a * plus) - riesz_plus(first.b * minus))
+        formula = rhs - lhs
+        norm = direct.l2_norm()
+        norms.append(norm)
+        if norm > commutator_norm:
+            commutator_norm = norm
+            worst = k
+        discrepancy = max(discrepancy, (direct - formula).l2_norm())
+    return CommutatorResidual(band, commutator_norm, discrepancy, worst), norms
+
+
+_RESIDUAL_RNG = np.random.default_rng(67)
+
+
+def _residual_pair(a_band: tuple[int, int], b_band: tuple[int, int] | None = None) -> SymbolPair:
+    """Random pair with a on exponents a_band and b on b_band (default a_band)."""
+    return SymbolPair(_random_poly(_RESIDUAL_RNG, *a_band), _random_poly(_RESIDUAL_RNG, *(b_band or a_band)))
+
+
+_shared = _random_poly(_RESIDUAL_RNG)
+_RESIDUAL_CASES = {
+    "constants": (pair("2", "-1"), SymbolPair(LaurentPoly({0: 0.5 + 1j}), lp("3"))),
+    "analytic": (_residual_pair((0, 4)), _residual_pair((0, 3))),
+    "coanalytic": (_residual_pair((-4, -1)), _residual_pair((-3, 0))),
+    "conforming": (_residual_pair((-4, 4)), _residual_pair((0, 3), (-3, 0))),
+    "equal_first": (SymbolPair(_shared, _shared), _residual_pair((-4, 4))),
+    "equal_second": (_residual_pair((-4, 4)), SymbolPair(_shared, _shared)),
+    "wide": (pair("1", "z"), pair("z^5", "2 - z^-5")),
+    "random": (_residual_pair((-4, 4)), _residual_pair((-4, 4))),
+    "random_wide": (_residual_pair((-6, 2)), _residual_pair((-1, 7))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("kind", ["paired", "transposed", "commutator"])
+def test_residual_reports_match_column_oracle(kind, n):
+    for name, (first, second) in _RESIDUAL_CASES.items():
+        if kind == "commutator":
+            report = commutator_residual(first, second, n)
+            oracle, norms = _commutator_oracle(first, second, n)
+            top = oracle.commutator_norm
+        else:
+            report = composition_residual(first, second, n, kind)
+            oracle, norms = _composition_oracle(first, second, n, kind)
+            top = oracle.residual
+        for field in dataclasses.fields(oracle):
+            got, want = getattr(report, field.name), getattr(oracle, field.name)
+            if isinstance(want, float):
+                assert abs(got - want) <= 1e-13 * max(1.0, want), (name, field.name, got, want)
+            elif field.name != "worst_exponent":
+                assert got == want, (name, field.name)
+        # equal-norm columns can tie, so any column at the maximum will do
+        assert -n <= report.worst_exponent <= n, name
+        assert norms[report.worst_exponent + n] >= top - 1e-13 * max(1.0, top), name
+
+
+def test_residual_reports_reject_empty_band():
+    with pytest.raises(ValueError):
+        composition_residual(pair("1", "z"), pair("z", "1"), 0)
+    with pytest.raises(ValueError):
+        commutator_residual(pair("1", "z"), pair("z", "1"), 0)
+    with pytest.raises(ValueError):
+        composition_residual(pair("1", "z"), pair("z", "1"), 4, kind="adjoint")
 
 
 def test_degenerate_pair_flag_and_error():

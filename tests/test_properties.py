@@ -13,6 +13,8 @@ from pairedops.properties import (
     GeneratorConfig,
     SUITES,
     Violation,
+    _draw_pair,
+    _SuiteRun,
     gen_symbol,
     replay_violation,
     run_all,
@@ -79,6 +81,25 @@ def test_generator_config_validation():
         GeneratorConfig(degree_range=(3, 1))
     with pytest.raises(ValueError):
         GeneratorConfig(trials=-1)
+
+
+def test_draw_pair_counts_rejections_and_raises():
+    run = _SuiteRun("draw", SMALL)
+    seen = []
+
+    def third(pair):
+        seen.append(pair)
+        return len(seen) == 3
+
+    drawn = _draw_pair(SMALL, run, "analytic", 5, "coanalytic", 900, step=2, accept=third)
+    assert drawn == SymbolPair(
+        gen_symbol(replace(SMALL, family="analytic"), 9),
+        gen_symbol(replace(SMALL, family="coanalytic"), 904),
+    )
+    assert run.stats["resamples"] == 2
+    with pytest.raises(RuntimeError):
+        _draw_pair(SMALL, run, "general", 0, "general", 1, accept=lambda pair: False)
+    assert run.stats["resamples"] == 52
 
 
 # ---------------------------------------------------------------------------
