@@ -370,6 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _emit(payload: str, cfg: RunConfig) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as handle:
@@ -379,8 +382,7 @@ def _emit(payload: str, cfg: RunConfig) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_config(args)
         outcome = args.handler(args, cfg)

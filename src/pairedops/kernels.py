@@ -4,8 +4,9 @@ Kernel computations run on the exact band-growing action, so every reported
 basis vector is a genuine kernel element of the operator restricted to
 trigonometric polynomials, not merely a null vector of a truncation.  The
 band-limited kernel is always a subspace of the true kernel; the
-``stabilized`` flag (equal dimensions at bands N and N+2) is evidence, not
-proof, that the two coincide.
+``stabilized`` flag is evidence, not proof, that the two coincide.  It
+compares the dimension at band N with the null count of a values-only SVD of
+the band-(N+2) action matrix, under the same threshold and gray-zone rule.
 
 Singular values below 1e-8 of the largest one count as null; any singular
 value landing in the gray zone just above the threshold, or a candidate null
@@ -16,7 +17,7 @@ vector whose exact-action residual fails certification, raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -87,19 +88,17 @@ class AmbiguousKernelError(ArithmeticError):
         self.singular_values = tuple(float(s) for s in singular_values)
 
 
-def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESHOLD):
-    """Orthonormal null basis of a tall matrix with gap-checked thresholding.
+def _null_count(svals: np.ndarray, width: int, rel_threshold: float) -> int:
+    """Number of null directions of a matrix with ``width`` columns.
 
-    Returns (columns, singular_values_ascending).  Raises
-    :class:`AmbiguousKernelError` when a singular value lands between the
-    threshold and ten times the threshold.
+    ``svals`` are its singular values in descending order; values at most
+    ``rel_threshold`` times the largest count as null, and a zero matrix is
+    null in every column.  Raises :class:`AmbiguousKernelError` when a
+    singular value lands between the threshold and ten times the threshold.
     """
-    if matrix.size == 0:
-        raise ValueError("empty matrix")
-    _, svals, vh = np.linalg.svd(matrix, full_matrices=False)
-    smax = float(svals[0]) if len(svals) else 0.0
+    smax = float(svals[0])
     if smax == 0.0:
-        return np.eye(matrix.shape[1], dtype=complex), sorted(float(s) for s in svals)
+        return width
     threshold = rel_threshold * smax
     gray = [float(s) for s in svals if threshold < s < _NULL_GAP_FACTOR * threshold]
     if gray:
@@ -108,8 +107,20 @@ def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESH
             f"null threshold {threshold:.3e}",
             sorted(float(s) for s in svals),
         )
-    null_mask = svals <= threshold
-    columns = vh[null_mask].conj().T
+    return int(np.count_nonzero(svals <= threshold))
+
+
+def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESHOLD):
+    """Orthonormal null basis of a tall matrix with gap-checked thresholding.
+
+    Returns (columns, singular_values_ascending); the null count and the
+    gray-zone refusal are those of :func:`_null_count`.
+    """
+    if matrix.size == 0:
+        raise ValueError("empty matrix")
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=False)
+    count = _null_count(svals, matrix.shape[1], rel_threshold)
+    columns = vh[len(svals) - count :].conj().T if svals[0] else np.eye(count, dtype=complex)
     return columns, sorted(float(s) for s in svals)
 
 
@@ -140,11 +151,6 @@ class KernelBasis:
         }
 
 
-def _kernel_columns(pair: SymbolPair, band: int, kind: str, rel_threshold: float):
-    matrix = exact_action_matrix(pair, band, kind=kind)
-    return _null_space(matrix, rel_threshold)
-
-
 def kernel_basis(
     pair: SymbolPair,
     band: int,
@@ -157,13 +163,14 @@ def kernel_basis(
     Every returned vector is certified by applying the operator exactly and
     demanding a residual of at most 1e-10 (relative to the section scale);
     certification failures surface as :class:`AmbiguousKernelError`.  The
-    ``stabilized`` flag records whether the dimension is unchanged at band
-    N + 2.
+    ``stabilized`` flag records whether the dimension equals the null count
+    of a values-only SVD of the band-(N + 2) action matrix, under the same
+    threshold and gray-zone rule (a gray value there also raises).
     """
     pair.require_nondegenerate()
     if band < 1:
         raise ValueError("band must be at least 1")
-    columns, svals = _kernel_columns(pair, band, kind, rel_threshold)
+    columns, svals = _null_space(exact_action_matrix(pair, band, kind=kind), rel_threshold)
     apply = apply_paired if kind == "paired" else apply_transposed
     vectors = []
     for j in range(columns.shape[1]):
@@ -176,13 +183,14 @@ def kernel_basis(
                 svals,
             )
         vectors.append(v)
-    wider_columns, _ = _kernel_columns(pair, band + 2, kind, rel_threshold)
+    wider = exact_action_matrix(pair, band + 2, kind=kind)
+    wider_dim = _null_count(np.linalg.svd(wider, compute_uv=False), wider.shape[1], rel_threshold)
     return KernelBasis(
         pair=pair,
         band=band,
         basis=tuple(vectors),
         singular_values=tuple(svals),
-        stabilized=wider_columns.shape[1] == columns.shape[1],
+        stabilized=wider_dim == columns.shape[1],
         transposed=(kind == "transposed"),
     )
 
@@ -660,6 +668,9 @@ class CoburnReport:
     adjoint_dim_matches: bool | None
     all_stabilized: bool
     degenerate_difference: bool = False
+    # the bases behind dim_kernel and dim_adjoint; None for a degenerate difference
+    kernel: KernelBasis | None = field(default=None, compare=False, repr=False)
+    adjoint: KernelBasis | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -734,6 +745,8 @@ def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
         invertible_cases=invertible,
         adjoint_dim_matches=(k_adj.dim == k_conj.dim) if invertible else None,
         all_stabilized=stable,
+        kernel=k,
+        adjoint=k_adj,
     )
 
 

@@ -25,7 +25,6 @@ from .kernels import (
     AmbiguousKernelError,
     _containment_gap,
     adjoint_inverse_report,
-    adjoint_kernel_basis,
     adjoint_kernel_map,
     coburn_check,
     invertible_on_circle,
@@ -1166,12 +1165,7 @@ def suite_coburn(cfg: GeneratorConfig) -> TrialReport:
             run.violation(trial, "coburn", {"pair": pair, "band": report.band}, payload, "adjoint dimension mismatch")
         if report.dim_kernel:
             run.bump("nontrivial_kernels")
-            try:
-                k = kernel_basis(pair, report.band)
-            except AmbiguousKernelError as err:
-                run.ambiguity(trial, err, "conjugate transfer")
-                return
-            images = [kernel_conjugate(v, pair) for v in k.basis]
+            images = [kernel_conjugate(v, pair) for v in report.kernel.basis]
             gram = np.array([[inner_product(u, v) for v in images] for u in images])
             if images and np.max(np.abs(gram - np.eye(len(images)))) > 1e-10:
                 run.violation(
@@ -1183,12 +1177,7 @@ def suite_coburn(cfg: GeneratorConfig) -> TrialReport:
                 )
         if report.dim_adjoint and report.invertible_cases:
             run.bump("adjoint_round_trips")
-            try:
-                adj = adjoint_kernel_basis(pair, report.band)
-            except AmbiguousKernelError as err:
-                run.ambiguity(trial, err, "adjoint transfer")
-                return
-            for psi in adj.basis:
+            for psi in report.adjoint.basis:
                 phi = adjoint_kernel_map(psi, pair)
                 try:
                     inverses = adjoint_inverse_report(phi, pair)

@@ -248,3 +248,29 @@ def test_python_dash_m_runs_quietly():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["command"] == "norm"
+
+
+def _fresh_process_stdout(argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(pairedops.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairedops", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    return proc.stdout
+
+
+def test_consecutive_main_calls_share_no_state(capsys):
+    kernel = ["kernel", "--a", "z^-1", "--b", "1", "--N", "6", "--format", "json"]
+    norm = ["norm", "--a", "1+z", "--b", "z^-2", "--format", "json"]
+    sequence = [kernel + ["--project"], kernel, norm[:-2] + ["--N", "8,16"] + norm[-2:], norm]
+    outputs = []
+    for argv in sequence:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs.append(out)
+    assert "plus" in json.loads(outputs[0])["result"]
+    assert not {"plus", "minus"} & set(json.loads(outputs[1])["result"])
+    assert [r["N"] for r in json.loads(outputs[2])["result"]["rows"]] == [8, 16]
+    assert [r["N"] for r in json.loads(outputs[3])["result"]["rows"]] == [8, 16, 32, 64]
+    for argv, out in zip(sequence, outputs):
+        assert out == _fresh_process_stdout(argv)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pairedops.kernels import (
     AmbiguousKernelError,
+    _null_count,
     _null_space,
     adjoint_inverse_report,
     adjoint_kernel_basis,
@@ -28,7 +32,14 @@ from pairedops.kernels import (
     subspace_angle,
     toeplitz_kernel_bridge,
 )
-from pairedops.operators import DegeneratePairError, SymbolPair, apply_paired
+from pairedops.operators import (
+    DegeneratePairError,
+    SymbolPair,
+    apply_paired,
+    exact_action_matrix,
+    op_norm,
+)
+from pairedops.properties import check_norm_bounds
 from pairedops.symbols import LaurentPoly, parse_symbol
 
 
@@ -53,6 +64,17 @@ def test_null_space_gap_guard():
     clean_cols, svals = _null_space(np.diag([1.0, 1e-12]).astype(complex))
     assert clean_cols.shape[1] == 1
     assert svals == sorted(svals)
+    # the count path applies the same rule to values-only singular values
+    with pytest.raises(AmbiguousKernelError) as err:
+        _null_count(np.linalg.svd(ambiguous, compute_uv=False), 2, 1e-8)
+    assert err.value.singular_values == (3e-8, 1.0)
+    clean = np.diag([1.0, 1e-12]).astype(complex)
+    assert _null_count(np.linalg.svd(clean, compute_uv=False), 2, 1e-8) == 1
+    assert _null_count(np.linalg.svd(clean, compute_uv=False), 2, 1e-13) == 0
+    # a zero matrix is null in every column, also wider than tall
+    zero = np.zeros((2, 3), dtype=complex)
+    assert _null_count(np.linalg.svd(zero, compute_uv=False), 3, 1e-8) == 3
+    assert np.array_equal(_null_space(zero)[0], np.eye(3))
 
 
 def test_kernel_basis_pinned_dimensions():
@@ -68,6 +90,73 @@ def test_kernel_basis_pinned_dimensions():
     for band in (32, 64):
         k = kernel_basis(pair("1", "1 - z"), band)
         assert k.dim == 0 and k.stabilized
+
+
+def _rooted(rng, kmin: int) -> LaurentPoly:
+    """z^kmin times a monic polynomial with 1 or 2 roots of log-uniform modulus."""
+    moduli = np.exp(rng.uniform(math.log(0.005), math.log(200.0), size=int(rng.integers(1, 3))))
+    roots = moduli * np.exp(2j * np.pi * rng.random(len(moduli)))
+    return LaurentPoly.from_dense(np.poly(roots)[::-1].astype(complex), kmin)
+
+
+def test_stabilized_matches_full_svd_count():
+    """``stabilized`` equals the null count of a full SVD at band N + 2."""
+    rng = np.random.default_rng(71)
+    seen = Counter()
+    for _ in range(30):
+        p = SymbolPair(_rooted(rng, int(rng.integers(-1, 2))), _rooted(rng, int(rng.integers(-1, 2))))
+        for kind in ("paired", "transposed"):
+            for n in (1, 2, 3, 8, 17):
+                try:
+                    oracle = _null_space(exact_action_matrix(p, n + 2, kind=kind))[0].shape[1]
+                except AmbiguousKernelError:
+                    oracle = None
+                try:
+                    k = kernel_basis(p, n, kind=kind)
+                except AmbiguousKernelError as err:
+                    # a refusal the N + 2 oracle does not share comes from band N
+                    if oracle is not None and "certification" not in str(err):
+                        with pytest.raises(AmbiguousKernelError):
+                            _null_space(exact_action_matrix(p, n, kind=kind))
+                    seen["refused" if oracle is not None else "refused at N + 2"] += 1
+                    continue
+                assert oracle is not None
+                assert k.stabilized == (oracle == k.dim)
+                seen[k.stabilized] += 1
+    assert seen[True] and seen[False] and seen["refused at N + 2"]
+
+
+def test_stabilized_pinned_cases():
+    k = kernel_basis(pair("1", "z - 0.01"), 2)
+    assert k.dim == 0 and not k.stabilized
+    k = kernel_basis(pair("z^-1", "z - 0.05"), 5)
+    assert k.dim == 1 and not k.stabilized
+    # band 11 is clean; the gray value comes from the band-13 check
+    with pytest.raises(AmbiguousKernelError) as err:
+        kernel_basis(pair("1", "z - 0.3"), 11)
+    assert len(err.value.singular_values) == 27
+
+
+def test_svd_counts_per_call(monkeypatch):
+    counts = Counter()
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        counts["full" if kwargs.get("compute_uv", True) else "values"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    kernel_basis(pair("z^-1", "z"), 8)
+    assert counts == {"full": 1, "values": 1}
+
+    counts.clear()
+    coburn_check(pair("1", "z"), 8)
+    assert counts == {"full": 4, "values": 4}
+
+    counts.clear()
+    op_norm(pair("1", "z"), 16)
+    check_norm_bounds(lp("1 + z"), lp("2 - z^-1"))
+    assert counts["full"] == 0 and counts["values"] == 6
 
 
 def test_kernel_basis_membership_and_gram():
@@ -417,6 +506,20 @@ def test_coburn_equal_symbols_special_case():
     r = coburn_check(pair("1 + z", "1 + z"), 8)
     assert r.degenerate_difference
     assert r.dim_kernel == 0 and r.dichotomy_holds
+    assert r.kernel is None and r.adjoint is None
+
+
+def test_coburn_report_carries_its_bases():
+    for p, dims in ((pair("1", "z"), (1, 0)), (pair("z", "1"), (0, 1))):
+        r = coburn_check(p, 8)
+        assert r.kernel == kernel_basis(p, 8)
+        assert r.adjoint == adjoint_kernel_basis(p, 8)
+        assert (r.kernel.dim, r.adjoint.dim) == (r.dim_kernel, r.dim_adjoint) == dims
+        # the bases stay out of equality, repr and JSON
+        bare = dataclasses.replace(r, kernel=None, adjoint=None)
+        assert bare == r and repr(bare) == repr(r)
+        assert r.to_json_dict() == bare.to_json_dict()
+        assert "basis" not in json.dumps(r.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
