@@ -122,12 +122,12 @@ class SymbolPair:
 
 def riesz_plus(v: CoeffVector) -> CoeffVector:
     """Keep the nonnegative Fourier modes (projection onto the Hardy space)."""
-    return LaurentPoly({k: c for k, c in v.coeffs.items() if k >= 0})
+    return LaurentPoly._trusted({k: c for k, c in v._coeffs.items() if k >= 0})
 
 
 def riesz_minus(v: CoeffVector) -> CoeffVector:
     """Keep the strictly negative Fourier modes."""
-    return LaurentPoly({k: c for k, c in v.coeffs.items() if k <= -1})
+    return LaurentPoly._trusted({k: c for k, c in v._coeffs.items() if k <= -1})
 
 
 def mul_apply(symbol: LaurentPoly, v: CoeffVector) -> CoeffVector:
@@ -161,7 +161,7 @@ def hankel_plus(symbol: LaurentPoly, v: CoeffVector) -> CoeffVector:
 
 def inner_product(u: CoeffVector, v: CoeffVector) -> complex:
     """L2 inner product  sum_k u_k conj(v_k)."""
-    if len(u.coeffs) <= len(v.coeffs):
+    if len(u._coeffs) <= len(v._coeffs):
         return sum((c * v.coeff(k).conjugate() for k, c in u.items()), 0j)
     return sum((u.coeff(k) * c.conjugate() for k, c in v.items()), 0j)
 
@@ -217,10 +217,16 @@ def toeplitz_window(
     the symbol's dense coefficients on the window's offsets is copied into
     ``out`` (a new complex matrix by default).
     """
+    n_rows, n_cols = len(rows), len(cols)
     if out is None:
-        out = np.empty((len(rows), len(cols)), dtype=complex)
+        out = np.empty((n_rows, n_cols), dtype=complex)
     dense = symbol.to_dense(rows.start - cols[-1], rows[-1] - cols.start)
-    out[...] = np.lib.stride_tricks.sliding_window_view(dense, len(cols))[:, ::-1]
+    # dense has n_rows + n_cols - 1 entries; entry (i, j) of the view is
+    # dense[n_cols - 1 + i - j], whose index runs over 0 .. n_rows + n_cols - 2
+    step = dense.strides[0]
+    out[...] = np.lib.stride_tricks.as_strided(
+        dense[n_cols - 1 :], (n_rows, n_cols), (step, -step), writeable=False
+    )
     return out
 
 

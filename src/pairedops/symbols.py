@@ -14,6 +14,7 @@ package use tolerances of 1e-12 or tighter for this layer.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -75,9 +76,24 @@ class FactorizationError(ArithmeticError):
     """Raised when an inner-outer factorization fails its own residual checks."""
 
 
+@functools.lru_cache(maxsize=16)
 def unit_grid(n: int) -> np.ndarray:
-    """Return the n-th roots of unity as a complex vector."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    """Return the n-th roots of unity as a read-only complex vector.
+
+    The array is cached per ``n`` and shared between callers, hence read-only.
+    """
+    grid = np.exp(2j * np.pi * np.arange(n) / n)
+    grid.flags.writeable = False
+    return grid
+
+
+def _cabs(values: np.ndarray) -> np.ndarray:
+    """Entrywise modulus, bit for bit Python's ``abs`` on each entry.
+
+    ``np.abs`` on complex arrays may take a SIMD path that differs from libm
+    ``hypot`` in the last bit, which would move pruning and residual decisions.
+    """
+    return np.hypot(values.real, values.imag)
 
 
 class LaurentPoly:
@@ -86,12 +102,21 @@ class LaurentPoly:
     Coefficients are stored sparsely; exactly-zero coefficients are dropped,
     so the zero symbol has an empty table and the canonical band (0, 0).
     Instances are immutable by convention and safe to share across threads.
+
+    Every instance holds a canonical table: keys are Python ``int`` and values
+    are finite, nonzero Python ``complex``.  Input from outside (the
+    constructor, :meth:`from_dense`, :meth:`from_json_dict`) and arithmetic
+    that can cancel to zero or overflow (``+``, ``-``, scalar ``*``) is
+    validated entry by entry.  Maps that keep the invariant by construction
+    (negation, :meth:`shift`, :meth:`conj_reflect`, the Riesz projections)
+    and the nonzero entries of a finite dense vector go through the trusted
+    :meth:`_trusted` path, which skips that pass.
     """
 
     __slots__ = ("_coeffs", "_kmin", "_kmax")
 
     def __init__(self, coeffs: Mapping[int, complex] | Iterable[tuple[int, complex]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
         table: dict[int, complex] = {}
         for k, v in items:
             c = complex(v)
@@ -100,12 +125,15 @@ class LaurentPoly:
             if c != 0:
                 table[int(k)] = c
         self._coeffs = table
-        if table:
-            self._kmin = min(table)
-            self._kmax = max(table)
-        else:
-            self._kmin = 0
-            self._kmax = 0
+        self._kmin, self._kmax = (min(table), max(table)) if table else (0, 0)
+
+    @classmethod
+    def _trusted(cls, table: dict[int, complex]) -> "LaurentPoly":
+        """Adopt a table that already meets the class invariant, unchecked."""
+        self = object.__new__(cls)
+        self._coeffs = table
+        self._kmin, self._kmax = (min(table), max(table)) if table else (0, 0)
+        return self
 
     # -- construction helpers -------------------------------------------------
 
@@ -123,7 +151,12 @@ class LaurentPoly:
 
     @classmethod
     def from_dense(cls, values: Sequence[complex], kmin: int) -> "LaurentPoly":
-        return cls({kmin + i: v for i, v in enumerate(values)})
+        arr = np.asarray(values, dtype=complex)
+        if not np.isfinite(arr).all():
+            # the validating path names the first non-finite exponent
+            return cls({kmin + i: v for i, v in enumerate(values)})
+        nz = np.flatnonzero(arr)
+        return cls._trusted(dict(zip((nz + kmin).tolist(), arr[nz].tolist())))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -209,7 +242,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self._coeffs.items()})
+        return LaurentPoly._trusted({k: -v for k, v in self._coeffs.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = _lift(other)
@@ -242,7 +275,8 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k (exact exponent shift)."""
-        return LaurentPoly({j + k: v for j, v in self._coeffs.items()})
+        k = int(k)
+        return LaurentPoly._trusted({j + k: v for j, v in self._coeffs.items()})
 
     def conj_reflect(self) -> "LaurentPoly":
         """The symbol with boundary values conj(self(z)) for |z| = 1.
@@ -250,7 +284,7 @@ class LaurentPoly:
         Coefficientwise: the exponent-k coefficient of the result is the
         complex conjugate of the exponent-(-k) coefficient of the input.
         """
-        return LaurentPoly({-k: v.conjugate() for k, v in self._coeffs.items()})
+        return LaurentPoly._trusted({-k: v.conjugate() for k, v in self._coeffs.items()})
 
     # -- analysis ----------------------------------------------------------------
 
@@ -567,8 +601,9 @@ def poly_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
     """Roots of a nonzero analytic polynomial via companion-matrix eigenvalues.
 
     The monomial factor z^kmin is split off first and reported as
-    ``monomial_order``.  Each root receives one Newton polishing step and is
-    checked against ``residual_tol`` relative to the coefficient magnitude.
+    ``monomial_order``.  Each root receives one Newton polishing step (one
+    vectorised pass over all roots) and is checked against ``residual_tol``
+    relative to the coefficient magnitude.
     """
     if p.is_zero:
         raise ValueError("cannot take roots of the zero polynomial")
@@ -581,22 +616,22 @@ def poly_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
         return PolyRoots((), order, ())
     dense = q.to_dense(0, degree)  # ascending powers
     scale = float(np.max(np.abs(dense)))
-    raw = np.roots(dense[::-1])
+    rev = dense[::-1]
+    roots = np.array(sorted(np.roots(rev), key=lambda w: (w.real, w.imag)), dtype=complex)
     deriv = dense[1:] * np.arange(1, degree + 1)
-    polished = []
-    residuals = []
-    for r in sorted(raw, key=lambda w: (w.real, w.imag)):
-        val = np.polyval(dense[::-1], r)
-        dval = np.polyval(deriv[::-1], r) if degree >= 1 else 0.0
-        if abs(dval) > 1e-8 * scale:
-            r = r - val / dval
-            val = np.polyval(dense[::-1], r)
-        res = abs(val) / (scale * max(1.0, abs(r)) ** degree)
+    val = np.polyval(rev, roots)
+    dval = np.polyval(deriv[::-1], roots)
+    step = _cabs(dval) > 1e-8 * scale
+    roots[step] -= val[step] / dval[step]
+    val[step] = np.polyval(rev, roots[step])
+    # float powers one by one: numpy's array power may differ from libm pow in the last bit
+    residuals = tuple(
+        v / (scale * max(1.0, m) ** degree) for v, m in zip(_cabs(val).tolist(), _cabs(roots).tolist())
+    )
+    for res in residuals:
         if res > residual_tol:
             raise FactorizationError(f"root residual {res:.3e} exceeds {residual_tol:.1e}")
-        polished.append(complex(r))
-        residuals.append(float(res))
-    return PolyRoots(tuple(polished), order, tuple(residuals))
+    return PolyRoots(tuple(roots.tolist()), order, residuals)
 
 
 def poly_from_roots(roots: Sequence[complex], leading: complex = 1.0, shift: int = 0) -> LaurentPoly:
@@ -626,7 +661,7 @@ class RationalSymbol:
             raise ValueError("denominator must be an analytic polynomial")
         lead = den.coeff(den.kmax)
         inv = 1.0 / lead
-        den = LaurentPoly({**{k: v * inv for k, v in den.coeffs.items() if k != den.kmax}, den.kmax: 1.0})
+        den = LaurentPoly({**{k: v * inv for k, v in den._coeffs.items() if k != den.kmax}, den.kmax: 1.0})
         num = num * inv
         if den.kmax > 0:
             rr = poly_roots(den)
@@ -809,8 +844,9 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
     inner_vals = inner(grid)
     if np.max(np.abs(np.abs(inner_vals) - 1.0)) > 1e-8:
         raise FactorizationError("inner factor is not unimodular on the circle")
-    scale = max(1.0, float(np.max(np.abs(p(grid)))))
-    if np.max(np.abs(inner_vals * outer(grid) - p(grid))) > 1e-8 * scale:
+    p_vals = p(grid)
+    scale = max(1.0, float(np.max(np.abs(p_vals))))
+    if np.max(np.abs(inner_vals * outer(grid) - p_vals)) > 1e-8 * scale:
         raise FactorizationError("inner * outer does not reproduce the input")
     return InnerOuterFactorization(
         inner=inner,
@@ -889,14 +925,13 @@ def rational_to_coeffs(
     grid = unit_grid(n)
     vals = r.num(grid) / r.den(grid)
     spectrum = np.fft.fft(vals) / n
-    table = {}
-    for k in range(-band, band + 1):
-        table[k] = complex(spectrum[k % n])
-    top = max(abs(v) for v in table.values()) if table else 0.0
-    pruned = LaurentPoly({k: v for k, v in table.items() if abs(v) > prune_rel * top})
+    slots = np.arange(-band, band + 1) % n
+    window = spectrum[slots]
+    magnitude = _cabs(window)
+    window[~(magnitude > prune_rel * magnitude.max())] = 0
+    pruned = LaurentPoly.from_dense(window, -band)
     recon_spec = np.zeros(n, dtype=complex)
-    for k, v in pruned.coeffs.items():
-        recon_spec[k % n] = v
+    recon_spec[slots] = window
     recon = np.fft.ifft(recon_spec) * n
     err = float(np.max(np.abs(recon - vals)))
     return RationalTruncation(pruned, err)

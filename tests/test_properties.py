@@ -165,6 +165,16 @@ def test_run_all_seed_changes_inputs_not_verdict():
     assert a.reports["norm_bounds"].stats != b.reports["norm_bounds"].stats
 
 
+def test_run_all_carries_no_state_between_runs():
+    # shared caches (the unit grids) must not make a report depend on earlier runs
+    def report() -> str:
+        return json.dumps(run_all(GeneratorConfig(seed=0, trials=2)).to_json_dict(include_runtime=False))
+
+    before = report()
+    run_all(GeneratorConfig(seed=1, trials=2))
+    assert report() == before
+
+
 def test_run_all_zero_trials_vacuous():
     agg = run_all(GeneratorConfig(seed=0, trials=0))
     assert agg.verdict == "no-evidence"

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairedops.operators import riesz_minus, riesz_plus
 from pairedops.symbols import (
     AnalyticityClass,
     ConditioningError,
+    FactorizationError,
     LaurentPoly,
+    PolyRoots,
     RationalSymbol,
     SymbolParseError,
     blaschke,
@@ -20,10 +25,12 @@ from pairedops.symbols import (
     is_nondegenerate,
     model_space_basis,
     parse_symbol,
+    poly_from_roots,
     poly_roots,
     rational_to_coeffs,
     rational_to_coeffs_auto,
     unit_grid,
+    _fft_size,
 )
 
 
@@ -447,3 +454,208 @@ def test_json_round_trip():
     back = RationalSymbol.from_json_dict(r.to_json_dict())
     grid = unit_grid(64)
     assert np.max(np.abs(back(grid) - r(grid))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# vectorised exact layer against the loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _from_dense_oracle(values, kmin) -> LaurentPoly:
+    return LaurentPoly({kmin + i: v for i, v in enumerate(values)})
+
+
+def _rational_to_coeffs_oracle(r: RationalSymbol, band: int, prune_rel: float = 1e-14):
+    """Coefficient table and grid error built one exponent at a time."""
+    n = _fft_size(band, (r.num.kmax - r.num.kmin) + r.den.kmax)
+    grid = np.exp(2j * np.pi * np.arange(n) / n)
+    vals = r.num(grid) / r.den(grid)
+    spectrum = np.fft.fft(vals) / n
+    table = {}
+    for k in range(-band, band + 1):
+        table[k] = complex(spectrum[k % n])
+    top = max(abs(v) for v in table.values()) if table else 0.0
+    pruned = LaurentPoly({k: v for k, v in table.items() if abs(v) > prune_rel * top})
+    recon_spec = np.zeros(n, dtype=complex)
+    for k, v in pruned.coeffs.items():
+        recon_spec[k % n] = v
+    recon = np.fft.ifft(recon_spec) * n
+    return pruned, float(np.max(np.abs(recon - vals)))
+
+
+def _poly_roots_oracle(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
+    """Companion roots, each polished and checked on its own."""
+    order = p.kmin
+    q = p.shift(-order)
+    degree = q.kmax
+    if degree == 0:
+        return PolyRoots((), order, ())
+    dense = q.to_dense(0, degree)
+    scale = float(np.max(np.abs(dense)))
+    raw = np.roots(dense[::-1])
+    deriv = dense[1:] * np.arange(1, degree + 1)
+    polished, residuals = [], []
+    for r in sorted(raw, key=lambda w: (w.real, w.imag)):
+        val = np.polyval(dense[::-1], r)
+        dval = np.polyval(deriv[::-1], r)
+        if abs(dval) > 1e-8 * scale:
+            r = r - val / dval
+            val = np.polyval(dense[::-1], r)
+        res = abs(val) / (scale * max(1.0, abs(r)) ** degree)
+        if res > residual_tol:
+            raise FactorizationError(f"root residual {res:.3e} exceeds {residual_tol:.1e}")
+        polished.append(complex(r))
+        residuals.append(float(res))
+    return PolyRoots(tuple(polished), order, tuple(residuals))
+
+
+def _assert_same_table(got: LaurentPoly, want: LaurentPoly) -> None:
+    """Equal as canonical tables, down to key order and signed zeros."""
+    assert list(got.items()) == list(want.items())
+    assert list(got._coeffs) == list(want._coeffs)
+    assert (got.kmin, got.kmax) == (want.kmin, want.kmax)
+    assert hash(got) == hash(want)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert all(type(k) is int and type(v) is complex for k, v in got._coeffs.items())
+
+
+def _random_dense(rng: np.random.Generator, length: int) -> np.ndarray:
+    """Complex entries over many magnitudes, with exact and signed zeros mixed in."""
+    values = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) * 10.0 ** rng.uniform(-20, 5, length)
+    special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               complex(-0.0, 1.5), complex(2.5, -0.0), complex(-3.0, 0.0), complex(0.0, -4.0)]
+    for i in np.flatnonzero(rng.random(length) < 0.3):
+        values[i] = special[rng.integers(len(special))]
+    return values
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_dense_matches_dict_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for length in (0, 1, 2, 7, 40, 129):
+        values = _random_dense(rng, length)
+        kmin = int(rng.integers(-50, 50))
+        _assert_same_table(LaurentPoly.from_dense(values, kmin), _from_dense_oracle(values, kmin))
+        as_list = values.tolist()
+        _assert_same_table(LaurentPoly.from_dense(as_list, kmin), _from_dense_oracle(as_list, kmin))
+        _assert_same_table(LaurentPoly.from_dense(values.real, kmin), _from_dense_oracle(values.real, kmin))
+        numpy_kmin = np.int64(kmin)
+        _assert_same_table(LaurentPoly.from_dense(values, numpy_kmin), _from_dense_oracle(values, numpy_kmin))
+
+
+def test_from_dense_zero_vectors():
+    for values in (np.zeros(0, dtype=complex), np.zeros(5, dtype=complex), np.array([complex(-0.0, -0.0)] * 3)):
+        p = LaurentPoly.from_dense(values, -2)
+        _assert_same_table(p, _from_dense_oracle(values, -2))
+        assert p.is_zero and p.band == (0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)])
+def test_from_dense_non_finite_raises_oracle_error(bad):
+    values = np.array([0.0, 1.0, bad, 2.0, bad], dtype=complex)
+    with pytest.raises(ValueError) as oracle_error:
+        _from_dense_oracle(values, np.int64(-3))
+    with pytest.raises(ValueError) as error:
+        LaurentPoly.from_dense(values, np.int64(-3))
+    assert str(error.value) == str(oracle_error.value) == "non-finite coefficient at exponent -1"
+
+
+def _random_rational(rng: np.random.Generator) -> RationalSymbol:
+    kmin = int(rng.integers(-4, 3))
+    num = LaurentPoly.from_dense(rng.standard_normal(int(rng.integers(1, 6))) + 1j * rng.standard_normal(1), kmin)
+    if num.is_zero:
+        num = LaurentPoly.one()
+    count = int(rng.integers(0, 4))
+    moduli = np.where(rng.random(count) < 0.5, rng.uniform(0.2, 0.9, count), rng.uniform(1.15, 4.0, count))
+    roots = moduli * np.exp(2j * np.pi * rng.random(count))
+    return RationalSymbol(num, poly_from_roots(roots, 1.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_to_coeffs_matches_loop_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(6):
+        r = _random_rational(rng)
+        for band in (0, 1, 5, 32, 200):
+            for prune_rel in (1e-14, 0.0, 1e-3):
+                got = rational_to_coeffs(r, band, prune_rel=prune_rel)
+                table, err = _rational_to_coeffs_oracle(r, band, prune_rel)
+                _assert_same_table(got.coeffs, table)
+                assert got.grid_error == err
+
+
+def test_rational_to_coeffs_exact_zeros_match_oracle():
+    # a polynomial numerator gives exact zeros and signed zeros off its band
+    for r in (RationalSymbol(lp("z^-2 - 0.5*z + 3i*z^3")), RationalSymbol(LaurentPoly.one()), blaschke([0.5, -0.25j])):
+        for band in (0, 2, 16):
+            got = rational_to_coeffs(r, band)
+            table, err = _rational_to_coeffs_oracle(r, band)
+            _assert_same_table(got.coeffs, table)
+            assert got.grid_error == err
+
+
+def _assert_same_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> None:
+    try:
+        want = _poly_roots_oracle(p, residual_tol)
+    except FactorizationError as oracle_error:
+        with pytest.raises(FactorizationError) as error:
+            poly_roots(p, residual_tol)
+        assert str(error.value) == str(oracle_error)
+        return
+    got = poly_roots(p, residual_tol)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert all(type(r) is complex for r in got.roots) and all(type(e) is float for e in got.residuals)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_poly_roots_matches_per_root_oracle(seed):
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(25):
+        degree = int(rng.integers(0, 9))
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1) * (rng.random() < 0.7)
+        coeffs[-1] = coeffs[-1] or 1.0
+        p = LaurentPoly.from_dense(coeffs, int(rng.integers(0, 4)))
+        _assert_same_roots(p)
+
+
+def test_poly_roots_pinned_cases_match_oracle():
+    for text in ("z^2 - 1", "z^2 - z - 6", "z^3", "(z - 0.5)*(z - 0.5)*(z + 2)", "z*(z - 0.5i)*(z + 1.5)", "7"):
+        _assert_same_roots(lp(text))
+    _assert_same_roots(poly_from_roots([0.3, 0.3, 0.3, -2.0], 1.0 + 1j, shift=2))
+    # a tolerance no residual meets: the same first failure and message
+    _assert_same_roots(lp("z^3 - 2*z + 0.7"), residual_tol=1e-300)
+
+
+def _trusted_cases() -> list[LaurentPoly]:
+    rng = np.random.default_rng(7)
+    cases = [LaurentPoly.zero(), LaurentPoly.one(), lp("2i*z^-3 - z^2 + 0.5"), lp("-z^-1"), lp("z^4")]
+    cases += [LaurentPoly.from_dense(_random_dense(rng, 9), int(rng.integers(-6, 3))) for _ in range(8)]
+    cases.append(LaurentPoly({-2: complex(-0.0, 1.0), 1: complex(3.0, -0.0)}))
+    return cases
+
+
+@pytest.mark.parametrize("p", _trusted_cases(), ids=str)
+def test_trusted_results_equal_validated_tables(p):
+    old = p.coeffs
+    results = {
+        "neg": (-p, LaurentPoly({k: -v for k, v in old.items()})),
+        "shift": (p.shift(np.int64(3)), LaurentPoly({j + np.int64(3): v for j, v in old.items()})),
+        "shift_back": (p.shift(np.int64(-5)), LaurentPoly({j + np.int64(-5): v for j, v in old.items()})),
+        "conj_reflect": (p.conj_reflect(), LaurentPoly({-k: v.conjugate() for k, v in old.items()})),
+        "riesz_plus": (riesz_plus(p), LaurentPoly({k: c for k, c in old.items() if k >= 0})),
+        "riesz_minus": (riesz_minus(p), LaurentPoly({k: c for k, c in old.items() if k <= -1})),
+    }
+    for name, (got, validated) in results.items():
+        assert got == LaurentPoly(dict(got._coeffs)), name
+        _assert_same_table(got, validated)
+        json.dumps(got.to_json_dict())
+
+
+def test_unit_grid_is_shared_read_only_and_bitwise_fresh():
+    for n in (1, 7, 512, 1024):
+        grid = unit_grid(n)
+        assert grid.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+        assert unit_grid(n) is grid
+        with pytest.raises(ValueError):
+            grid[0] = 2.0
