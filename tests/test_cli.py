@@ -274,3 +274,12 @@ def test_consecutive_main_calls_share_no_state(capsys):
     assert [r["N"] for r in json.loads(outputs[3])["result"]["rows"]] == [8, 16, 32, 64]
     for argv, out in zip(sequence, outputs):
         assert out == _fresh_process_stdout(argv)
+
+
+def test_norm_json_is_repeatable_in_and_across_processes(capsys):
+    argv = ["norm", "--a", "1 + 0.3*z - 2*z^-2 + 0.5i*z^4", "--b", "z^-1 - 0.7*z^3",
+            "--N", "8,16,32,64,128,256", "--format", "json"]
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv)[1] == first
+    assert _fresh_process_stdout(argv) == first

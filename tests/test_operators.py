@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pairedops import kernels
+from pairedops import kernels, operators
 from pairedops.operators import (
     CommutatorResidual,
     CompositionResidual,
@@ -396,6 +396,121 @@ def test_op_norm_zero_characterization():
         if a.is_zero:
             continue
         assert op_norm(SymbolPair(a, LaurentPoly.zero()), 8) > 1e-12
+
+
+def _svd_sigma(p: SymbolPair, band: int) -> float:
+    """Oracle: the dense values-only SVD of the paired section."""
+    return float(np.linalg.svd(finite_section(p, "paired", band).matrix, compute_uv=False)[0])
+
+
+def _banded_poly(rng, d: int) -> LaurentPoly:
+    values = rng.standard_normal(2 * d + 1) + 1j * rng.standard_normal(2 * d + 1)
+    return LaurentPoly(dict(zip(range(-d, d + 1), values)))
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(43)
+    cases = [
+        (SymbolPair(_banded_poly(rng, int(da)), _banded_poly(rng, int(db))), band)
+        for band in (8, 32, 63, 64, 100, 128, 256)
+        for da, db in rng.integers(0, 5, (3, 2))
+    ]
+    cases += [
+        (SymbolPair(_banded_poly(rng, 3), LaurentPoly.zero()), 100),
+        (SymbolPair(LaurentPoly.zero(), _banded_poly(rng, 2)), 128),
+        (pair("z^2", "z^-1"), 100),  # partial isometries: the top value 1 is repeated
+        (pair("z^-3", "z^3"), 128),
+        (pair("1", "1"), 64),
+        (pair("1 - z", "1 - z"), 128),
+        (pair("z + z^-1", "z + z^-1"), 128),
+        (pair("z^300", "1"), 40),  # band wider than the section: dense SVD
+        (SymbolPair(LaurentPoly.zero(), LaurentPoly.zero()), 100),  # zero Gram band: 0.0
+        (pair("1e200 + 3e199*z", "2e200*z^-1"), 100),  # M^H M would overflow
+        (pair("1e-200 + 3e-201*z", "2e-200*z^-1"), 100),  # and underflow
+    ]
+    return cases
+
+
+def _op_norm_and_svd_shapes(p: SymbolPair, band: int) -> tuple[float, list]:
+    """op_norm, and the shape of every matrix it hands to np.linalg.svd."""
+    svd, shapes = np.linalg.svd, []
+
+    def counting(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return svd(matrix, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counting)
+        return op_norm(p, band), shapes
+
+
+def test_op_norm_matches_dense_svd_and_certifies_above_the_size_rule():
+    for p, band in _oracle_cases():
+        expected = _svd_sigma(p, band)
+        got, shapes = _op_norm_and_svd_shapes(p, band)
+        assert abs(got - expected) <= 1e-13 * expected, (p, band)
+        # the band path never falls back on these inputs
+        takes_band = operators._band_path_pays(2 * band + 1, p.band_radius())
+        assert len(shapes) == (0 if takes_band else 1), (p, band)
+    assert operators._band_path_pays(2 * 64 + 1, 4)
+    assert not operators._band_path_pays(2 * 63 + 1, 4)
+    assert not operators._band_path_pays(2 * 40 + 1, 300)
+
+
+def test_gram_band_is_the_band_of_the_dense_gram():
+    rng = np.random.default_rng(47)
+    for d, band in ((1, 5), (3, 20), (4, 64)):
+        p = SymbolPair(_banded_poly(rng, d), _banded_poly(rng, d))
+        matrix = finite_section(p, "paired", band).matrix
+        dense = matrix.conj().T @ matrix
+        gram, exponent = operators._gram_band(matrix, d)
+        gram *= 4.0**exponent
+        n, w = len(matrix), 2 * d
+        for s in range(2 * w + 1):
+            rows = np.arange(max(0, w - s), min(n, n + w - s))
+            assert np.allclose(gram[rows, s], dense[rows, rows - w + s], rtol=0, atol=1e-13)
+            outside = np.setdiff1d(np.arange(n), rows)
+            assert not gram[outside, s].any()
+
+
+def test_certificate_brackets_the_top_eigenvalue():
+    rng = np.random.default_rng(53)
+    for d, band in ((1, 64), (2, 100), (4, 128), (4, 256)):
+        p = SymbolPair(_banded_poly(rng, d), _banded_poly(rng, d))
+        gram, exponent = operators._gram_band(finite_section(p, "paired", band).matrix, d)
+        top = (_svd_sigma(p, band) * 2.0**-exponent) ** 2
+        assert operators._dominates(gram, top * (1 + 1e-13))
+        assert operators._dominates(gram, top * (1 + 1e-10))
+        # a Ritz value 1e-10 relative below lambda_max fails the test
+        assert not operators._dominates(gram, top * (1 - 1e-10) * (1 + 1e-13))
+
+
+def test_start_vector_orthogonal_to_the_top_singular_vector(monkeypatch):
+    # a = 2z, b = 1 + z/2: columns of negative exponent and the others hit
+    # disjoint rows, so G = M^H M is exactly block diagonal.  The top value
+    # sigma = 2 lives on the nonnegative columns; a start vector supported
+    # on the negative ones never reaches it, the Ritz value stalls near 1.5
+    # and only the fallback gives the right answer.
+    p, band = pair("2*z", "1 + 0.5*z"), 100
+    n = 2 * band + 1
+    start = np.zeros(n, dtype=complex)
+    start[:band] = operators._start_vector(band)
+    gram, _ = operators._gram_band(finite_section(p, "paired", band).matrix, 1)
+    assert operators._lanczos_sigma(gram, start) is None
+
+    monkeypatch.setattr(operators, "_start_vector", lambda size: start)
+    got, shapes = _op_norm_and_svd_shapes(p, band)
+    assert shapes == [(n, n)]
+    assert got == _svd_sigma(p, band)
+    assert abs(got - 2.0) <= 1e-13 * 2.0
+
+
+def test_op_norm_is_bitwise_repeatable():
+    rng = np.random.default_rng(59)
+    p = SymbolPair(_banded_poly(rng, 4), _banded_poly(rng, 3))
+    for band in (64, 256):
+        first = op_norm(p, band)
+        assert all(op_norm(p, band) == first for _ in range(3))
 
 
 # ---------------------------------------------------------------------------
