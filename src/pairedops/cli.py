@@ -240,7 +240,7 @@ def _cmd_pair_from(args, cfg: RunConfig):
 def _cmd_coburn(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
-    report = coburn_check(pair, band)
+    report = coburn_check(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
     result = report.to_json_dict()
     pretty = [
         f"dims: kernel={report.dim_kernel} swapped={report.dim_swapped} "
@@ -270,46 +270,26 @@ def _cmd_suite(args, cfg: RunConfig):
         numeric_tol=cfg.tolerances["numeric"],
     )
     if args.name == "all":
-        aggregate = run_all(gen_cfg)
-        result = aggregate.to_json_dict(include_runtime=False)
-        pretty = [f"seed={gen_cfg.seed} trials={gen_cfg.trials} verdict={aggregate.verdict}"]
-        csv_rows = [["suite", "verdict", "trials", "violations", "ambiguities", "max_residual"]]
-        for name, report in sorted(aggregate.reports.items()):
-            pretty.append(
-                f"  {name:24s} {report.verdict:12s} max_residual={report.max_residual:.3e}"
-            )
-            csv_rows.append(
-                [
-                    name,
-                    report.verdict,
-                    str(report.trials_run),
-                    str(len(report.violations)),
-                    str(len(report.ambiguities)),
-                    repr(report.max_residual),
-                ]
-            )
-        return result, pretty, csv_rows, aggregate.exit_code
-    if args.name not in SUITES:
+        report = run_all(gen_cfg)
+        reports = report.reports
+        pretty = [f"seed={gen_cfg.seed} trials={gen_cfg.trials} verdict={report.verdict}"] + [
+            f"  {name:24s} {r.verdict:12s} max_residual={r.max_residual:.3e}"
+            for name, r in sorted(reports.items())
+        ]
+    elif args.name in SUITES:
+        report = SUITES[args.name](gen_cfg)
+        reports = {args.name: report}
+        pretty = [
+            f"suite {args.name}: verdict={report.verdict} trials={report.trials_run} "
+            f"violations={len(report.violations)} max_residual={report.max_residual:.3e}"
+        ]
+    else:
         raise SymbolParseError(f"unknown suite {args.name!r}", 0)
-    report = SUITES[args.name](gen_cfg)
-    result = report.to_json_dict(include_runtime=False)
-    pretty = [
-        f"suite {args.name}: verdict={report.verdict} trials={report.trials_run} "
-        f"violations={len(report.violations)} max_residual={report.max_residual:.3e}"
-    ]
-    csv_rows = [
-        ["suite", "verdict", "trials", "violations", "ambiguities", "max_residual"],
-        [
-            args.name,
-            report.verdict,
-            str(report.trials_run),
-            str(len(report.violations)),
-            str(len(report.ambiguities)),
-            repr(report.max_residual),
-        ],
-    ]
-    exit_code = 0 if report.passed else (1 if report.violations else 2)
-    return result, pretty, csv_rows, exit_code
+    csv_rows = [["suite", "verdict", "trials", "violations", "ambiguities", "max_residual"]]
+    for name, r in sorted(reports.items()):
+        counts = (r.trials_run, len(r.violations), len(r.ambiguities))
+        csv_rows.append([name, r.verdict, *map(str, counts), repr(r.max_residual)])
+    return report.to_json_dict(include_runtime=False), pretty, csv_rows, report.exit_code
 
 
 # ---------------------------------------------------------------------------

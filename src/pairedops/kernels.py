@@ -195,14 +195,16 @@ def kernel_basis(
     )
 
 
-def adjoint_kernel_basis(pair: SymbolPair, band: int) -> KernelBasis:
+def adjoint_kernel_basis(
+    pair: SymbolPair, band: int, *, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
+) -> KernelBasis:
     """Kernel of the adjoint of the paired operator of ``pair``.
 
     Realized as the exact kernel of the transposed operator of the
     conjugated pair, so membership is exact rather than a matrix adjoint of
     a truncation.
     """
-    return kernel_basis(pair.conjugated(), band, kind="transposed")
+    return kernel_basis(pair.conjugated(), band, kind="transposed", rel_threshold=rel_threshold)
 
 
 @dataclass(frozen=True)
@@ -691,11 +693,14 @@ class CoburnReport:
         }
 
 
-def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
+def coburn_check(
+    pair: SymbolPair, band: int, *, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
+) -> CoburnReport:
     """Verify the kernel dichotomy for a pair of nonzero symbols.
 
     Computes the band-limited kernels of the pair, its swap, its conjugate
-    and its adjoint; asserts that the pair kernel and the swapped kernel
+    and its adjoint, all under the null threshold ``rel_threshold`` of
+    :func:`kernel_basis`; asserts that the pair kernel and the swapped kernel
     cannot both be nontrivial, that the swapped and conjugated dimensions
     agree (they are antilinearly isomorphic), and, whenever one of a, b or
     a - b is invertible on the circle, that the adjoint kernel dimension
@@ -728,10 +733,10 @@ def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
             all_stabilized=True,
             degenerate_difference=True,
         )
-    k = kernel_basis(pair, band)
-    k_swap = kernel_basis(pair.swapped(), band)
-    k_conj = kernel_basis(pair.conjugated(), band)
-    k_adj = adjoint_kernel_basis(pair, band)
+    k = kernel_basis(pair, band, rel_threshold=rel_threshold)
+    k_swap = kernel_basis(pair.swapped(), band, rel_threshold=rel_threshold)
+    k_conj = kernel_basis(pair.conjugated(), band, rel_threshold=rel_threshold)
+    k_adj = adjoint_kernel_basis(pair, band, rel_threshold=rel_threshold)
     stable = all(x.stabilized for x in (k, k_swap, k_conj, k_adj))
     return CoburnReport(
         pair=pair,

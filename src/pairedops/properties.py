@@ -3,8 +3,11 @@
 Each suite restates a family of operator identities as executable checks over
 deterministic pseudo-random symbol streams.  A suite returns a
 :class:`TrialReport`; a report with no violations and no ambiguities passed.
-Every violation record carries the serialized inputs of the failing check, so
-:func:`replay_violation` can reproduce its residuals independently.
+
+Check/replay contract: suite bodies only draw inputs and state failure
+conditions.  ``_SuiteRun.check`` calls the registered check once per input
+set, and a violation records exactly those inputs and that output, so
+:func:`replay_violation`, which calls the same check, returns its residuals.
 
 Determinism contract: identical :class:`GeneratorConfig` values produce
 byte-identical JSON reports (the wall-clock ``runtime`` field excluded).
@@ -16,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -84,6 +87,16 @@ _FAMILIES = (
 )
 
 _MASK64 = (1 << 64) - 1
+
+# Fixed tolerances of the suite checks; GeneratorConfig carries the two that
+# a run configures (exact_tol, numeric_tol).
+_ROUNDING_TOL = 1e-12  # exact identities: pinned norms, monotonicity, the zero norm
+_PINNED_NORM_TOL = 1e-9  # section norms of (1, z) and (3, 0) against sqrt(2) and 3
+_TRUNCATION_TOL = 1e-9  # results through a truncated rational expansion, relative
+_DISTINCT_ANGLE = 1e-6  # principal angle below which two kernels count as one
+_CONTAINMENT_TOL = 1e-8  # sine below which one kernel lies inside another
+_GRAM_TOL = 1e-10  # orthonormality of a conjugated kernel basis
+_BAND_CAP = 128  # last band of an escalation ladder
 
 
 @dataclass(frozen=True)
@@ -157,9 +170,14 @@ def gen_symbol(cfg: GeneratorConfig, trial: int):
     raise RuntimeError(f"could not draw a valid {cfg.family!r} symbol")
 
 
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
+
+
+def _verdict(exit_code: int, vacuous: bool) -> str:
+    return ("no-evidence" if vacuous else "pass", "fail", "ambiguous")[exit_code]
 
 
 @dataclass(frozen=True)
@@ -171,13 +189,7 @@ class Violation:
     message: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "check": self.check,
-            "inputs": self.inputs,
-            "residuals": self.residuals,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -192,18 +204,17 @@ class TrialReport:
     runtime: float
 
     @property
+    def exit_code(self) -> int:
+        """1 with violations, else 2 with ambiguities, else 0."""
+        return 1 if self.violations else (2 if self.ambiguities else 0)
+
+    @property
     def passed(self) -> bool:
-        return not self.violations and not self.ambiguities
+        return self.exit_code == 0
 
     @property
     def verdict(self) -> str:
-        if self.violations:
-            return "fail"
-        if self.ambiguities:
-            return "ambiguous"
-        if self.trials_run == 0:
-            return "no-evidence"
-        return "pass"
+        return _verdict(self.exit_code, self.trials_run == 0)
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         out = {
@@ -222,8 +233,29 @@ class TrialReport:
         return out
 
 
+@dataclass(frozen=True)
+class _Checked:
+    """One run of a registered check, and the only way a suite records a violation."""
+
+    run: _SuiteRun
+    trial: int
+    check: str
+    inputs: dict
+    result: dict
+
+    def __getitem__(self, key: str):
+        return self.result[key]
+
+    def fail_if(self, condition: bool, message: str) -> None:
+        """Record a violation with exactly these inputs and this output if ``condition`` holds."""
+        if condition:
+            residuals = {k: _plain(v) for k, v in self.result.items()}
+            record = Violation(self.trial, self.check, _encode(self.inputs), residuals, message)
+            self.run.violations.append(record)
+
+
 class _SuiteRun:
-    """Accumulator shared by all suites."""
+    """Accumulator shared by all suites, and their one way to run a check."""
 
     def __init__(self, name: str, cfg: GeneratorConfig):
         self.name = name
@@ -239,16 +271,49 @@ class _SuiteRun:
             if r > self.max_residual:
                 self.max_residual = float(r)
 
-    def violation(self, trial: int, check: str, inputs: dict, residuals: dict, message: str):
-        self.violations.append(
-            Violation(
-                trial=trial,
-                check=check,
-                inputs=_encode(inputs),
-                residuals={k: _plain(v) for k, v in residuals.items()},
-                message=message,
-            )
-        )
+    def check(self, trial: int, name: str, inputs: dict, observe: tuple = ()) -> _Checked:
+        """Run the registered check ``name`` once on ``inputs``.
+
+        The residuals named in ``observe`` feed ``max_residual``; the suite
+        states its failure conditions on the returned :class:`_Checked`.
+        """
+        result = _CHECKS[name](**inputs)
+        self.observe(*(result[key] for key in observe))
+        return _Checked(self, trial, name, inputs, result)
+
+    def check_escalating(
+        self,
+        trial: int,
+        context: str,
+        name: str,
+        inputs: dict,
+        band: int,
+        observe: tuple = (),
+        accept: Callable[[dict], bool] = lambda result: True,
+    ) -> _Checked | None:
+        """:meth:`check` at ``band``, doubling up to ``_BAND_CAP``, until ``accept`` takes the output.
+
+        Kernel tails that land in the gray zone at a small band fall cleanly
+        on the null side at a larger one.  Each refused band (an
+        :class:`AmbiguousKernelError` or a rejected output) counts as one band
+        escalation; an exhausted ladder returns None and records its last
+        error, if any, as an ambiguity under ``context``.
+        """
+        error = None
+        while band <= _BAND_CAP:
+            try:
+                result = _CHECKS[name](**inputs, band=band)
+            except AmbiguousKernelError as err:
+                error = err
+            else:
+                if accept(result):
+                    self.observe(*(result[key] for key in observe))
+                    return _Checked(self, trial, name, {**inputs, "band": band}, result)
+            self.bump("band_escalations")
+            band *= 2
+        if error is not None:
+            self.ambiguity(trial, error, context)
+        return None
 
     def ambiguity(self, trial: int, error: AmbiguousKernelError | ConditioningError, context: str):
         record = {"trial": trial, "context": context, "error": str(error)}
@@ -273,13 +338,8 @@ class _SuiteRun:
 
 
 def _plain(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
+    """Python floats for numpy scalars (integers included), other values as they are."""
+    return float(value) if isinstance(value, (float, np.floating, np.integer)) else value
 
 
 def _encode(value):
@@ -325,6 +385,14 @@ def _register(name: str):
     return decorate
 
 
+class _Residuals(dict):
+    """A check's residuals (all that is recorded) plus the report it built, for reuse."""
+
+    def __init__(self, residuals: dict, report):
+        super().__init__(residuals)
+        self.report = report
+
+
 def replay_violation(record: Violation | Mapping) -> dict:
     """Re-run the named check on a violation's serialized inputs."""
     if isinstance(record, Violation):
@@ -359,6 +427,13 @@ def check_norm_bounds(a: LaurentPoly, b: LaurentPoly) -> dict:
         "upper_violation": upper_violation,
         "gap": gap,
     }
+
+
+@_register("pinned_norm")
+def check_pinned_norm(a: LaurentPoly, b: LaurentPoly, band: int, expected: float) -> dict:
+    """Section norm of a pair against its closed-form value."""
+    norm = op_norm(SymbolPair(a, b), band)
+    return {"norm": norm, "expected": expected, "error": abs(norm - expected)}
 
 
 @_register("composition")
@@ -424,17 +499,77 @@ def check_kernel_dimension(pair: SymbolPair, band: int) -> dict:
     return {"dim": k.dim, "stabilized": k.stabilized}
 
 
+@_register("same_kernel")
+def check_same_kernel(first: SymbolPair, second: SymbolPair) -> dict:
+    """The exact cross-product criterion for equality of two paired kernels."""
+    return {"same_kernel": same_kernel_test(first, second)}
+
+
+@_register("kernel_group")
+def check_kernel_group(
+    base: SymbolPair, scaled: SymbolPair, other: SymbolPair | None, band: int
+) -> dict:
+    """Kernels of a pair, a common-factor multiple and an unrelated pair at one band.
+
+    Reports the dimensions and the principal angle between the first two;
+    with ``other``, also the equality criterion against ``base``, the
+    principal angle and the containment gaps (sines) in both directions.
+    """
+    group = [base, scaled] + ([other] if other is not None else [])
+    kernels = [list(kernel_basis(p, band).basis) for p in group]
+    k_base, k_scaled = kernels[0], kernels[1]
+    out = {"dim": len(k_base), "dim_scaled": len(k_scaled), "angle": subspace_angle(k_base, k_scaled)}
+    if other is not None:
+        k_other = kernels[2]
+        out["dim_other"] = len(k_other)
+        out["same_kernel_other"] = same_kernel_test(base, other)
+        out["angle_other"] = subspace_angle(k_base, k_other)
+        out["base_in_other"] = _containment_gap(k_base, k_other)
+        out["other_in_base"] = _containment_gap(k_other, k_base)
+    return out
+
+
+@_register("pair_from_function")
+def check_pair_from_function(phi: LaurentPoly, pair: SymbolPair) -> dict:
+    """Rebuild the pair whose kernel holds ``phi`` and compare it with ``pair``."""
+    rebuilt = pair_from_function(phi)
+    return {"residual": rebuilt.residual, "same_kernel": same_kernel_test(rebuilt, pair)}
+
+
 @_register("coburn")
 def check_coburn(pair: SymbolPair, band: int) -> dict:
     report = coburn_check(pair, band)
-    return {
+    residuals = {
         "dim_kernel": report.dim_kernel,
         "dim_swapped": report.dim_swapped,
         "dim_conjugated": report.dim_conjugated,
         "dim_adjoint": report.dim_adjoint,
         "dichotomy": report.dichotomy_holds,
         "conjugate_dims_match": report.conjugate_dims_match,
+        "adjoint_dim_matches": report.adjoint_dim_matches,
+        "all_stabilized": report.all_stabilized,
     }
+    return _Residuals(residuals, report)
+
+
+@_register("conjugate_orthonormality")
+def check_conjugate_orthonormality(pair: SymbolPair, basis: list) -> dict:
+    """Largest entry of |G - I|, G the Gram matrix of the conjugated basis."""
+    images = [kernel_conjugate(v, pair) for v in basis]
+    gram = np.array([[inner_product(u, v) for v in images] for u in images])
+    return {"gram_deviation": float(np.max(np.abs(gram - np.eye(len(images)))))}
+
+
+@_register("adjoint_round_trip")
+def check_adjoint_round_trip(pair: SymbolPair, psi: LaurentPoly) -> dict:
+    """An adjoint kernel element through the transfer map and back by every inverse case.
+
+    ``discrepancy`` is the largest disagreement between the cases,
+    ``round_trip`` the largest distance of a case's result from ``psi``.
+    """
+    inverses = adjoint_inverse_report(adjoint_kernel_map(psi, pair), pair)
+    errors = [(back - psi).l2_norm() for back in inverses.results.values()]
+    return {"discrepancy": inverses.max_discrepancy, "round_trip": max(errors, default=0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +600,10 @@ def _draw_pair(
     raise RuntimeError(f"could not draw an accepted ({family_a}, {family_b}) pair")
 
 
-def _draw_nondegenerate_pair(cfg: GeneratorConfig, run: _SuiteRun, base: int) -> SymbolPair:
-    return _draw_pair(cfg, run, "general", base, "general", base + 1, step=2)
+def _draw_nondegenerate_pair(
+    cfg: GeneratorConfig, run: _SuiteRun, base: int, accept=lambda pair: pair.nondegenerate
+) -> SymbolPair:
+    return _draw_pair(cfg, run, "general", base, "general", base + 1, step=2, accept=accept)
 
 
 def _forced_nonconforming(
@@ -508,152 +645,104 @@ def _rooted_analytic(rng: np.random.Generator, interior: int, exterior: int) -> 
 # suites
 # ---------------------------------------------------------------------------
 
+SUITES: dict[str, Callable[[GeneratorConfig], TrialReport]] = {}
 
-def suite_norm_bounds(cfg: GeneratorConfig) -> TrialReport:
+
+def _suite(name: str):
+    """Register ``body(cfg, run)`` as suite ``name``; zero trials skip the body."""
+
+    def decorate(body):
+        def suite(cfg: GeneratorConfig) -> TrialReport:
+            run = _SuiteRun(name, cfg)
+            if cfg.trials:
+                body(cfg, run)
+            return run.finish()
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        SUITES[name] = suite
+        return suite
+
+    return decorate
+
+
+@_suite("norm_bounds")
+def suite_norm_bounds(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Norm sandwich, monotonicity, zero characterization, strictness gap."""
-    run = _SuiteRun("norm_bounds", cfg)
-    if cfg.trials == 0:
-        return run.finish()
-
     pinned = [
-        ("1+0*z", LaurentPoly.one(), LaurentPoly.monomial(1), math.sqrt(2.0), 1e-9),
-        ("identity", LaurentPoly.one(), LaurentPoly.one(), 1.0, 1e-12),
-        ("halfspace", LaurentPoly({0: 3.0}), LaurentPoly.zero(), 3.0, 1e-9),
+        ("1+0*z", LaurentPoly.one(), LaurentPoly.monomial(1), math.sqrt(2.0), _PINNED_NORM_TOL),
+        ("identity", LaurentPoly.one(), LaurentPoly.one(), 1.0, _ROUNDING_TOL),
+        ("halfspace", LaurentPoly({0: 3.0}), LaurentPoly.zero(), 3.0, _PINNED_NORM_TOL),
+        ("zero", LaurentPoly.zero(), LaurentPoly.zero(), 0.0, _ROUNDING_TOL),
     ]
     for name, a, b, expected, tol in pinned:
-        value = op_norm(SymbolPair(a, b), 8)
-        run.observe(abs(value - expected))
-        if abs(value - expected) > tol:
-            run.violation(
-                -1,
-                "norm_bounds",
-                {"a": a, "b": b},
-                {"norm": value, "expected": expected},
-                f"pinned case {name} missed its exact norm",
-            )
-    zero_norm = op_norm(SymbolPair(LaurentPoly.zero(), LaurentPoly.zero()), 8)
-    if zero_norm > 1e-12:
-        run.violation(
-            -1,
-            "norm_bounds",
-            {"a": LaurentPoly.zero(), "b": LaurentPoly.zero()},
-            {"norm": zero_norm},
-            "zero pair has a nonzero section norm",
-        )
+        inputs = {"a": a, "b": b, "band": 8, "expected": expected}
+        result = run.check(-1, "pinned_norm", inputs, observe=("error",))
+        result.fail_if(result["error"] > tol, f"pinned case {name} missed its exact norm")
 
+    observed = ("monotonicity_violation", "lower_violation", "upper_violation")
     gaps = []
     for trial in range(cfg.trials):
         pair = _draw_nondegenerate_pair(cfg, run, trial * 128)
-        result = check_norm_bounds(pair.a, pair.b)
-        run.observe(
-            result["monotonicity_violation"],
-            result["lower_violation"],
-            result["upper_violation"],
-        )
+        result = run.check(trial, "norm_bounds", {"a": pair.a, "b": pair.b}, observed)
         gaps.append(result["gap"])
         bad = (
-            result["monotonicity_violation"] > 1e-12 * max(1.0, result["norm"])
+            result["monotonicity_violation"] > _ROUNDING_TOL * max(1.0, result["norm"])
             or result["lower_violation"] > 0
             or result["upper_violation"] > 0
             or result["gap"] <= 0
-            or result["norm"] <= 1e-12
+            or result["norm"] <= _ROUNDING_TOL
         )
-        if bad:
-            run.violation(
-                trial,
-                "norm_bounds",
-                {"a": pair.a, "b": pair.b},
-                result,
-                "norm bound check failed",
-            )
+        result.fail_if(bad, "norm bound check failed")
     run.stats["gap_min"] = min(gaps)
     run.stats["gap_mean"] = sum(gaps) / len(gaps)
     run.stats["gap_max"] = max(gaps)
-    return run.finish()
 
 
-def suite_brown_halmos(cfg: GeneratorConfig) -> TrialReport:
+@_suite("brown_halmos")
+def suite_brown_halmos(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Composition of paired operators: forward identity and converse witnesses."""
-    run = _SuiteRun("brown_halmos", cfg)
-    if cfg.trials == 0:
-        return run.finish()
-    band = 8
+
+    def compose(trial, first, second, kind, observe=("residual", "discrepancy")):
+        inputs = {"first": first, "second": second, "band": 8, "kind": kind}
+        return run.check(trial, "composition", inputs, observe)
+
+    def vanish_failed(result):
+        return result["residual"] > cfg.exact_tol or result["discrepancy"] > cfg.exact_tol
+
+    def witness_failed(result):
+        return result["residual"] < cfg.numeric_tol or result["discrepancy"] > cfg.exact_tol
 
     pinned_first = SymbolPair(parse_symbol("1"), parse_symbol("z"))
-    pinned = check_composition(
-        pinned_first, SymbolPair(parse_symbol("z"), parse_symbol("z^-1")), band, "paired"
-    )
-    run.observe(pinned["residual"], pinned["discrepancy"])
-    if pinned["residual"] > cfg.exact_tol:
-        run.violation(
-            -1,
-            "composition",
-            {"first": pinned_first, "second": SymbolPair(parse_symbol("z"), parse_symbol("z^-1")), "band": band, "kind": "paired"},
-            pinned,
-            "pinned conforming composition not exact",
-        )
-    witness = check_composition(
-        pinned_first, SymbolPair(parse_symbol("z^-1"), parse_symbol("z^-1")), band, "paired"
-    )
-    if witness["residual"] < cfg.numeric_tol:
-        run.violation(
-            -1,
-            "composition",
-            {"first": pinned_first, "second": SymbolPair(parse_symbol("z^-1"), parse_symbol("z^-1")), "band": band, "kind": "paired"},
-            witness,
-            "pinned nonconforming composition unexpectedly small",
-        )
+    pinned = compose(-1, pinned_first, SymbolPair(parse_symbol("z"), parse_symbol("z^-1")), "paired")
+    pinned.fail_if(pinned["residual"] > cfg.exact_tol, "pinned conforming composition not exact")
+    nonconforming = SymbolPair(parse_symbol("z^-1"), parse_symbol("z^-1"))
+    witness = compose(-1, pinned_first, nonconforming, "paired", observe=())
+    message = "pinned nonconforming composition unexpectedly small"
+    witness.fail_if(witness["residual"] < cfg.numeric_tol, message)
 
     for trial in range(cfg.trials):
         first = _draw_nondegenerate_pair(cfg, run, trial * 64)
         # conforming second factor: analytic upper symbol, coanalytic lower symbol
         second = _draw_pair(cfg, run, "analytic", trial * 64 + 7_000, "coanalytic", trial * 64 + 8_000)
-        result = check_composition(first, second, band, "paired")
-        run.observe(result["residual"], result["discrepancy"])
-        if result["residual"] > cfg.exact_tol or result["discrepancy"] > cfg.exact_tol:
-            run.violation(
-                trial,
-                "composition",
-                {"first": first, "second": second, "band": band, "kind": "paired"},
-                result,
-                "conforming composition failed to vanish",
-            )
+        result = compose(trial, first, second, "paired")
+        result.fail_if(vanish_failed(result), "conforming composition failed to vanish")
 
         # transposed version: the criterion sits on the first factor
         transposed_first = _draw_pair(
             cfg, run, "coanalytic", trial * 64 + 9_000, "analytic", trial * 64 + 10_000
         )
         transposed_second = _draw_nondegenerate_pair(cfg, run, trial * 64 + 11_000)
-        transposed_result = check_composition(transposed_first, transposed_second, band, "transposed")
-        run.observe(transposed_result["residual"], transposed_result["discrepancy"])
-        if transposed_result["residual"] > cfg.exact_tol or transposed_result["discrepancy"] > cfg.exact_tol:
-            run.violation(
-                trial,
-                "composition",
-                {"first": transposed_first, "second": transposed_second, "band": band, "kind": "transposed"},
-                transposed_result,
-                "conforming transposed composition failed to vanish",
-            )
+        result = compose(trial, transposed_first, transposed_second, "transposed")
+        result.fail_if(vanish_failed(result), "conforming transposed composition failed to vanish")
 
         # nonconforming second factor with a well-separated first pair
-        first_nc = None
-        for offset in range(50):
-            cand = _draw_nondegenerate_pair(cfg, run, trial * 64 + 12_000 + offset)
-            if (cand.a - cand.b).l2_norm() >= 0.3:
-                first_nc = cand
-                break
-            run.bump("resamples")
+        first_nc = _draw_nondegenerate_pair(
+            cfg, run, trial * 64 + 12_000, accept=lambda p: p.nondegenerate and (p.a - p.b).l2_norm() >= 0.3
+        )
         second_nc = _forced_nonconforming(cfg, trial * 64 + 13_000, run)
-        nc = check_composition(first_nc, second_nc, band, "paired")
-        run.observe(nc["discrepancy"])
-        if nc["residual"] < cfg.numeric_tol or nc["discrepancy"] > cfg.exact_tol:
-            run.violation(
-                trial,
-                "composition",
-                {"first": first_nc, "second": second_nc, "band": band, "kind": "paired"},
-                nc,
-                "nonconforming composition residual below the witness floor",
-            )
+        result = compose(trial, first_nc, second_nc, "paired", observe=("discrepancy",))
+        result.fail_if(witness_failed(result), "nonconforming composition residual below the witness floor")
 
         # transposed converse witness: a first factor violating the criterion
         transposed_first_nc = _forced_nonconforming(cfg, trial * 64 + 14_000, run).swapped()
@@ -661,40 +750,27 @@ def suite_brown_halmos(cfg: GeneratorConfig) -> TrialReport:
             transposed_first_nc = SymbolPair(
                 transposed_first_nc.a + LaurentPoly({0: 0.5}), transposed_first_nc.b
             )
-        transposed_nc = check_composition(transposed_first_nc, transposed_second, band, "transposed")
-        run.observe(transposed_nc["discrepancy"])
-        if transposed_nc["residual"] < cfg.numeric_tol or transposed_nc["discrepancy"] > cfg.exact_tol:
-            run.violation(
-                trial,
-                "composition",
-                {
-                    "first": transposed_first_nc,
-                    "second": transposed_second,
-                    "band": band,
-                    "kind": "transposed",
-                },
-                transposed_nc,
-                "nonconforming transposed composition residual below the witness floor",
-            )
-    return run.finish()
+        result = compose(
+            trial, transposed_first_nc, transposed_second, "transposed", observe=("discrepancy",)
+        )
+        result.fail_if(
+            witness_failed(result), "nonconforming transposed composition residual below the witness floor"
+        )
 
 
-def suite_commutant(cfg: GeneratorConfig) -> TrialReport:
+@_suite("commutant")
+def suite_commutant(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Only constants commute with every nondegenerate paired operator."""
-    run = _SuiteRun("commutant", cfg)
-    if cfg.trials == 0:
-        return run.finish()
-    band = 8
+
+    def commutator(trial, first, second, observe=()):
+        return run.check(trial, "commutator", {"first": first, "second": second, "band": 8}, observe)
 
     base = SymbolPair(parse_symbol("1"), parse_symbol("z"))
-    shift = SymbolPair(parse_symbol("z"), parse_symbol("z"))
-    pinned = check_commutator(base, shift, band)
-    if pinned["commutator_norm"] < cfg.numeric_tol:
-        run.violation(-1, "commutator", {"first": base, "second": shift, "band": band}, pinned, "pinned shift commutator vanished")
+    pinned = commutator(-1, base, SymbolPair(parse_symbol("z"), parse_symbol("z")))
+    pinned.fail_if(pinned["commutator_norm"] < cfg.numeric_tol, "pinned shift commutator vanished")
     const = SymbolPair(LaurentPoly({0: 2.0}), LaurentPoly({0: 2.0}))
-    pinned_const = check_commutator(base, const, band)
-    if pinned_const["commutator_norm"] > cfg.exact_tol:
-        run.violation(-1, "commutator", {"first": base, "second": const, "band": band}, pinned_const, "pinned constant failed to commute")
+    pinned = commutator(-1, base, const)
+    pinned.fail_if(pinned["commutator_norm"] > cfg.exact_tol, "pinned constant failed to commute")
 
     for trial in range(cfg.trials):
         pair = _draw_nondegenerate_pair(cfg, run, trial * 32)
@@ -705,50 +781,33 @@ def suite_commutant(cfg: GeneratorConfig) -> TrialReport:
 
         value = complex(*rng.standard_normal(2))
         constant = SymbolPair(LaurentPoly({0: value}), LaurentPoly({0: value}))
-        result = check_commutator(pair, constant, band)
-        run.observe(result["commutator_norm"], result["identity_discrepancy"])
-        if result["commutator_norm"] > cfg.exact_tol * scale_bound * max(1.0, abs(value)):
-            run.violation(
-                trial,
-                "commutator",
-                {"first": pair, "second": constant, "band": band},
-                result,
-                "constant multiplier failed to commute",
-            )
+        result = commutator(trial, pair, constant, ("commutator_norm", "identity_discrepancy"))
+        result.fail_if(
+            result["commutator_norm"] > cfg.exact_tol * scale_bound * max(1.0, abs(value)),
+            "constant multiplier failed to commute",
+        )
 
         eta = gen_symbol(replace(cfg, family="general"), trial * 32 + 600_000)
         offender = int(rng.integers(1, 3)) * (1 if rng.uniform() < 0.5 else -1)
         eta = eta + LaurentPoly({offender: 0.5 + 0.5j})
-        multiplier = SymbolPair(eta, eta)
-        result = check_commutator(pair, multiplier, band)
-        run.observe(result["identity_discrepancy"])
-        if result["commutator_norm"] < cfg.numeric_tol:
-            run.violation(
-                trial,
-                "commutator",
-                {"first": pair, "second": multiplier, "band": band},
-                result,
-                "nonconstant multiplier commuted with a nondegenerate pair",
-            )
-        if result["identity_discrepancy"] > cfg.exact_tol * scale_bound * max(1.0, eta.max_abs_coeff()):
-            run.violation(
-                trial,
-                "commutator",
-                {"first": pair, "second": multiplier, "band": band},
-                result,
-                "commutator closed form disagreed with the direct evaluation",
-            )
-    return run.finish()
+        result = commutator(trial, pair, SymbolPair(eta, eta), ("identity_discrepancy",))
+        result.fail_if(
+            result["commutator_norm"] < cfg.numeric_tol,
+            "nonconstant multiplier commuted with a nondegenerate pair",
+        )
+        result.fail_if(
+            result["identity_discrepancy"] > cfg.exact_tol * scale_bound * max(1.0, eta.max_abs_coeff()),
+            "commutator closed form disagreed with the direct evaluation",
+        )
 
 
-def suite_pointwise_commutation(cfg: GeneratorConfig) -> TrialReport:
+@_suite("pointwise_commutation")
+def suite_pointwise_commutation(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Four-way equivalence for multiplication commuting on a single function."""
-    run = _SuiteRun("pointwise_commutation", cfg)
-    if cfg.trials == 0:
-        return run.finish()
 
-    def classify_flags(pair: SymbolPair, eta: LaurentPoly, f: LaurentPoly):
-        res = check_pointwise_commutation(pair, eta, f)
+    def classify(trial: int, pair: SymbolPair, eta: LaurentPoly, f: LaurentPoly):
+        """The check's output and the set of truth values of the four statements."""
+        result = run.check(trial, "pointwise_commutation", {"pair": pair, "eta": eta, "f": f})
         scale = max(
             1.0,
             f.l2_norm() * max(1.0, eta.max_abs_coeff())
@@ -756,24 +815,20 @@ def suite_pointwise_commutation(cfg: GeneratorConfig) -> TrialReport:
         )
         tol = cfg.exact_tol * scale
         flags = {
-            "commute": res["commute"] <= tol,
-            "hankel": max(res["hankel_minus"], res["hankel_plus"]) <= tol,
-            "plus": res["projection_plus"] <= tol,
-            "minus": res["projection_minus"] <= tol,
+            result["commute"] <= tol,
+            max(result["hankel_minus"], result["hankel_plus"]) <= tol,
+            result["projection_plus"] <= tol,
+            result["projection_minus"] <= tol,
         }
-        return res, flags
+        return result, flags
 
     pinned_pair = SymbolPair(parse_symbol("1"), parse_symbol("z"))
     for eta_text, f_text, expected in (("z", "z^-2", True), ("z", "z^-1", False)):
-        res, flags = classify_flags(pinned_pair, parse_symbol(eta_text), parse_symbol(f_text))
-        if set(flags.values()) != {expected}:
-            run.violation(
-                -1,
-                "pointwise_commutation",
-                {"pair": pinned_pair, "eta": parse_symbol(eta_text), "f": parse_symbol(f_text)},
-                res,
-                f"pinned case ({eta_text}, {f_text}) did not uniformly evaluate to {expected}",
-            )
+        result, flags = classify(-1, pinned_pair, parse_symbol(eta_text), parse_symbol(f_text))
+        result.fail_if(
+            flags != {expected},
+            f"pinned case ({eta_text}, {f_text}) did not uniformly evaluate to {expected}",
+        )
 
     for trial in range(cfg.trials):
         pair = _draw_nondegenerate_pair(cfg, run, trial * 16)
@@ -781,15 +836,8 @@ def suite_pointwise_commutation(cfg: GeneratorConfig) -> TrialReport:
 
         eta = gen_symbol(replace(cfg, family="general"), trial * 16 + 1)
         f = gen_symbol(replace(cfg, family="general"), trial * 16 + 2)
-        res, flags = classify_flags(pair, eta, f)
-        if len(set(flags.values())) != 1:
-            run.violation(
-                trial,
-                "pointwise_commutation",
-                {"pair": pair, "eta": eta, "f": f},
-                res,
-                "four-way equivalence split",
-            )
+        result, flags = classify(trial, pair, eta, f)
+        result.fail_if(len(flags) != 1, "four-way equivalence split")
 
         # constructed member/non-member for a monomial multiplier
         m = int(rng.integers(1, 4))
@@ -798,25 +846,11 @@ def suite_pointwise_commutation(cfg: GeneratorConfig) -> TrialReport:
         member = LaurentPoly(
             {int(rng.integers(0, 4)): complex(*rng.standard_normal(2)), -depth: complex(*rng.standard_normal(2))}
         )
-        res_m, flags_m = classify_flags(pair, eta_mono, member)
-        if set(flags_m.values()) != {True}:
-            run.violation(
-                trial,
-                "pointwise_commutation",
-                {"pair": pair, "eta": eta_mono, "f": member},
-                res_m,
-                "constructed member rejected",
-            )
+        result, flags = classify(trial, pair, eta_mono, member)
+        result.fail_if(flags != {True}, "constructed member rejected")
         nonmember = member + LaurentPoly({-int(rng.integers(1, m + 1)): 1.0})
-        res_n, flags_n = classify_flags(pair, eta_mono, nonmember)
-        if set(flags_n.values()) != {False}:
-            run.violation(
-                trial,
-                "pointwise_commutation",
-                {"pair": pair, "eta": eta_mono, "f": nonmember},
-                res_n,
-                "constructed non-member accepted",
-            )
+        result, flags = classify(trial, pair, eta_mono, nonmember)
+        result.fail_if(flags != {False}, "constructed non-member accepted")
 
         # model-space style member: eta = zbar^s * h with deg h <= s
         s = int(rng.integers(1, 4))
@@ -827,23 +861,13 @@ def suite_pointwise_commutation(cfg: GeneratorConfig) -> TrialReport:
         f_model = gen_symbol(replace(cfg, family="coanalytic_vanishing"), trial * 16 + 3) + gen_symbol(
             replace(cfg, family="analytic"), trial * 16 + 4
         ).shift(s)
-        res_k, flags_k = classify_flags(pair, eta_model, f_model)
-        if set(flags_k.values()) != {True}:
-            run.violation(
-                trial,
-                "pointwise_commutation",
-                {"pair": pair, "eta": eta_model, "f": f_model},
-                res_k,
-                "model-space style member rejected",
-            )
-    return run.finish()
+        result, flags = classify(trial, pair, eta_model, f_model)
+        result.fail_if(flags != {True}, "model-space style member rejected")
 
 
-def suite_model_space(cfg: GeneratorConfig) -> TrialReport:
+@_suite("model_space")
+def suite_model_space(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Projection commutation for co-analytic multipliers built from inner factors."""
-    run = _SuiteRun("model_space", cfg)
-    if cfg.trials == 0:
-        return run.finish()
     working_band = 96
     conversion_band = 2 * working_band
     run.stats["working_band"] = working_band
@@ -855,15 +879,8 @@ def suite_model_space(cfg: GeneratorConfig) -> TrialReport:
         (LaurentPoly.monomial(-2), LaurentPoly.monomial(3)),
         (LaurentPoly.monomial(-2), LaurentPoly.monomial(-1)),
     ):
-        res = check_model_space_identity(eta, f)
-        if max(res.values()) > cfg.exact_tol:
-            run.violation(
-                -1,
-                "model_space_identity",
-                {"eta_coeffs": eta, "f_coeffs": f},
-                res,
-                "monomial model-space identity failed",
-            )
+        result = run.check(-1, "model_space_identity", {"eta_coeffs": eta, "f_coeffs": f})
+        result.fail_if(max(result.result.values()) > cfg.exact_tol, "monomial model-space identity failed")
 
     def disk_points(rng, count):
         radii = 0.8 * np.sqrt(rng.uniform(0, 1, count))
@@ -896,45 +913,17 @@ def suite_model_space(cfg: GeneratorConfig) -> TrialReport:
         except ConditioningError as err:
             run.ambiguity(trial, err, "model-space conversion")
             continue
-        res = check_model_space_identity(eta_c, f_c)
-        run.observe(*res.values())
-        scale = max(1.0, f_c.l2_norm())
-        if max(res.values()) > cfg.numeric_tol * scale:
-            run.violation(
-                trial,
-                "model_space_identity",
-                {"eta_coeffs": eta_c, "f_coeffs": f_c},
-                res,
-                "model-space projection identity exceeded tolerance",
-            )
-    return run.finish()
+        inputs = {"eta_coeffs": eta_c, "f_coeffs": f_c}
+        result = run.check(trial, "model_space_identity", inputs, ("residual_plus", "residual_minus"))
+        result.fail_if(
+            max(result.result.values()) > cfg.numeric_tol * max(1.0, f_c.l2_norm()),
+            "model-space projection identity exceeded tolerance",
+        )
 
 
-def _kernels_at_common_band(pairs, band0: int, run: _SuiteRun, cap: int = 128):
-    """Kernel bases for several pairs at one shared band, escalating on ambiguity.
-
-    Truncated tails of slowly decaying kernel elements can land in the
-    thresholding gray zone at small bands; doubling the band moves them
-    cleanly to the null side.
-    """
-    band = band0
-    last_error: AmbiguousKernelError | None = None
-    while band <= cap:
-        try:
-            return band, [kernel_basis(p, band) for p in pairs]
-        except AmbiguousKernelError as err:
-            last_error = err
-            run.bump("band_escalations")
-            band *= 2
-    raise last_error
-
-
-def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
+@_suite("kernels")
+def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Kernel triviality criteria, equality criterion and single-function pairs."""
-    run = _SuiteRun("kernels", cfg)
-    if cfg.trials == 0:
-        return run.finish()
-
     pinned = (
         ("z^-1", "z", 2),
         ("z^-1", "1", 1),
@@ -942,15 +931,11 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
     )
     for a_text, b_text, expected in pinned:
         pair = SymbolPair(parse_symbol(a_text), parse_symbol(b_text))
-        result = check_kernel_dimension(pair, 32)
-        if result["dim"] != expected or not result["stabilized"]:
-            run.violation(
-                -1,
-                "kernel_dimension",
-                {"pair": pair, "band": 32},
-                result,
-                f"pinned kernel dimension for ({a_text}, {b_text}) wrong",
-            )
+        result = run.check(-1, "kernel_dimension", {"pair": pair, "band": 32})
+        result.fail_if(
+            result["dim"] != expected or not result["stabilized"],
+            f"pinned kernel dimension for ({a_text}, {b_text}) wrong",
+        )
 
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg, trial + 1_100_000)
@@ -958,65 +943,37 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
         # analytic/coanalytic pairs have trivial kernels (vacuous invariance)
         pair_i = _draw_pair(cfg, run, "analytic", trial * 48, "coanalytic", trial * 48 + 1_000)
         band_i = max(4, pair_i.band_radius() + 2)
-        try:
-            band_i, (k_i,) = _kernels_at_common_band([pair_i], band_i, run)
-        except AmbiguousKernelError as err:
-            run.ambiguity(trial, err, "analytic/coanalytic kernel")
-            k_i = None
+        context = "analytic/coanalytic kernel"
+        k_i = run.check_escalating(trial, context, "kernel_dimension", {"pair": pair_i}, band_i)
         if k_i is not None:
-            if k_i.dim != 0:
-                run.violation(
-                    trial,
-                    "kernel_dimension",
-                    {"pair": pair_i, "band": band_i},
-                    {"dim": k_i.dim},
-                    "analytic/coanalytic pair with a nontrivial kernel",
-                )
-            else:
+            k_i.fail_if(k_i["dim"] != 0, "analytic/coanalytic pair with a nontrivial kernel")
+            if k_i["dim"] == 0:
                 run.bump("invariance_vacuous_trials")
 
         # nontrivial inner factor produces an explicit kernel element
         a_ii = gen_symbol(replace(cfg, family="coanalytic"), trial * 48 + 2_000)
         b_ii = _rooted_analytic(rng, interior=int(rng.integers(1, 3)), exterior=int(rng.integers(0, 2)))
         f_ii = kernel_element_from_inner_factor(a_ii, b_ii)
-        res_ii = check_kernel_annihilation(SymbolPair(a_ii, b_ii), f_ii)
-        run.observe(res_ii["residual"])
-        if res_ii["residual"] > 1e-9 * max(1.0, f_ii.l2_norm()) or f_ii.is_zero:
-            run.violation(
-                trial,
-                "kernel_annihilation",
-                {"pair": SymbolPair(a_ii, b_ii), "f": f_ii},
-                res_ii,
-                "inner-factor kernel element failed",
-            )
+        inputs = {"pair": SymbolPair(a_ii, b_ii), "f": f_ii}
+        res_ii = run.check(trial, "kernel_annihilation", inputs, ("residual",))
+        res_ii.fail_if(
+            res_ii["residual"] > _TRUNCATION_TOL * max(1.0, f_ii.l2_norm()) or f_ii.is_zero,
+            "inner-factor kernel element failed",
+        )
 
         # strictly co-analytic against analytic: direct element and containment
         base = _draw_pair(
             cfg, run, "coanalytic_vanishing", trial * 48 + 3_000, "analytic", trial * 48 + 4_000
         )
         f_iii = kernel_element_direct(base.a, base.b)
-        res_iii = check_kernel_annihilation(base, f_iii)
-        run.observe(res_iii["residual"])
+        res_iii = run.check(trial, "kernel_annihilation", {"pair": base, "f": f_iii}, ("residual",))
         scale_iii = max(1.0, base.a.max_abs_coeff() * base.b.max_abs_coeff())
-        if res_iii["residual"] > cfg.exact_tol * scale_iii:
-            run.violation(
-                trial,
-                "kernel_annihilation",
-                {"pair": base, "f": f_iii},
-                res_iii,
-                "direct kernel element failed",
-            )
+        res_iii.fail_if(res_iii["residual"] > cfg.exact_tol * scale_iii, "direct kernel element failed")
         # multiplying both symbols by a common factor preserves the kernel
         eta = gen_symbol(replace(cfg, family="general"), trial * 48 + 5_000)
         scaled = SymbolPair(eta * base.a, eta * base.b)
-        if not same_kernel_test(base, scaled):
-            run.violation(
-                trial,
-                "kernel_annihilation",
-                {"pair": scaled, "f": f_iii},
-                {"residual": 1.0},
-                "common-factor pair failed the kernel equality criterion",
-            )
+        same = run.check(trial, "same_kernel", {"first": base, "second": scaled})
+        same.fail_if(not same["same_kernel"], "common-factor pair failed the kernel equality criterion")
 
         # independent pair: cross products differ, so kernels must differ
         try:
@@ -1033,65 +990,30 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
         except RuntimeError:
             other = None
 
+        inputs = {"base": base, "scaled": scaled, "other": other}
         band = max(4, abs(f_iii.kmin), f_iii.kmax) + 2
-        group = [base, scaled] + ([other] if other is not None else [])
-        try:
-            band, kernels = _kernels_at_common_band(group, band, run)
-        except AmbiguousKernelError as err:
-            run.ambiguity(trial, err, "kernel group")
+        group = run.check_escalating(trial, "kernel group", "kernel_group", inputs, band, observe=("angle",))
+        if group is None:
             continue
-        k_base, k_scaled = kernels[0], kernels[1]
-        if k_base.dim == 0:
-            run.violation(
-                trial,
-                "kernel_dimension",
-                {"pair": base, "band": band},
-                {"dim": 0},
-                "expected nontrivial kernel",
-            )
+        group.fail_if(group["dim"] == 0, "expected nontrivial kernel")
+        if group["dim"] == 0:
             continue
-        angle = subspace_angle(list(k_base.basis), list(k_scaled.basis))
-        run.observe(angle)
-        if angle > cfg.numeric_tol:
-            run.violation(
-                trial,
-                "kernel_dimension",
-                {"pair": scaled, "band": band},
-                {"dim": k_scaled.dim, "angle": angle},
-                "common-factor pair has a different band-limited kernel",
+        group.fail_if(
+            group["angle"] > cfg.numeric_tol, "common-factor pair has a different band-limited kernel"
+        )
+        if group.result.get("dim_other", 0) > 0:
+            group.fail_if(group["same_kernel_other"], "differing cross products but equality criterion held")
+            group.fail_if(
+                group["angle_other"] <= _DISTINCT_ANGLE and group["dim"] == group["dim_other"],
+                "distinct pairs share a band-limited kernel",
             )
-        if other is not None:
-            k_other = kernels[2]
-            if k_other.dim > 0:
-                if same_kernel_test(base, other):
-                    run.violation(
-                        trial,
-                        "kernel_dimension",
-                        {"pair": other, "band": band},
-                        {"dim": k_other.dim},
-                        "differing cross products but equality criterion held",
-                    )
-                angle_other = subspace_angle(list(k_base.basis), list(k_other.basis))
-                if angle_other <= 1e-6 and k_base.dim == k_other.dim:
-                    run.violation(
-                        trial,
-                        "kernel_dimension",
-                        {"pair": other, "band": band},
-                        {"dim": k_other.dim, "angle": angle_other},
-                        "distinct pairs share a band-limited kernel",
-                    )
-                # inclusion dichotomy: distinct kernels admit no strict
-                # nontrivial inclusion in either direction
-                for inner_k, outer_k in ((k_base, k_other), (k_other, k_base)):
-                    contained = _containment_gap(list(inner_k.basis), list(outer_k.basis)) <= 1e-8
-                    if contained and inner_k.dim < outer_k.dim:
-                        run.violation(
-                            trial,
-                            "kernel_dimension",
-                            {"pair": other, "band": band},
-                            {"dims": [k_base.dim, k_other.dim]},
-                            "strict nontrivial kernel inclusion observed",
-                        )
+            # inclusion dichotomy: distinct kernels admit no strict
+            # nontrivial inclusion in either direction
+            group.fail_if(
+                (group["base_in_other"] <= _CONTAINMENT_TOL and group["dim"] < group["dim_other"])
+                or (group["other_in_base"] <= _CONTAINMENT_TOL and group["dim_other"] < group["dim"]),
+                "strict nontrivial kernel inclusion observed",
+            )
 
         # a kernel vector determines its kernel: rebuild the pair from a
         # random multiple of the known low-degree element.  (Higher-degree
@@ -1108,102 +1030,51 @@ def suite_kernels(cfg: GeneratorConfig) -> TrialReport:
             run.bump("conditioning_skips")
             continue
         try:
-            rebuilt = pair_from_function(phi)
+            rebuilt = run.check(trial, "pair_from_function", {"phi": phi, "pair": base}, ("residual",))
         except (ConditioningError, ArithmeticError) as err:
             run.ambiguity(trial, err, "pair_from_function")
             continue
-        run.observe(rebuilt.residual)
-        if rebuilt.residual > 1e-9 * max(1.0, phi.l2_norm()) or not same_kernel_test(rebuilt, base):
-            run.violation(
-                trial,
-                "kernel_annihilation",
-                {"pair": base, "f": phi},
-                {"residual": rebuilt.residual},
-                "pair rebuilt from a kernel vector failed the round trip",
-            )
-    return run.finish()
+        rebuilt.fail_if(
+            rebuilt["residual"] > _TRUNCATION_TOL * max(1.0, phi.l2_norm()) or not rebuilt["same_kernel"],
+            "pair rebuilt from a kernel vector failed the round trip",
+        )
 
 
-def suite_coburn(cfg: GeneratorConfig) -> TrialReport:
+@_suite("coburn")
+def suite_coburn(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Kernel dichotomy, conjugate dimension bookkeeping, adjoint round trips."""
-    run = _SuiteRun("coburn", cfg)
-    if cfg.trials == 0:
-        return run.finish()
-
-    def escalated_coburn(pair: SymbolPair, trial: int):
-        last_error = None
-        for band in (16, 32, 64, 128):
-            try:
-                report = coburn_check(pair, band)
-            except AmbiguousKernelError as err:
-                last_error = err
-                run.bump("band_escalations")
-                continue
-            if not report.all_stabilized:
-                run.bump("band_escalations")
-                continue
-            return report
-        if last_error is not None:
-            run.ambiguity(trial, last_error, "coburn escalation exhausted")
-        return None
 
     def process(pair: SymbolPair, trial: int):
-        report = escalated_coburn(pair, trial)
-        if report is None:
+        context = "coburn escalation exhausted"
+        stable = run.check_escalating(
+            trial, context, "coburn", {"pair": pair}, 16, accept=lambda r: r["all_stabilized"]
+        )
+        if stable is None:
             return
-        payload = {
-            "dim_kernel": report.dim_kernel,
-            "dim_swapped": report.dim_swapped,
-            "dim_conjugated": report.dim_conjugated,
-            "dim_adjoint": report.dim_adjoint,
-        }
-        if not report.dichotomy_holds:
-            run.violation(trial, "coburn", {"pair": pair, "band": report.band}, payload, "dichotomy violated")
-        if not report.conjugate_dims_match:
-            run.violation(trial, "coburn", {"pair": pair, "band": report.band}, payload, "swapped/conjugated dimensions differ")
-        if report.adjoint_dim_matches is False:
-            run.violation(trial, "coburn", {"pair": pair, "band": report.band}, payload, "adjoint dimension mismatch")
+        stable.fail_if(not stable["dichotomy"], "dichotomy violated")
+        stable.fail_if(not stable["conjugate_dims_match"], "swapped/conjugated dimensions differ")
+        stable.fail_if(stable["adjoint_dim_matches"] is False, "adjoint dimension mismatch")
+        report = stable.result.report
         if report.dim_kernel:
             run.bump("nontrivial_kernels")
-            images = [kernel_conjugate(v, pair) for v in report.kernel.basis]
-            gram = np.array([[inner_product(u, v) for v in images] for u in images])
-            if images and np.max(np.abs(gram - np.eye(len(images)))) > 1e-10:
-                run.violation(
-                    trial,
-                    "coburn",
-                    {"pair": pair, "band": report.band},
-                    payload,
-                    "conjugate images not orthonormal",
-                )
+            inputs = {"pair": pair, "basis": list(report.kernel.basis)}
+            gram = run.check(trial, "conjugate_orthonormality", inputs)
+            gram.fail_if(gram["gram_deviation"] > _GRAM_TOL, "conjugate images not orthonormal")
         if report.dim_adjoint and report.invertible_cases:
             run.bump("adjoint_round_trips")
             for psi in report.adjoint.basis:
-                phi = adjoint_kernel_map(psi, pair)
                 try:
-                    inverses = adjoint_inverse_report(phi, pair)
+                    trip = run.check(
+                        trial, "adjoint_round_trip", {"pair": pair, "psi": psi}, ("discrepancy", "round_trip")
+                    )
                 except ConditioningError as err:
                     run.ambiguity(trial, err, "adjoint inverse conversion")
                     continue
-                run.observe(inverses.max_discrepancy)
-                if inverses.max_discrepancy > 1e-9:
-                    run.violation(
-                        trial,
-                        "coburn",
-                        {"pair": pair, "band": report.band},
-                        {"discrepancy": inverses.max_discrepancy},
-                        "inverse case formulas disagree",
-                    )
-                for case, back in inverses.results.items():
-                    err_norm = (back - psi).l2_norm()
-                    run.observe(err_norm)
-                    if err_norm > 1e-9 * max(1.0, psi.l2_norm()):
-                        run.violation(
-                            trial,
-                            "coburn",
-                            {"pair": pair, "band": report.band},
-                            {"round_trip": err_norm, "case": case},
-                            "adjoint transfer round trip failed",
-                        )
+                trip.fail_if(trip["discrepancy"] > _TRUNCATION_TOL, "inverse case formulas disagree")
+                trip.fail_if(
+                    trip["round_trip"] > _TRUNCATION_TOL * max(1.0, psi.l2_norm()),
+                    "adjoint transfer round trip failed",
+                )
 
     for a_text, b_text in (("1", "z"), ("z^-1", "z"), ("1", "1 - z"), ("z", "1"), ("1", "z^-1")):
         process(SymbolPair(parse_symbol(a_text), parse_symbol(b_text)), -1)
@@ -1223,22 +1094,11 @@ def suite_coburn(cfg: GeneratorConfig) -> TrialReport:
         else:
             pair = _draw_nondegenerate_pair(cfg, run, trial * 96)
         process(pair, trial)
-    return run.finish()
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
-
-SUITES: dict[str, Callable[[GeneratorConfig], TrialReport]] = {
-    "brown_halmos": suite_brown_halmos,
-    "coburn": suite_coburn,
-    "commutant": suite_commutant,
-    "kernels": suite_kernels,
-    "model_space": suite_model_space,
-    "norm_bounds": suite_norm_bounds,
-    "pointwise_commutation": suite_pointwise_commutation,
-}
 
 
 def _derive_seed(seed: int, name: str) -> int:
@@ -1252,26 +1112,17 @@ class AggregateReport:
     reports: dict
 
     @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports.values())
+    def exit_code(self) -> int:
+        codes = {r.exit_code for r in self.reports.values()}
+        return 1 if 1 in codes else (2 if 2 in codes else 0)
 
     @property
-    def exit_code(self) -> int:
-        if any(r.violations for r in self.reports.values()):
-            return 1
-        if any(r.ambiguities for r in self.reports.values()):
-            return 2
-        return 0
+    def passed(self) -> bool:
+        return self.exit_code == 0
 
     @property
     def verdict(self) -> str:
-        if self.exit_code == 1:
-            return "fail"
-        if self.exit_code == 2:
-            return "ambiguous"
-        if all(r.trials_run == 0 for r in self.reports.values()):
-            return "no-evidence"
-        return "pass"
+        return _verdict(self.exit_code, all(r.trials_run == 0 for r in self.reports.values()))
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         return {

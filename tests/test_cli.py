@@ -148,6 +148,20 @@ def test_coburn_report(capsys):
     assert result["dichotomy_holds"]
 
 
+@pytest.mark.parametrize("command", ["kernel", "coburn"])
+def test_null_threshold_from_config_reaches_every_kernel(command, tmp_path, capsys):
+    # at band 6 the kernel of (z^-1, z - 0.3) leaves a singular value 1.6e-3,
+    # inside the gray zone of a 1e-3 threshold: both commands must refuse
+    tolerances = {"exact": 1e-12, "numeric": 1e-8, "null_threshold": 1e-3}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"tolerances": tolerances}), encoding="utf-8")
+    argv = (command, "--a", "z^-1", "--b", "z - 0.3", "--N", "6")
+    code, _, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 2 and err.startswith("ambiguous:")
+    # the default threshold answers the same question
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # suite
 # ---------------------------------------------------------------------------
@@ -169,6 +183,15 @@ def test_suite_all_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_suite_exit_code_follows_violations(capsys):
+    # a seed whose kernels report has recorded a violation; exit 1 exactly then
+    argv = ("suite", "kernels", "--seed", "9162066140707153004", "--trials", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    result = json.loads(out)["result"]
+    assert code == (1 if result["violations"] else 2 if result["ambiguities"] else 0)
+    assert (code == 1) == bool(result["violations"])
 
 
 def test_suite_unknown_name_exit_2(capsys):

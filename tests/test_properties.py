@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pairedops import properties
 from pairedops.operators import SymbolPair, apply_paired
 from pairedops.properties import (
     GeneratorConfig,
@@ -122,8 +124,9 @@ def test_suite_deterministic_reports(name):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_suite_zero_trials_no_evidence():
-    report = suite_norm_bounds(GeneratorConfig(seed=0, trials=0))
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_zero_trials_no_evidence(name):
+    report = SUITES[name](GeneratorConfig(seed=0, trials=0))
     assert report.verdict == "no-evidence"
     assert report.passed
     assert report.trials_run == 0
@@ -226,3 +229,37 @@ def test_replay_composition_check():
 def test_replay_unknown_check_rejected():
     with pytest.raises(KeyError):
         replay_violation({"check": "nonsense", "inputs": {}})
+
+
+# Fixed tolerances set so that every check they guard fails; exact_tol=-1 and
+# numeric_tol=inf do the same for the configured ones.
+_FORCING = {
+    "_ROUNDING_TOL": -1.0,
+    "_PINNED_NORM_TOL": -1.0,
+    "_TRUNCATION_TOL": -1.0,
+    "_GRAM_TOL": -1.0,
+    "_DISTINCT_ANGLE": math.inf,
+    "_CONTAINMENT_TOL": math.inf,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_forced_violations_replay_exactly(name, monkeypatch):
+    for constant, value in _FORCING.items():
+        monkeypatch.setattr(properties, constant, value)
+    cfg = GeneratorConfig(seed=0, trials=3, exact_tol=-1.0, numeric_tol=math.inf)
+    report = SUITES[name](cfg)
+    assert report.violations
+    for v in report.violations:
+        assert replay_violation(v) == v.residuals, (v.check, v.message)
+    # the JSON form replays too, as a report consumer would read it
+    blob = json.loads(json.dumps(report.violations[0].to_json_dict()))
+    assert replay_violation(blob) == report.violations[0].residuals
+
+
+def test_recorded_kernels_violation_replays():
+    # a band-limited kernel shortfall once recorded at this seed under a check
+    # that could not reproduce it; whatever the suite finds must replay
+    report = SUITES["kernels"](GeneratorConfig(seed=9162066140707153004, trials=1))
+    for v in report.violations:
+        assert replay_violation(v) == v.residuals
