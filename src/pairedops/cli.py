@@ -268,6 +268,7 @@ def _cmd_suite(args, cfg: RunConfig):
         trials=args.trials,
         exact_tol=cfg.tolerances["exact"],
         numeric_tol=cfg.tolerances["numeric"],
+        null_threshold=cfg.tolerances["null_threshold"],
     )
     if args.name == "all":
         report = run_all(gen_cfg)

@@ -25,6 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .kernels import (
+    NULL_SPACE_REL_THRESHOLD,
     AmbiguousKernelError,
     _containment_gap,
     adjoint_inverse_report,
@@ -88,8 +89,8 @@ _FAMILIES = (
 
 _MASK64 = (1 << 64) - 1
 
-# Fixed tolerances of the suite checks; GeneratorConfig carries the two that
-# a run configures (exact_tol, numeric_tol).
+# Fixed tolerances of the suite checks; GeneratorConfig carries the three that
+# a run configures (exact_tol, numeric_tol, null_threshold).
 _ROUNDING_TOL = 1e-12  # exact identities: pinned norms, monotonicity, the zero norm
 _PINNED_NORM_TOL = 1e-9  # section norms of (1, z) and (3, 0) against sqrt(2) and 3
 _TRUNCATION_TOL = 1e-9  # results through a truncated rational expansion, relative
@@ -110,6 +111,7 @@ class GeneratorConfig:
     trials: int = 100
     exact_tol: float = 1e-12
     numeric_tol: float = 1e-8
+    null_threshold: float = NULL_SPACE_REL_THRESHOLD  # of every kernel_basis call
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -121,6 +123,8 @@ class GeneratorConfig:
             raise ValueError("trials must be nonnegative")
         if self.coefficient_scale <= 0:
             raise ValueError("coefficient_scale must be positive")
+        if not self.null_threshold > 0:
+            raise ValueError("null_threshold must be positive")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -494,8 +498,10 @@ def check_kernel_annihilation(pair: SymbolPair, f: LaurentPoly) -> dict:
 
 
 @_register("kernel_dimension")
-def check_kernel_dimension(pair: SymbolPair, band: int) -> dict:
-    k = kernel_basis(pair, band)
+def check_kernel_dimension(
+    pair: SymbolPair, band: int, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
+) -> dict:
+    k = kernel_basis(pair, band, rel_threshold=rel_threshold)
     return {"dim": k.dim, "stabilized": k.stabilized}
 
 
@@ -507,7 +513,11 @@ def check_same_kernel(first: SymbolPair, second: SymbolPair) -> dict:
 
 @_register("kernel_group")
 def check_kernel_group(
-    base: SymbolPair, scaled: SymbolPair, other: SymbolPair | None, band: int
+    base: SymbolPair,
+    scaled: SymbolPair,
+    other: SymbolPair | None,
+    band: int,
+    rel_threshold: float = NULL_SPACE_REL_THRESHOLD,
 ) -> dict:
     """Kernels of a pair, a common-factor multiple and an unrelated pair at one band.
 
@@ -516,7 +526,7 @@ def check_kernel_group(
     principal angle and the containment gaps (sines) in both directions.
     """
     group = [base, scaled] + ([other] if other is not None else [])
-    kernels = [list(kernel_basis(p, band).basis) for p in group]
+    kernels = [list(kernel_basis(p, band, rel_threshold=rel_threshold).basis) for p in group]
     k_base, k_scaled = kernels[0], kernels[1]
     out = {"dim": len(k_base), "dim_scaled": len(k_scaled), "angle": subspace_angle(k_base, k_scaled)}
     if other is not None:
@@ -537,8 +547,8 @@ def check_pair_from_function(phi: LaurentPoly, pair: SymbolPair) -> dict:
 
 
 @_register("coburn")
-def check_coburn(pair: SymbolPair, band: int) -> dict:
-    report = coburn_check(pair, band)
+def check_coburn(pair: SymbolPair, band: int, rel_threshold: float = NULL_SPACE_REL_THRESHOLD) -> dict:
+    report = coburn_check(pair, band, rel_threshold=rel_threshold)
     residuals = {
         "dim_kernel": report.dim_kernel,
         "dim_swapped": report.dim_swapped,
@@ -931,7 +941,8 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     )
     for a_text, b_text, expected in pinned:
         pair = SymbolPair(parse_symbol(a_text), parse_symbol(b_text))
-        result = run.check(-1, "kernel_dimension", {"pair": pair, "band": 32})
+        inputs = {"pair": pair, "band": 32, "rel_threshold": cfg.null_threshold}
+        result = run.check(-1, "kernel_dimension", inputs)
         result.fail_if(
             result["dim"] != expected or not result["stabilized"],
             f"pinned kernel dimension for ({a_text}, {b_text}) wrong",
@@ -944,7 +955,8 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         pair_i = _draw_pair(cfg, run, "analytic", trial * 48, "coanalytic", trial * 48 + 1_000)
         band_i = max(4, pair_i.band_radius() + 2)
         context = "analytic/coanalytic kernel"
-        k_i = run.check_escalating(trial, context, "kernel_dimension", {"pair": pair_i}, band_i)
+        inputs = {"pair": pair_i, "rel_threshold": cfg.null_threshold}
+        k_i = run.check_escalating(trial, context, "kernel_dimension", inputs, band_i)
         if k_i is not None:
             k_i.fail_if(k_i["dim"] != 0, "analytic/coanalytic pair with a nontrivial kernel")
             if k_i["dim"] == 0:
@@ -990,7 +1002,7 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         except RuntimeError:
             other = None
 
-        inputs = {"base": base, "scaled": scaled, "other": other}
+        inputs = {"base": base, "scaled": scaled, "other": other, "rel_threshold": cfg.null_threshold}
         band = max(4, abs(f_iii.kmin), f_iii.kmax) + 2
         group = run.check_escalating(trial, "kernel group", "kernel_group", inputs, band, observe=("angle",))
         if group is None:
@@ -1046,9 +1058,8 @@ def suite_coburn(cfg: GeneratorConfig, run: _SuiteRun) -> None:
 
     def process(pair: SymbolPair, trial: int):
         context = "coburn escalation exhausted"
-        stable = run.check_escalating(
-            trial, context, "coburn", {"pair": pair}, 16, accept=lambda r: r["all_stabilized"]
-        )
+        inputs = {"pair": pair, "rel_threshold": cfg.null_threshold}
+        stable = run.check_escalating(trial, context, "coburn", inputs, 16, accept=lambda r: r["all_stabilized"])
         if stable is None:
             return
         stable.fail_if(not stable["dichotomy"], "dichotomy violated")

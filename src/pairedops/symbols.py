@@ -14,6 +14,7 @@ package use tolerances of 1e-12 or tighter for this layer.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
@@ -264,9 +265,28 @@ class LaurentPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return LaurentPoly()
+        if len(other._coeffs) == 1:
+            return self._times_term(*next(iter(other._coeffs.items())))
+        if len(self._coeffs) == 1:
+            return other._times_term(*next(iter(self._coeffs.items())))
         a = self.to_dense(self._kmin, self._kmax)
         b = other.to_dense(other._kmin, other._kmax)
         return LaurentPoly.from_dense(np.convolve(a, b), self._kmin + other._kmin)
+
+    def _times_term(self, e: int, c: complex) -> "LaurentPoly":
+        """Product with the single term c*z^e, entry for entry as ``np.convolve`` gives it.
+
+        ``0j + v * c`` is the convolution sum of one product (signed zeros
+        included); exact zeros are dropped and keys ascend, as in :meth:`from_dense`.
+        """
+        table = {}
+        for k, v in sorted(self._coeffs.items()):
+            p = 0j + v * c
+            if not cmath.isfinite(p):
+                raise ValueError(f"non-finite coefficient at exponent {k + e}")
+            if p:
+                table[k + e] = p
+        return LaurentPoly._trusted(table)
 
     def __rmul__(self, other) -> "LaurentPoly":
         if isinstance(other, _Scalar):
@@ -289,13 +309,35 @@ class LaurentPoly:
     # -- analysis ----------------------------------------------------------------
 
     def __call__(self, z):
-        zs = np.asarray(z, dtype=complex)
-        out = np.zeros_like(zs)
-        for k, v in self._coeffs.items():
-            out = out + v * zs**k
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return complex(out)
-        return out
+        """Value at z, for z != 0 (callers evaluate on the unit circle).
+
+        One Horner pass over the coefficients from kmax down to kmin, times
+        z**kmin.  A scalar or 0-d input is evaluated in Python ``complex``
+        arithmetic and returns a ``complex``; any other input returns a complex
+        array of its shape.
+        """
+        terms = self._horner_terms()
+        if not isinstance(z, _Scalar):
+            zs = np.asarray(z, dtype=complex)
+            if zs.ndim:
+                out = _horner_array(terms, zs)
+                if self._kmin:
+                    out *= zs**self._kmin
+                return out
+            z = zs.item()
+        z = complex(z)
+        out = _horner(terms, z)
+        return out * z**self._kmin if self._kmin else out
+
+    def _horner_terms(self) -> list[tuple[int, complex]]:
+        """Nonzero coefficients from kmax down to kmin, each after its exponent gap.
+
+        The gap is the distance to the previous (higher) exponent, 0 for the
+        first: a run of zero coefficients costs one power, not one step each.
+        """
+        exponents = sorted(self._coeffs, reverse=True)
+        gaps = [0] + [k - j for k, j in zip(exponents, exponents[1:])]
+        return [(gap, self._coeffs[k]) for gap, k in zip(gaps, exponents)]
 
     def l2_norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for v in self._coeffs.values()))
@@ -310,25 +352,32 @@ class LaurentPoly:
     def sup_norm(self, grid_points: int | None = None) -> float:
         """Max of |self| over the circle, estimated from below.
 
-        Uses a uniform grid of at least max(256, 16 * (band width + 1))
-        points followed by one golden-section refinement pass around the grid
-        argmax; the result underestimates the true sup norm by O(h^2) in the
-        grid spacing h.
+        Evaluates on the cached grid of n >= max(256, 16 * (band width + 1))
+        roots of unity, then runs one golden-section refinement pass over
+        [theta_j - h, theta_j + h] around the grid argmax theta_j = 2*pi*j/n,
+        h = 2*pi/n; the result underestimates the true sup norm by O(h^2).
+        Both stages run the Horner evaluator of :meth:`__call__` (defined for
+        z != 0) without the factor z**kmin, which has modulus one on the
+        circle, over a term list built once.  The grid takes one array pass
+        and only picks j: numpy's complex multiply may take a SIMD path whose
+        last bit depends on the CPU.  The value at theta_j and every
+        refinement step are computed in Python ``complex`` arithmetic, with
+        moduli from ``hypot``.
         """
         if self.is_zero:
             return 0.0
-        width = self._kmax - self._kmin
-        n = max(grid_points or 0, 256, 16 * (width + 1))
-        theta = 2 * np.pi * np.arange(n) / n
-        vals = np.abs(self(np.exp(1j * theta)))
-        j = int(np.argmax(vals))
-        h = 2 * np.pi / n
+        n = max(grid_points or 0, 256, 16 * (self._kmax - self._kmin + 1))
+        terms = self._horner_terms()
+        grid = unit_grid(n)
+        j = int(np.argmax(_cabs(_horner_array(terms, grid))))
+        h = 2 * math.pi / n
+        theta = 2 * math.pi * j / n
 
         def objective(t: float) -> float:
-            return abs(self(complex(math.cos(t), math.sin(t))))
+            return abs(_horner(terms, complex(math.cos(t), math.sin(t))))
 
-        refined = _golden_max(objective, theta[j] - h, theta[j] + h)
-        return max(float(vals[j]), refined)
+        refined = _golden_max(objective, theta - h, theta + h)
+        return max(abs(_horner(terms, complex(grid[j]))), refined)
 
     def classify(self) -> "AnalyticityClass":
         if self.is_zero or (self._kmin == 0 and self._kmax == 0):
@@ -357,6 +406,26 @@ def _lift(value) -> "LaurentPoly":
     if isinstance(value, _Scalar):
         return LaurentPoly({0: complex(value)})
     return NotImplemented
+
+
+def _horner(terms: list[tuple[int, complex]], z: complex) -> complex:
+    """Horner's rule over :meth:`LaurentPoly._horner_terms` in Python arithmetic."""
+    acc = 0j
+    for gap, c in terms:
+        acc = (acc * z if gap == 1 else acc * z**gap) + c
+    return acc
+
+
+def _horner_array(terms: list[tuple[int, complex]], zs: np.ndarray) -> np.ndarray:
+    """:func:`_horner` at every entry of ``zs``, in place: one multiply and one add per term."""
+    acc = np.zeros(zs.shape, dtype=complex)
+    for gap, c in terms:
+        if gap == 1:
+            acc *= zs
+        elif gap:
+            acc *= zs**gap
+        acc += c
+    return acc
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> float:

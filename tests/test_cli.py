@@ -162,6 +162,22 @@ def test_null_threshold_from_config_reaches_every_kernel(command, tmp_path, caps
     assert run_cli(capsys, *argv)[0] == 0
 
 
+def test_suite_null_threshold_from_config(tmp_path, capsys):
+    # the suites' kernel checks run under the configured threshold: at 1e-3
+    # the coburn ladder needs more bands than at the default 1e-8
+    tolerances = {"exact": 1e-12, "numeric": 1e-8, "null_threshold": 1e-3}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"tolerances": tolerances}), encoding="utf-8")
+    argv = ("suite", "coburn", "--trials", "5", "--seed", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    default = json.loads(out)["result"]
+    code_cfg, out_cfg, _ = run_cli(capsys, *argv, "--config", str(path))
+    configured = json.loads(out_cfg)["result"]
+    assert code == code_cfg == 0
+    assert configured != default
+    assert configured["stats"].get("band_escalations", 0) > default["stats"].get("band_escalations", 0)
+
+
 # ---------------------------------------------------------------------------
 # suite
 # ---------------------------------------------------------------------------

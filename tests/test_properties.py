@@ -83,6 +83,9 @@ def test_generator_config_validation():
         GeneratorConfig(degree_range=(3, 1))
     with pytest.raises(ValueError):
         GeneratorConfig(trials=-1)
+    for bad in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ValueError):
+            GeneratorConfig(null_threshold=bad)
 
 
 def test_draw_pair_counts_rejections_and_raises():

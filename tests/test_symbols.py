@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairedops import symbols
 from pairedops.operators import riesz_minus, riesz_plus
 from pairedops.symbols import (
     AnalyticityClass,
@@ -30,7 +32,9 @@ from pairedops.symbols import (
     rational_to_coeffs,
     rational_to_coeffs_auto,
     unit_grid,
+    _cabs,
     _fft_size,
+    _golden_max,
 )
 
 
@@ -659,3 +663,232 @@ def test_unit_grid_is_shared_read_only_and_bitwise_fresh():
         assert unit_grid(n) is grid
         with pytest.raises(ValueError):
             grid[0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# the Horner evaluator against the power sum it replaced
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _power_sum_oracle(p: LaurentPoly, z):
+    """The replaced evaluator: one complex power over the whole input per coefficient."""
+    zs = np.asarray(z, dtype=complex)
+    out = np.zeros_like(zs)
+    for k, v in p.coeffs.items():
+        out = out + v * zs**k
+    if np.isscalar(z) or np.ndim(z) == 0:
+        return complex(out)
+    return out
+
+
+def _sup_norm_oracle(p: LaurentPoly, grid_points: int | None = None) -> float:
+    """The replaced sup_norm: power-sum grid, then 60 golden steps of power sums."""
+    if p.is_zero:
+        return 0.0
+    n = max(grid_points or 0, 256, 16 * (p.kmax - p.kmin + 1))
+    theta = 2 * np.pi * np.arange(n) / n
+    vals = np.abs(_power_sum_oracle(p, np.exp(1j * theta)))
+    j = int(np.argmax(vals))
+    h = 2 * np.pi / n
+
+    def objective(t: float) -> float:
+        return abs(_power_sum_oracle(p, complex(math.cos(t), math.sin(t))))
+
+    return max(float(vals[j]), _golden_max(objective, theta[j] - h, theta[j] + h))
+
+
+def _horner_tol(p: LaurentPoly) -> float:
+    """Rounding allowance of Horner against the power sum on |z| = 1: 4 (w + 1) eps sum |c_k|."""
+    return 4 * (p.kmax - p.kmin + 1) * _EPS * p.l1_norm()
+
+
+_EVAL_CASES = [
+    LaurentPoly.zero(),
+    LaurentPoly.one(),
+    LaurentPoly({5: 3.0}),
+    LaurentPoly({-7: -2j}),
+    lp("z^-40 + z^40"),
+    lp("1 - 2*z + z^-3"),
+    lp("(0.5+2i)*z^-2 + 3i*z - z^4"),
+    LaurentPoly({-2: 1e150, 1: -3e150j, 3: 1e-150}),
+    LaurentPoly({-1: 2e-150 - 1e-150j, 2: 1e-150}),
+]
+
+
+def _assert_close_to_oracle(p: LaurentPoly, z) -> None:
+    got = p(z)
+    want = _power_sum_oracle(p, z)
+    if np.ndim(z) == 0:
+        assert type(got) is complex
+        assert abs(got - want) <= _horner_tol(p)
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.complex128 and got.shape == np.shape(z)
+        assert np.max(np.abs(got - want), initial=0.0) <= _horner_tol(p)
+
+
+@pytest.mark.parametrize("p", _EVAL_CASES, ids=str)
+def test_horner_matches_power_sum_oracle(p):
+    rng = np.random.default_rng(31)
+    on_circle = np.exp(2j * np.pi * rng.random((3, 5)))
+    scalars = [1.0, -1, 1j, complex(on_circle[0, 0]), np.complex128(on_circle[1, 2]), np.float64(-1.0)]
+    for z in scalars + [np.array(on_circle[2, 3]), np.array(1.0)]:
+        _assert_close_to_oracle(p, z)
+    for z in (unit_grid(64), on_circle, on_circle[0].tolist(), np.where(on_circle.real < 0, -1.0, 1.0), np.zeros((0,), complex)):
+        _assert_close_to_oracle(p, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    laurent_polys(kmin=-12, kmax=12),
+    st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=6),
+)
+def test_horner_matches_power_sum_oracle_drawn(p, angles):
+    zs = np.exp(1j * np.array(angles))
+    _assert_close_to_oracle(p, zs)
+    _assert_close_to_oracle(p, complex(zs[0]))
+
+
+def test_horner_keeps_the_input_and_returns_fresh_arrays():
+    p = lp("2 - z^-1 + 0.5i*z^3")
+    grid = unit_grid(32)
+    before = grid.copy()
+    first, second = p(grid), p(grid)
+    assert first is not second and first.flags.writeable
+    assert np.array_equal(grid, before)
+    assert np.array_equal(first, second)
+
+
+def _random_symbols(count: int) -> list[LaurentPoly]:
+    """Complex coefficients of widths 0-8: no symmetry makes two grid points tie for the maximum."""
+    rng = np.random.default_rng(17)
+    out = []
+    for _ in range(count):
+        width = int(rng.integers(0, 9))
+        coeffs = (rng.standard_normal(width + 1) + 1j * rng.standard_normal(width + 1)) * 10.0 ** rng.uniform(-2, 2)
+        out.append(LaurentPoly.from_dense(coeffs, int(rng.integers(-6, 3))))
+    return out
+
+
+def _assert_sup_norm_against_oracle(p: LaurentPoly, grid_points: int | None = None) -> None:
+    got = p.sup_norm(grid_points)
+    want = _sup_norm_oracle(p, grid_points)
+    assert abs(got - want) <= 8 * _EPS * want
+    assert got <= p.l1_norm() + _horner_tol(p)
+    n = max(grid_points or 0, 256, 16 * (p.kmax - p.kmin + 1))
+    grid_max = float(np.max(_cabs(p(unit_grid(n)))))
+    assert got >= grid_max - _horner_tol(p)
+
+
+def test_sup_norm_within_rounding_of_replaced_algorithm():
+    assert LaurentPoly.zero().sup_norm() == 0.0
+    narrow = [p for p in _EVAL_CASES if not p.is_zero and p.kmax - p.kmin <= 8]
+    for p in narrow + _random_symbols(40):
+        _assert_sup_norm_against_oracle(p)
+    _assert_sup_norm_against_oracle(lp("1 - 2*z + z^-3"), 1024)
+    # a width-80 gap: z^80 costs about 80 roundings in any evaluation order
+    gapped = lp("z^-40 + z^40")
+    assert abs(gapped.sup_norm() - 2.0) <= _horner_tol(gapped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_polys(kmin=-8, kmax=8))
+def test_sup_norm_within_rounding_of_replaced_algorithm_drawn(p):
+    _assert_sup_norm_against_oracle(p)
+
+
+def test_sup_norm_makes_one_array_pass_and_reports_python_arithmetic(monkeypatch):
+    cases = _random_symbols(24)
+    expected = [p.sup_norm() for p in cases]
+    horner_array = symbols._horner_array
+    calls = []
+
+    def counting(terms, zs):
+        calls.append(zs.shape)
+        return horner_array(terms, zs)
+
+    monkeypatch.setattr(symbols, "_horner_array", counting)
+    for p in cases:
+        calls.clear()
+        p.sup_norm(1024)
+        assert calls == [(max(1024, 16 * (p.kmax - p.kmin + 1)),)]
+    # the array pass only picks the grid argmax: last-bit changes in its values,
+    # as another CPU's SIMD complex multiply gives, leave every result's bits
+    rng = np.random.default_rng(5)
+
+    def perturbed(terms, zs):
+        values = horner_array(terms, zs)
+        return values * (1 + _EPS * rng.integers(-2, 3, values.shape))
+
+    monkeypatch.setattr(symbols, "_horner_array", perturbed)
+    assert [p.sup_norm() for p in cases] == expected
+    # and the result is the largest value the scalar Horner evaluator saw
+    monkeypatch.setattr(symbols, "_horner_array", horner_array)
+    monkeypatch.setattr(symbols, "_golden_max", lambda fn, lo, hi: -math.inf)
+    for p in cases:
+        n = max(256, 16 * (p.kmax - p.kmin + 1))
+        j = int(np.argmax(_cabs(horner_array(p._horner_terms(), unit_grid(n)))))
+        assert p.sup_norm() == abs(symbols._horner(p._horner_terms(), complex(unit_grid(n)[j])))
+
+
+# ---------------------------------------------------------------------------
+# products with one term against np.convolve
+# ---------------------------------------------------------------------------
+
+
+def _convolve_oracle(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The dense product path: np.convolve of the two coefficient runs."""
+    if a.is_zero or b.is_zero:
+        return LaurentPoly()
+    dense = np.convolve(a.to_dense(a.kmin, a.kmax), b.to_dense(b.kmin, b.kmax))
+    return LaurentPoly.from_dense(dense, a.kmin + b.kmin)
+
+
+def _assert_same_product(a: LaurentPoly, b: LaurentPoly) -> None:
+    try:
+        want = _convolve_oracle(a, b)
+    except ValueError as oracle_error:
+        with pytest.raises(ValueError) as error:
+            a * b
+        assert str(error.value) == str(oracle_error)
+        return
+    _assert_same_table(a * b, want)
+
+
+_SPECIAL_PARTS = [0.0, -0.0, 1.0, -2.5, 1e-200, -3e-170, 5e-324, 1e200, -1e308]
+
+
+def test_single_term_product_matches_convolve_oracle():
+    rng = np.random.default_rng(23)
+
+    def value():
+        if rng.random() < 0.5:
+            return complex(rng.choice(_SPECIAL_PARTS), rng.choice(_SPECIAL_PARTS))
+        return complex(*(rng.standard_normal(2) * 10.0 ** rng.uniform(-150, 150, 2)))
+
+    for _ in range(1500):
+        exponents = rng.choice(np.arange(-6, 7), int(rng.integers(1, 6)), replace=False)
+        p = LaurentPoly({int(k): value() for k in exponents})
+        term = LaurentPoly({int(rng.integers(-4, 5)): value() or 1.0})
+        _assert_same_product(p, term)
+        _assert_same_product(term, p)
+
+
+def test_single_term_product_pinned_cases():
+    signed = LaurentPoly({-2: complex(-0.0, 1.0), 0: complex(3.0, -0.0), 3: -1.5 + 2j})
+    for term in (LaurentPoly({1: -1.0}), LaurentPoly({0: complex(0.0, -2.0)}), LaurentPoly({-3: -0.5 - 0.5j})):
+        _assert_same_product(signed, term)
+        _assert_same_product(term, signed)
+    # underflow to exact zero drops the entry; a lone underflow gives the zero symbol
+    tiny = LaurentPoly({-1: 1e-200, 2: 1.0})
+    assert (tiny * LaurentPoly({1: 1e-200})).band == (3, 3)
+    _assert_same_product(tiny, LaurentPoly({1: 1e-200}))
+    assert (LaurentPoly({4: 1e-200}) * LaurentPoly({0: 1e-200})).is_zero
+    # overflow raises the validating constructor's error at the first bad exponent
+    with pytest.raises(ValueError, match="non-finite coefficient at exponent 2"):
+        LaurentPoly({0: 1.0, 1: 1e200, 3: 1e300}) * LaurentPoly({1: 1e200})
+    _assert_same_product(LaurentPoly({0: 1.0, 1: 1e200, 3: 1e300}), LaurentPoly({1: 1e200}))
+    # the parser builds every coef*z^k through this path
+    text = "(0.3+-1.2*i)*z^-2 + (1.5+0.25*i)*z^-1 - 2*z^0 + (-0.0+0.9*i)*z^2"
+    _assert_same_table(parse_symbol(text), LaurentPoly({-2: 0.3 - 1.2j, -1: 1.5 + 0.25j, 0: -2.0, 2: 0.9j}))
