@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 
 from .kernels import (
@@ -41,6 +42,7 @@ from .symbols import (
 __all__ = ["RunConfig", "main"]
 
 _FORMATS = ("json", "csv", "pretty")
+_TOLERANCES = ("exact", "numeric", "null_threshold")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,13 +59,25 @@ class RunConfig:
     format: str = "pretty"
 
     def __post_init__(self):
+        for name in ("N", "grid_points", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.N < 1:
             raise ValueError("N must be at least 1")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path or null, not {self.out!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
-        for key in ("exact", "numeric", "null_threshold"):
-            if key not in self.tolerances or self.tolerances[key] <= 0:
-                raise ValueError(f"tolerance {key!r} must be present and positive")
+        if not isinstance(self.tolerances, dict):
+            raise ValueError(f"tolerances must be an object, not {self.tolerances!r}")
+        unknown = set(self.tolerances) - set(_TOLERANCES)
+        if unknown:
+            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+        for key in _TOLERANCES:
+            value = self.tolerances.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ValueError(f"tolerance {key!r} must be present, finite and positive, not {value!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,6 +91,8 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError("a run config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -78,6 +78,9 @@ __all__ = [
 NULL_SPACE_REL_THRESHOLD = 1e-8
 _NULL_GAP_FACTOR = 10.0
 _MEMBERSHIP_TOL = 1e-10
+# error bounds of the rational expansions behind explicit kernel elements
+_INNER_FACTOR_CONVERSION_TOL = 1e-13
+_CONVERSION_TOL = 1e-12
 
 
 class AmbiguousKernelError(ArithmeticError):
@@ -122,6 +125,28 @@ def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESH
     count = _null_count(svals, matrix.shape[1], rel_threshold)
     columns = vh[len(svals) - count :].conj().T if svals[0] else np.eye(count, dtype=complex)
     return columns, sorted(float(s) for s in svals)
+
+
+def _certified_null_space(
+    matrix: np.ndarray, kmin: int, image: Callable, what: str, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
+) -> tuple[list[LaurentPoly], list[float]]:
+    """:func:`_null_space` as vectors from exponent ``kmin``, each certified by its exact ``image``.
+
+    A vector whose image norm exceeds 1e-10 times max(1, its norm) raises
+    :class:`AmbiguousKernelError`, which names the vector by ``what``.
+    """
+    columns, svals = _null_space(matrix, rel_threshold)
+    vectors = []
+    for j in range(columns.shape[1]):
+        v = LaurentPoly.from_dense(columns[:, j], kmin)
+        r = image(v).l2_norm()
+        if r > _MEMBERSHIP_TOL * max(1.0, v.l2_norm()):
+            raise AmbiguousKernelError(
+                f"{what} has exact-action residual {r:.3e}, above the kernel certification tolerance",
+                svals,
+            )
+        vectors.append(v)
+    return vectors, svals
 
 
 @dataclass(frozen=True)
@@ -170,19 +195,9 @@ def kernel_basis(
     pair.require_nondegenerate()
     if band < 1:
         raise ValueError("band must be at least 1")
-    columns, svals = _null_space(exact_action_matrix(pair, band, kind=kind), rel_threshold)
     apply = apply_paired if kind == "paired" else apply_transposed
-    vectors = []
-    for j in range(columns.shape[1]):
-        v = LaurentPoly.from_dense(columns[:, j], -band)
-        residual = apply(pair, v).l2_norm()
-        if residual > _MEMBERSHIP_TOL * max(1.0, v.l2_norm()):
-            raise AmbiguousKernelError(
-                f"null candidate has exact-action residual {residual:.3e}, "
-                "above the kernel certification tolerance",
-                svals,
-            )
-        vectors.append(v)
+    matrix = exact_action_matrix(pair, band, kind=kind)
+    vectors, svals = _certified_null_space(matrix, -band, lambda v: apply(pair, v), "null candidate", rel_threshold)
     wider = exact_action_matrix(pair, band + 2, kind=kind)
     wider_dim = _null_count(np.linalg.svd(wider, compute_uv=False), wider.shape[1], rel_threshold)
     return KernelBasis(
@@ -190,7 +205,7 @@ def kernel_basis(
         band=band,
         basis=tuple(vectors),
         singular_values=tuple(svals),
-        stabilized=wider_dim == columns.shape[1],
+        stabilized=wider_dim == len(vectors),
         transposed=(kind == "transposed"),
     )
 
@@ -227,15 +242,23 @@ def kernel_projections(kernel: KernelBasis) -> KernelProjections:
 # ---------------------------------------------------------------------------
 
 
-def _stack(vectors: Sequence[CoeffVector], kmin: int, kmax: int) -> np.ndarray:
-    return np.column_stack([v.to_dense(kmin, kmax) for v in vectors])
-
-
 def _orthonormal(vectors: Sequence[CoeffVector], kmin: int, kmax: int) -> np.ndarray:
-    matrix = _stack(vectors, kmin, kmax)
-    q, r = np.linalg.qr(matrix)
+    q, r = np.linalg.qr(np.column_stack([v.to_dense(kmin, kmax) for v in vectors]))
     keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(r))))
     return q[:, keep]
+
+
+def _orthonormal_pair(first: Sequence[CoeffVector], second: Sequence[CoeffVector]):
+    """Orthonormal bases of two nonempty spans over one common exponent window."""
+    vectors = list(first) + list(second)
+    kmin = min(v.kmin for v in vectors)
+    kmax = max(v.kmax for v in vectors)
+    return _orthonormal(first, kmin, kmax), _orthonormal(second, kmin, kmax)
+
+
+def _sine(q_inner: np.ndarray, q_outer: np.ndarray) -> float:
+    """sin of the largest angle from span(q_inner) into span(q_outer), both orthonormal."""
+    return float(np.linalg.norm(q_inner - q_outer @ (q_outer.conj().T @ q_inner), 2))
 
 
 def subspace_angle(
@@ -251,16 +274,10 @@ def subspace_angle(
         return 0.0
     if not first or not second:
         return math.pi / 2
-    vectors = list(first) + list(second)
-    kmin = min(v.kmin for v in vectors)
-    kmax = max(v.kmax for v in vectors)
-    q1 = _orthonormal(first, kmin, kmax)
-    q2 = _orthonormal(second, kmin, kmax)
+    q1, q2 = _orthonormal_pair(first, second)
     if q1.shape[1] != q2.shape[1]:
         return math.pi / 2
-    s12 = float(np.linalg.norm(q2 - q1 @ (q1.conj().T @ q2), 2))
-    s21 = float(np.linalg.norm(q1 - q2 @ (q2.conj().T @ q1), 2))
-    return math.asin(min(1.0, max(s12, s21)))
+    return math.asin(min(1.0, max(_sine(q2, q1), _sine(q1, q2))))
 
 
 def _containment_gap(inner: Sequence[CoeffVector], outer: Sequence[CoeffVector]) -> float:
@@ -269,12 +286,7 @@ def _containment_gap(inner: Sequence[CoeffVector], outer: Sequence[CoeffVector])
         return 0.0
     if not outer:
         return 1.0
-    vectors = list(inner) + list(outer)
-    kmin = min(v.kmin for v in vectors)
-    kmax = max(v.kmax for v in vectors)
-    qi = _orthonormal(inner, kmin, kmax)
-    qo = _orthonormal(outer, kmin, kmax)
-    return float(np.linalg.norm(qi - qo @ (qo.conj().T @ qi), 2))
+    return _sine(*_orthonormal_pair(inner, outer))
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +316,8 @@ def toeplitz_kernel_bridge(symbol: LaurentPoly, band: int) -> BridgeReport:
     if symbol.is_zero:
         raise ValueError("bridge requires a nonzero symbol")
     top = band + max(0, symbol.kmax)
-    columns, svals = _null_space(toeplitz_window(symbol, range(top + 1), range(band + 1)))
-    toeplitz_null = []
-    for j in range(columns.shape[1]):
-        v = LaurentPoly.from_dense(columns[:, j], 0)
-        residual = riesz_plus(symbol * v).l2_norm()
-        if residual > _MEMBERSHIP_TOL * max(1.0, v.l2_norm()):
-            raise AmbiguousKernelError(
-                f"Toeplitz null candidate has exact-action residual {residual:.3e}",
-                svals,
-            )
-        toeplitz_null.append(v)
-
+    window = toeplitz_window(symbol, range(top + 1), range(band + 1))
+    toeplitz_null, _ = _certified_null_space(window, 0, lambda v: riesz_plus(symbol * v), "Toeplitz null candidate")
     kernel = kernel_basis(SymbolPair(symbol, LaurentPoly.one()), band)
     projected = [riesz_plus(v) for v in kernel.basis]
     angle = subspace_angle(toeplitz_null, projected)
@@ -374,9 +376,7 @@ def kernel_element_direct(a: LaurentPoly, b: LaurentPoly) -> CoeffVector:
     return b - a
 
 
-def kernel_element_from_inner_factor(
-    a: LaurentPoly, b: LaurentPoly, *, conversion_tol: float = 1e-13
-) -> CoeffVector:
+def kernel_element_from_inner_factor(a: LaurentPoly, b: LaurentPoly) -> CoeffVector:
     """An explicit nonzero kernel element when b carries a nontrivial inner factor.
 
     With b = (inner)(outer) and c = inner(0), the element is
@@ -405,7 +405,7 @@ def kernel_element_from_inner_factor(
         f_minus = (-a).shift(-1)
     else:
         rational = (RationalSymbol.one() - io.inner.conj_reflect() * c) * (-a)
-        truncation = rational_to_coeffs_auto(rational.shift(-1), tol=conversion_tol)
+        truncation = rational_to_coeffs_auto(rational.shift(-1), tol=_INNER_FACTOR_CONVERSION_TOL)
         f_minus = riesz_minus(truncation.coeffs)
     f = f_plus + f_minus
     if f.is_zero:
@@ -441,7 +441,7 @@ class KernelPair:
         }
 
 
-def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> KernelPair:
+def pair_from_function(phi: CoeffVector) -> KernelPair:
     """Construct the unique paired kernel containing a nonzero function.
 
     Generic case (both Riesz parts nonzero): factor the analytic part as
@@ -489,8 +489,8 @@ def pair_from_function(phi: CoeffVector, *, conversion_tol: float = 1e-12) -> Ke
         a = a * (1.0 / size)
         b = b * (1.0 / size)
 
-    a_c = rational_to_coeffs_auto(a, tol=conversion_tol).coeffs
-    b_c = rational_to_coeffs_auto(b, tol=conversion_tol).coeffs
+    a_c = rational_to_coeffs_auto(a, tol=_CONVERSION_TOL).coeffs
+    b_c = rational_to_coeffs_auto(b, tol=_CONVERSION_TOL).coeffs
     residual = (a_c * plus + b_c * minus).l2_norm()
     scale = max(1.0, phi.l2_norm())
     if residual > 1e-9 * scale:
@@ -518,17 +518,16 @@ def _check_membership(pair: SymbolPair, v: CoeffVector, kind: str, tol: float) -
         )
 
 
-def kernel_conjugate(phi: CoeffVector, pair: SymbolPair, *, check: bool = True) -> CoeffVector:
+def kernel_conjugate(phi: CoeffVector, pair: SymbolPair) -> CoeffVector:
     """Antilinear transfer  phi -> zbar * conj(phi)  between mirrored kernels.
 
     Maps kernel elements of (a, b) onto kernel elements of (conj b, conj a);
     applying it twice, with the pair swapped accordingly, returns the input
     exactly.  The zero vector passes through.
     """
-    if check:
-        _check_membership(pair, phi, "paired", _MEMBERSHIP_TOL)
+    _check_membership(pair, phi, "paired", _MEMBERSHIP_TOL)
     result = phi.conj_reflect().shift(-1)
-    if check and not result.is_zero:
+    if not result.is_zero:
         _check_membership(pair.conj_swapped(), result, "paired", _MEMBERSHIP_TOL)
     return result
 
@@ -555,7 +554,7 @@ def reciprocal_symbol(symbol: LaurentPoly) -> RationalSymbol:
     return RationalSymbol(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin))
 
 
-def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair, *, check: bool = True) -> CoeffVector:
+def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair) -> CoeffVector:
     """Transfer  psi -> (conj a - conj b) * psi  from ker of the adjoint.
 
     Sends kernel elements of the adjoint of the paired operator into the
@@ -563,10 +562,9 @@ def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair, *, check: bool = True
     """
     pair.require_nondegenerate()
     conj_pair = pair.conjugated()
-    if check:
-        _check_membership(conj_pair, psi, "transposed", _MEMBERSHIP_TOL)
+    _check_membership(conj_pair, psi, "transposed", _MEMBERSHIP_TOL)
     result = (conj_pair.a - conj_pair.b) * psi
-    if check and not result.is_zero:
+    if not result.is_zero:
         _check_membership(conj_pair, result, "paired", 1e-9)
     return result
 
@@ -578,9 +576,6 @@ def adjoint_kernel_map_inverse(
     phi: CoeffVector,
     pair: SymbolPair,
     case: Literal["difference", "a", "b"],
-    *,
-    check: bool = True,
-    conversion_tol: float = 1e-12,
 ) -> CoeffVector:
     """Inverse of :func:`adjoint_kernel_map` under an invertibility hypothesis.
 
@@ -597,8 +592,7 @@ def adjoint_kernel_map_inverse(
     if case not in _INVERSE_CASES:
         raise ValueError(f"case must be one of {_INVERSE_CASES}")
     conj_pair = pair.conjugated()
-    if check:
-        _check_membership(conj_pair, phi, "paired", _MEMBERSHIP_TOL)
+    _check_membership(conj_pair, phi, "paired", _MEMBERSHIP_TOL)
     if case == "difference":
         divisor_source = pair.a - pair.b
         numerator = phi
@@ -614,9 +608,8 @@ def adjoint_kernel_map_inverse(
     if numerator.is_zero:
         return LaurentPoly.zero()
     quotient = RationalSymbol(LaurentPoly.one()) * numerator * reciprocal_symbol(divisor)
-    result = rational_to_coeffs_auto(quotient, tol=conversion_tol).coeffs
-    if check:
-        _check_membership(conj_pair, result, "transposed", 1e-9)
+    result = rational_to_coeffs_auto(quotient, tol=_CONVERSION_TOL).coeffs
+    _check_membership(conj_pair, result, "transposed", 1e-9)
     return result
 
 

@@ -11,15 +11,17 @@ set, and a violation records exactly those inputs and that output, so
 
 Determinism contract: identical :class:`GeneratorConfig` values produce
 byte-identical JSON reports (the wall-clock ``runtime`` field excluded).
-Per-trial randomness comes from substreams seeded by ``seed XOR trial``.
+Every random input is drawn from its own named stream,
+``SeedSequence(seed, spawn_key=(suite, trial, role))``, so no two inputs share
+draws and a suite's report is the same whether it runs alone or in
+:func:`run_all`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -87,8 +89,6 @@ _FAMILIES = (
     "invertible_on_T",
 )
 
-_MASK64 = (1 << 64) - 1
-
 # Fixed tolerances of the suite checks; GeneratorConfig carries the three that
 # a run configures (exact_tol, numeric_tol, null_threshold).
 _ROUNDING_TOL = 1e-12  # exact identities: pinned norms, monotonicity, the zero norm
@@ -98,24 +98,22 @@ _DISTINCT_ANGLE = 1e-6  # principal angle below which two kernels count as one
 _CONTAINMENT_TOL = 1e-8  # sine below which one kernel lies inside another
 _GRAM_TOL = 1e-10  # orthonormality of a conjugated kernel basis
 _BAND_CAP = 128  # last band of an escalation ladder
+_DRAW_ATTEMPTS = 50  # candidates an accept loop draws before it gives up
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Seeded description of a random symbol stream plus suite tolerances."""
+    """Seed, symbol degrees and scale, trial count and the configurable suite tolerances."""
 
     seed: int = 0
     degree_range: tuple[int, int] = (1, 4)
     coefficient_scale: float = 1.0
-    family: str = "general"
     trials: int = 100
     exact_tol: float = 1e-12
     numeric_tol: float = 1e-8
     null_threshold: float = NULL_SPACE_REL_THRESHOLD  # of every kernel_basis call
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
         lo, hi = self.degree_range
         if lo < 0 or hi < lo:
             raise ValueError("degree_range must satisfy 0 <= lo <= hi")
@@ -125,20 +123,27 @@ class GeneratorConfig:
             raise ValueError("coefficient_scale must be positive")
         if not self.null_threshold > 0:
             raise ValueError("null_threshold must be positive")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
 
 
-def _trial_rng(cfg: GeneratorConfig, trial: int) -> np.random.Generator:
-    return np.random.default_rng((cfg.seed ^ trial) & _MASK64)
+def _name_key(name: str) -> int:
+    """A spawn-key entry for a suite or role name: its UTF-8 bytes, zero-padded to 32.
+
+    Read big-endian, a name of 1 to 32 bytes is always eight 32-bit words.
+    SeedSequence concatenates the words of its spawn-key entries, so entries
+    of varying width could alias (spawn keys (2**32,) and (0, 1) give one
+    stream); fixed-width names keep (suite, trial, role) keys apart.
+    """
+    return int.from_bytes(name.encode("utf-8").ljust(32, b"\0"), "big")
 
 
 def _gauss_coeffs(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (scale / math.sqrt(2.0))
 
 
-def gen_symbol(cfg: GeneratorConfig, trial: int):
-    """Draw the trial-th symbol of the configured family.
+def gen_symbol(cfg: GeneratorConfig, rng: np.random.Generator, family: str = "general"):
+    """Draw a symbol of ``family`` from ``rng``.
 
     Families select the band: ``analytic`` gives [0, d], ``coanalytic``
     [-d, 0], ``coanalytic_vanishing`` [-d, -1], ``general`` [-d, d]; the
@@ -147,20 +152,21 @@ def gen_symbol(cfg: GeneratorConfig, trial: int):
     stay 1e-3 away from the circle, and ``blaschke`` returns a
     :class:`RationalSymbol` with zeros sampled in the disk of radius 0.8.
     """
-    rng = _trial_rng(cfg, trial)
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     lo, hi = cfg.degree_range
     degree = int(rng.integers(lo, hi + 1))
-    if cfg.family == "blaschke":
+    if family == "blaschke":
         count = max(1, degree)
         radii = 0.8 * np.sqrt(rng.uniform(0, 1, count))
         angles = rng.uniform(0, 2 * np.pi, count)
         return blaschke([complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, angles)])
     for _ in range(100):
-        if cfg.family == "analytic":
+        if family == "analytic":
             kmin, kmax = 0, degree
-        elif cfg.family == "coanalytic":
+        elif family == "coanalytic":
             kmin, kmax = -degree, 0
-        elif cfg.family == "coanalytic_vanishing":
+        elif family == "coanalytic_vanishing":
             kmin, kmax = -max(1, degree), -1
         else:
             kmin, kmax = -degree, degree
@@ -168,10 +174,10 @@ def gen_symbol(cfg: GeneratorConfig, trial: int):
         sym = LaurentPoly.from_dense(values, kmin)
         if sym.is_zero:
             continue
-        if cfg.family == "invertible_on_T" and not invertible_on_circle(sym, 1e-3):
+        if family == "invertible_on_T" and not invertible_on_circle(sym, 1e-3):
             continue
         return sym
-    raise RuntimeError(f"could not draw a valid {cfg.family!r} symbol")
+    raise RuntimeError(f"could not draw a valid {family!r} symbol")
 
 
 
@@ -269,6 +275,16 @@ class _SuiteRun:
         self.ambiguities: list[dict] = []
         self.max_residual = 0.0
         self.stats: dict = {}
+
+    def stream(self, trial: int, role: str) -> np.random.Generator:
+        """The generator of input ``role`` in ``trial``, the only source of suite randomness.
+
+        Its key is ``SeedSequence(seed, spawn_key=(suite, trial, role))``;
+        each (trial, role) is drawn once per run, and accept loops keep
+        drawing from the same generator.
+        """
+        key = (_name_key(self.name), trial, _name_key(role))
+        return np.random.default_rng(np.random.SeedSequence(self.cfg.seed, spawn_key=key))
 
     def observe(self, *residuals: float) -> None:
         for r in residuals:
@@ -590,48 +606,37 @@ def check_adjoint_round_trip(pair: SymbolPair, psi: LaurentPoly) -> dict:
 def _draw_pair(
     cfg: GeneratorConfig,
     run: _SuiteRun,
-    family_a: str,
-    key_a: int,
-    family_b: str,
-    key_b: int,
-    step: int = 1,
+    trial: int,
+    role: str,
+    family_a: str = "general",
+    family_b: str = "general",
     accept: Callable[[SymbolPair], bool] = lambda pair: pair.nondegenerate,
 ) -> SymbolPair:
-    """First accepted pair over 50 attempts, keys advancing by ``step``; each
-    rejected candidate counts as one resample."""
-    for offset in range(0, 50 * step, step):
-        pair = SymbolPair(
-            gen_symbol(replace(cfg, family=family_a), key_a + offset),
-            gen_symbol(replace(cfg, family=family_b), key_b + offset),
-        )
+    """First accepted pair drawn from the stream of ``role``; each rejected
+    candidate counts as one resample."""
+    rng = run.stream(trial, role)
+    for _ in range(_DRAW_ATTEMPTS):
+        pair = SymbolPair(gen_symbol(cfg, rng, family_a), gen_symbol(cfg, rng, family_b))
         if accept(pair):
             return pair
         run.bump("resamples")
     raise RuntimeError(f"could not draw an accepted ({family_a}, {family_b}) pair")
 
 
-def _draw_nondegenerate_pair(
-    cfg: GeneratorConfig, run: _SuiteRun, base: int, accept=lambda pair: pair.nondegenerate
-) -> SymbolPair:
-    return _draw_pair(cfg, run, "general", base, "general", base + 1, step=2, accept=accept)
-
-
-def _forced_nonconforming(
-    cfg: GeneratorConfig, trial_key: int, run: _SuiteRun
-) -> SymbolPair:
-    """A second-factor pair that genuinely breaks the composition criterion."""
-    rng = _trial_rng(cfg, trial_key)
-    a = gen_symbol(replace(cfg, family="general"), trial_key + 101_000)
-    b = gen_symbol(replace(cfg, family="general"), trial_key + 102_000)
-    if rng.uniform() < 0.5:
-        a = a + LaurentPoly({-int(rng.integers(1, 4)): 0.5 + 0.25j})
-    else:
-        b = b + LaurentPoly({int(rng.integers(1, 4)): 0.5 - 0.25j})
-    pair = SymbolPair(a, b)
-    if not pair.nondegenerate:
+def _forced_nonconforming(cfg: GeneratorConfig, run: _SuiteRun, trial: int, role: str) -> SymbolPair:
+    """A nondegenerate second-factor pair that genuinely breaks the composition criterion."""
+    rng = run.stream(trial, role)
+    for _ in range(_DRAW_ATTEMPTS):
+        a, b = gen_symbol(cfg, rng), gen_symbol(cfg, rng)
+        if rng.uniform() < 0.5:
+            a = a + LaurentPoly({-int(rng.integers(1, 4)): 0.5 + 0.25j})
+        else:
+            b = b + LaurentPoly({int(rng.integers(1, 4)): 0.5 - 0.25j})
+        pair = SymbolPair(a, b)
+        if pair.nondegenerate:
+            return pair
         run.bump("resamples")
-        return _forced_nonconforming(cfg, trial_key + 1, run)
-    return pair
+    raise RuntimeError("could not draw a nondegenerate nonconforming pair")
 
 
 def _rooted_analytic(rng: np.random.Generator, interior: int, exterior: int) -> LaurentPoly:
@@ -693,7 +698,7 @@ def suite_norm_bounds(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     observed = ("monotonicity_violation", "lower_violation", "upper_violation")
     gaps = []
     for trial in range(cfg.trials):
-        pair = _draw_nondegenerate_pair(cfg, run, trial * 128)
+        pair = _draw_pair(cfg, run, trial, "pair")
         result = run.check(trial, "norm_bounds", {"a": pair.a, "b": pair.b}, observed)
         gaps.append(result["gap"])
         bad = (
@@ -732,30 +737,28 @@ def suite_brown_halmos(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     witness.fail_if(witness["residual"] < cfg.numeric_tol, message)
 
     for trial in range(cfg.trials):
-        first = _draw_nondegenerate_pair(cfg, run, trial * 64)
+        first = _draw_pair(cfg, run, trial, "first")
         # conforming second factor: analytic upper symbol, coanalytic lower symbol
-        second = _draw_pair(cfg, run, "analytic", trial * 64 + 7_000, "coanalytic", trial * 64 + 8_000)
+        second = _draw_pair(cfg, run, trial, "second", "analytic", "coanalytic")
         result = compose(trial, first, second, "paired")
         result.fail_if(vanish_failed(result), "conforming composition failed to vanish")
 
         # transposed version: the criterion sits on the first factor
-        transposed_first = _draw_pair(
-            cfg, run, "coanalytic", trial * 64 + 9_000, "analytic", trial * 64 + 10_000
-        )
-        transposed_second = _draw_nondegenerate_pair(cfg, run, trial * 64 + 11_000)
+        transposed_first = _draw_pair(cfg, run, trial, "transposed_first", "coanalytic", "analytic")
+        transposed_second = _draw_pair(cfg, run, trial, "transposed_second")
         result = compose(trial, transposed_first, transposed_second, "transposed")
         result.fail_if(vanish_failed(result), "conforming transposed composition failed to vanish")
 
         # nonconforming second factor with a well-separated first pair
-        first_nc = _draw_nondegenerate_pair(
-            cfg, run, trial * 64 + 12_000, accept=lambda p: p.nondegenerate and (p.a - p.b).l2_norm() >= 0.3
+        first_nc = _draw_pair(
+            cfg, run, trial, "first_nc", accept=lambda p: p.nondegenerate and (p.a - p.b).l2_norm() >= 0.3
         )
-        second_nc = _forced_nonconforming(cfg, trial * 64 + 13_000, run)
+        second_nc = _forced_nonconforming(cfg, run, trial, "second_nc")
         result = compose(trial, first_nc, second_nc, "paired", observe=("discrepancy",))
         result.fail_if(witness_failed(result), "nonconforming composition residual below the witness floor")
 
         # transposed converse witness: a first factor violating the criterion
-        transposed_first_nc = _forced_nonconforming(cfg, trial * 64 + 14_000, run).swapped()
+        transposed_first_nc = _forced_nonconforming(cfg, run, trial, "transposed_first_nc").swapped()
         if (transposed_first_nc.a - transposed_first_nc.b).l2_norm() < 0.3:
             transposed_first_nc = SymbolPair(
                 transposed_first_nc.a + LaurentPoly({0: 0.5}), transposed_first_nc.b
@@ -783,8 +786,8 @@ def suite_commutant(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     pinned.fail_if(pinned["commutator_norm"] > cfg.exact_tol, "pinned constant failed to commute")
 
     for trial in range(cfg.trials):
-        pair = _draw_nondegenerate_pair(cfg, run, trial * 32)
-        rng = _trial_rng(cfg, trial + 500_000)
+        pair = _draw_pair(cfg, run, trial, "pair")
+        rng = run.stream(trial, "multipliers")
         scale_bound = max(
             1.0, pair.a.max_abs_coeff() + pair.b.max_abs_coeff()
         )
@@ -797,7 +800,7 @@ def suite_commutant(cfg: GeneratorConfig, run: _SuiteRun) -> None:
             "constant multiplier failed to commute",
         )
 
-        eta = gen_symbol(replace(cfg, family="general"), trial * 32 + 600_000)
+        eta = gen_symbol(cfg, rng)
         offender = int(rng.integers(1, 3)) * (1 if rng.uniform() < 0.5 else -1)
         eta = eta + LaurentPoly({offender: 0.5 + 0.5j})
         result = commutator(trial, pair, SymbolPair(eta, eta), ("identity_discrepancy",))
@@ -841,15 +844,15 @@ def suite_pointwise_commutation(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         )
 
     for trial in range(cfg.trials):
-        pair = _draw_nondegenerate_pair(cfg, run, trial * 16)
-        rng = _trial_rng(cfg, trial + 700_000)
+        pair = _draw_pair(cfg, run, trial, "pair")
 
-        eta = gen_symbol(replace(cfg, family="general"), trial * 16 + 1)
-        f = gen_symbol(replace(cfg, family="general"), trial * 16 + 2)
+        rng = run.stream(trial, "generic")
+        eta, f = gen_symbol(cfg, rng), gen_symbol(cfg, rng)
         result, flags = classify(trial, pair, eta, f)
         result.fail_if(len(flags) != 1, "four-way equivalence split")
 
         # constructed member/non-member for a monomial multiplier
+        rng = run.stream(trial, "monomial")
         m = int(rng.integers(1, 4))
         eta_mono = LaurentPoly.monomial(m)
         depth = int(rng.integers(m + 1, m + 4))
@@ -863,14 +866,13 @@ def suite_pointwise_commutation(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         result.fail_if(flags != {False}, "constructed non-member accepted")
 
         # model-space style member: eta = zbar^s * h with deg h <= s
+        rng = run.stream(trial, "model")
         s = int(rng.integers(1, 4))
         h = LaurentPoly.from_dense(_gauss_coeffs(rng, s + 1, cfg.coefficient_scale), 0)
         if h.is_zero:
             h = LaurentPoly.one()
         eta_model = h.shift(-s)
-        f_model = gen_symbol(replace(cfg, family="coanalytic_vanishing"), trial * 16 + 3) + gen_symbol(
-            replace(cfg, family="analytic"), trial * 16 + 4
-        ).shift(s)
+        f_model = gen_symbol(cfg, rng, "coanalytic_vanishing") + gen_symbol(cfg, rng, "analytic").shift(s)
         result, flags = classify(trial, pair, eta_model, f_model)
         result.fail_if(flags != {True}, "model-space style member rejected")
 
@@ -898,7 +900,7 @@ def suite_model_space(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         return [complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, angles)]
 
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg, trial + 900_000)
+        rng = run.stream(trial, "multiplier")
         # theta = alpha * theta0; a multiplier alpha * conj(theta) * h is then
         # co-analytic exactly when h lies in the model space of theta0, so h
         # is drawn as a combination of reproducing kernels at theta0's zeros.
@@ -913,8 +915,9 @@ def suite_model_space(cfg: GeneratorConfig, run: _SuiteRun) -> None:
                 LaurentPoly({0: weight}), LaurentPoly({0: 1.0, 1: -zero.conjugate()})
             )
         eta = alpha * theta.conj_reflect() * h
-        f_plus = gen_symbol(replace(cfg, family="analytic"), trial * 8 + 3)
-        f_minus = gen_symbol(replace(cfg, family="coanalytic_vanishing"), trial * 8 + 4)
+        rng = run.stream(trial, "f")
+        f_plus = gen_symbol(cfg, rng, "analytic")
+        f_minus = gen_symbol(cfg, rng, "coanalytic_vanishing")
         f_rational = theta * f_plus + f_minus
 
         try:
@@ -949,10 +952,8 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         )
 
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg, trial + 1_100_000)
-
         # analytic/coanalytic pairs have trivial kernels (vacuous invariance)
-        pair_i = _draw_pair(cfg, run, "analytic", trial * 48, "coanalytic", trial * 48 + 1_000)
+        pair_i = _draw_pair(cfg, run, trial, "trivial", "analytic", "coanalytic")
         band_i = max(4, pair_i.band_radius() + 2)
         context = "analytic/coanalytic kernel"
         inputs = {"pair": pair_i, "rel_threshold": cfg.null_threshold}
@@ -963,7 +964,8 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
                 run.bump("invariance_vacuous_trials")
 
         # nontrivial inner factor produces an explicit kernel element
-        a_ii = gen_symbol(replace(cfg, family="coanalytic"), trial * 48 + 2_000)
+        rng = run.stream(trial, "inner_factor")
+        a_ii = gen_symbol(cfg, rng, "coanalytic")
         b_ii = _rooted_analytic(rng, interior=int(rng.integers(1, 3)), exterior=int(rng.integers(0, 2)))
         f_ii = kernel_element_from_inner_factor(a_ii, b_ii)
         inputs = {"pair": SymbolPair(a_ii, b_ii), "f": f_ii}
@@ -974,15 +976,13 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         )
 
         # strictly co-analytic against analytic: direct element and containment
-        base = _draw_pair(
-            cfg, run, "coanalytic_vanishing", trial * 48 + 3_000, "analytic", trial * 48 + 4_000
-        )
+        base = _draw_pair(cfg, run, trial, "base", "coanalytic_vanishing", "analytic")
         f_iii = kernel_element_direct(base.a, base.b)
         res_iii = run.check(trial, "kernel_annihilation", {"pair": base, "f": f_iii}, ("residual",))
         scale_iii = max(1.0, base.a.max_abs_coeff() * base.b.max_abs_coeff())
         res_iii.fail_if(res_iii["residual"] > cfg.exact_tol * scale_iii, "direct kernel element failed")
         # multiplying both symbols by a common factor preserves the kernel
-        eta = gen_symbol(replace(cfg, family="general"), trial * 48 + 5_000)
+        eta = gen_symbol(cfg, run.stream(trial, "eta"))
         scaled = SymbolPair(eta * base.a, eta * base.b)
         same = run.check(trial, "same_kernel", {"first": base, "second": scaled})
         same.fail_if(not same["same_kernel"], "common-factor pair failed the kernel equality criterion")
@@ -990,14 +990,8 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         # independent pair: cross products differ, so kernels must differ
         try:
             other = _draw_pair(
-                cfg,
-                run,
-                "coanalytic_vanishing",
-                trial * 48 + 6_000,
-                "analytic",
-                trial * 48 + 7_000,
-                accept=lambda cand: cand.nondegenerate
-                and (cand.a * base.b - base.a * cand.b).max_abs_coeff() > 1e-6,
+                cfg, run, trial, "other", "coanalytic_vanishing", "analytic",
+                accept=lambda cand: cand.nondegenerate and (cand.a * base.b - base.a * cand.b).max_abs_coeff() > 1e-6,
             )
         except RuntimeError:
             other = None
@@ -1031,7 +1025,7 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         # random multiple of the known low-degree element.  (Higher-degree
         # combinations of escalated-band basis vectors would push the exact
         # cross-product comparison outside its rounding envelope.)
-        phi = f_iii * complex(*rng.standard_normal(2))
+        phi = f_iii * complex(*run.stream(trial, "phi").standard_normal(2))
         if phi.is_zero or riesz_plus(phi).is_zero or riesz_minus(phi).is_zero:
             run.bump("resamples")
             continue
@@ -1091,30 +1085,22 @@ def suite_coburn(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         process(SymbolPair(parse_symbol(a_text), parse_symbol(b_text)), -1)
 
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg, trial + 1_300_000)
+        pair = None
         if trial % 5 == 4:
             # constructed pair with nontrivial swapped/adjoint kernels
+            rng = run.stream(trial, "constructed")
             shift = int(rng.integers(1, 3))
             p = _rooted_analytic(rng, interior=int(rng.integers(0, 2)), exterior=int(rng.integers(0, 2)))
-            a = p.shift(shift)
             q = _rooted_analytic(rng, interior=int(rng.integers(0, 2)), exterior=int(rng.integers(0, 2)))
-            b = q.conj_reflect()
-            pair = SymbolPair(a, b)
-            if not pair.nondegenerate:
-                pair = _draw_nondegenerate_pair(cfg, run, trial * 96)
-        else:
-            pair = _draw_nondegenerate_pair(cfg, run, trial * 96)
+            pair = SymbolPair(p.shift(shift), q.conj_reflect())
+        if pair is None or not pair.nondegenerate:
+            pair = _draw_pair(cfg, run, trial, "pair")
         process(pair, trial)
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
-
-
-def _derive_seed(seed: int, name: str) -> int:
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    return (seed ^ int.from_bytes(digest[:8], "big")) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -1149,9 +1135,9 @@ class AggregateReport:
 
 
 def run_all(cfg: GeneratorConfig) -> AggregateReport:
-    """Run every suite with per-suite derived seeds; merge in name order."""
-    reports = {}
-    for name in sorted(SUITES):
-        sub_cfg = replace(cfg, seed=_derive_seed(cfg.seed, name))
-        reports[name] = SUITES[name](sub_cfg)
-    return AggregateReport(seed=cfg.seed, reports=reports)
+    """Run every suite on ``cfg``; merge in name order.
+
+    Each stream's key names its suite, so every report equals the one the
+    suite gives when run alone.
+    """
+    return AggregateReport(seed=cfg.seed, reports={name: SUITES[name](cfg) for name in sorted(SUITES)})
