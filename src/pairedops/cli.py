@@ -189,7 +189,7 @@ def _cmd_kernel(args, cfg: RunConfig):
     result = basis.to_json_dict()
     pretty = [
         f"kernel of ({args.a}, {args.b}) at band {band}",
-        f"dim = {basis.dim}   stabilized = {basis.stabilized}",
+        f"dim = {basis.dim}   stabilized = {basis.stabilized}   expected_dim = {basis.expected_dim}",
     ]
     for i, v in enumerate(basis.basis):
         pretty.append(f"basis[{i}] = {v.to_expression()}")

@@ -4,9 +4,16 @@ Kernel computations run on the exact band-growing action, so every reported
 basis vector is a genuine kernel element of the operator restricted to
 trigonometric polynomials, not merely a null vector of a truncation.  The
 band-limited kernel is always a subspace of the true kernel; the
-``stabilized`` flag is evidence, not proof, that the two coincide.  It
-compares the dimension at band N with the null count of a values-only SVD of
-the band-(N+2) action matrix, under the same threshold and gray-zone rule.
+``stabilized`` flag is evidence, not proof, that the two coincide.
+
+The dimension comes from a values-only SVD of the band-N action matrix; a
+full SVD runs only when that count is positive, and its null vectors become
+the basis.  When a and b are invertible on the circle the operator is
+Fredholm, and its index gives the L2 kernel dimension max(0, wind b - wind a)
+(``expected_dim``).  A band-N dimension equal to it is ``stabilized``;
+otherwise ``stabilized`` compares the dimension with the null count of a
+values-only SVD of the band-(N+2) action matrix, under the same threshold and
+gray-zone rule.
 
 Singular values below 1e-8 of the largest one count as null; any singular
 value landing in the gray zone just above the threshold, or a candidate null
@@ -116,14 +123,20 @@ def _null_count(svals: np.ndarray, width: int, rel_threshold: float) -> int:
 def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESHOLD):
     """Orthonormal null basis of a tall matrix with gap-checked thresholding.
 
-    Returns (columns, singular_values_ascending); the null count and the
-    gray-zone refusal are those of :func:`_null_count`.
+    Returns (columns, singular_values_ascending).  The null count, the
+    gray-zone refusal of :func:`_null_count` and the returned values all come
+    from a values-only SVD; the full SVD runs only for a positive count of a
+    nonzero matrix, and its last ``count`` right singular vectors are the basis.
     """
     if matrix.size == 0:
         raise ValueError("empty matrix")
-    _, svals, vh = np.linalg.svd(matrix, full_matrices=False)
+    svals = np.linalg.svd(matrix, compute_uv=False)
     count = _null_count(svals, matrix.shape[1], rel_threshold)
-    columns = vh[len(svals) - count :].conj().T if svals[0] else np.eye(count, dtype=complex)
+    if count and svals[0]:
+        columns = np.linalg.svd(matrix, full_matrices=False)[2][len(svals) - count :].conj().T
+    else:
+        # no null columns, or a zero matrix, null in every column
+        columns = np.eye(matrix.shape[1], count, dtype=complex)
     return columns, sorted(float(s) for s in svals)
 
 
@@ -151,7 +164,11 @@ def _certified_null_space(
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Orthonormal basis of the band-limited kernel plus its diagnostics."""
+    """Orthonormal basis of the band-limited kernel plus its diagnostics.
+
+    ``expected_dim`` is the L2 kernel dimension the Fredholm index gives, or
+    None when a symbol is not invertible on the circle.
+    """
 
     pair: SymbolPair
     band: int
@@ -159,6 +176,7 @@ class KernelBasis:
     singular_values: tuple[float, ...]
     stabilized: bool
     transposed: bool = False
+    expected_dim: int | None = None
 
     @property
     def dim(self) -> int:
@@ -170,10 +188,72 @@ class KernelBasis:
             "N": self.band,
             "dim": self.dim,
             "stabilized": self.stabilized,
+            "expected_dim": self.expected_dim,
             "transposed": self.transposed,
             "singular_values": list(self.singular_values),
             "basis": [v.to_json_dict() for v in self.basis],
         }
+
+
+def _winding(symbol: LaurentPoly, min_distance: float = 1e-8) -> int | None:
+    """Winding number of the symbol around 0 on the unit circle, from one root solve.
+
+    None when the symbol is zero or has a root within ``min_distance`` of the
+    circle, i.e. when it is not invertible as a multiplier.
+    """
+    if symbol.is_zero:
+        return None
+    lifted = symbol.shift(-symbol.kmin)
+    if lifted.kmax == 0:
+        return symbol.kmin
+    roots = poly_roots(lifted).roots
+    if not all(abs(abs(r) - 1.0) > min_distance for r in roots):
+        return None
+    return symbol.kmin + sum(1 for r in roots if abs(r) < 1.0)
+
+
+def _index_dim(wind_a: int | None, wind_b: int | None) -> int | None:
+    """L2 kernel dimension max(0, wind b - wind a) of aP+ + bP- and of P+a + P-b.
+
+    Both are Fredholm with index wind b - wind a when a and b are invertible
+    on the circle, and by Coburn's lemma the kernel or the cokernel is
+    trivial.  None when either winding number is unknown.
+    """
+    if wind_a is None or wind_b is None:
+        return None
+    return max(0, wind_b - wind_a)
+
+
+def _expected_dim(a: LaurentPoly, b: LaurentPoly) -> int | None:
+    """:func:`_index_dim` of (a, b); a failed root solve leaves the index unknown."""
+    try:
+        return _index_dim(_winding(a), _winding(b))
+    except ArithmeticError:
+        return None
+
+
+def _kernel_basis(
+    pair: SymbolPair, band: int, kind: str, rel_threshold: float, expected_dim: int | None
+) -> KernelBasis:
+    """:func:`kernel_basis` of a nondegenerate pair, given its ``expected_dim``."""
+    if band < 1:
+        raise ValueError("band must be at least 1")
+    apply = apply_paired if kind == "paired" else apply_transposed
+    matrix = exact_action_matrix(pair, band, kind=kind)
+    vectors, svals = _certified_null_space(matrix, -band, lambda v: apply(pair, v), "null candidate", rel_threshold)
+    stabilized = expected_dim == len(vectors)
+    if not stabilized:
+        wider = exact_action_matrix(pair, band + 2, kind=kind)
+        stabilized = _null_count(np.linalg.svd(wider, compute_uv=False), wider.shape[1], rel_threshold) == len(vectors)
+    return KernelBasis(
+        pair=pair,
+        band=band,
+        basis=tuple(vectors),
+        singular_values=tuple(svals),
+        stabilized=stabilized,
+        transposed=(kind == "transposed"),
+        expected_dim=expected_dim,
+    )
 
 
 def kernel_basis(
@@ -185,29 +265,21 @@ def kernel_basis(
 ) -> KernelBasis:
     """Orthonormal basis of {v with band in [-N, N] : Op v = 0}, exact action.
 
-    Every returned vector is certified by applying the operator exactly and
+    The dimension and the reported singular values come from a values-only
+    SVD; only a nontrivial kernel takes a full SVD for its vectors.  Every
+    returned vector is certified by applying the operator exactly and
     demanding a residual of at most 1e-10 (relative to the section scale);
-    certification failures surface as :class:`AmbiguousKernelError`.  The
-    ``stabilized`` flag records whether the dimension equals the null count
-    of a values-only SVD of the band-(N + 2) action matrix, under the same
-    threshold and gray-zone rule (a gray value there also raises).
+    certification failures surface as :class:`AmbiguousKernelError`.
+
+    ``expected_dim`` is max(0, wind b - wind a) when a and b are invertible
+    on the circle, the same for ``kind="transposed"``.  A dimension equal to
+    it is ``stabilized``.  Otherwise ``stabilized`` records whether the
+    dimension equals the null count of a values-only SVD of the band-(N + 2)
+    action matrix, under the same threshold and gray-zone rule (a gray value
+    there also raises).
     """
     pair.require_nondegenerate()
-    if band < 1:
-        raise ValueError("band must be at least 1")
-    apply = apply_paired if kind == "paired" else apply_transposed
-    matrix = exact_action_matrix(pair, band, kind=kind)
-    vectors, svals = _certified_null_space(matrix, -band, lambda v: apply(pair, v), "null candidate", rel_threshold)
-    wider = exact_action_matrix(pair, band + 2, kind=kind)
-    wider_dim = _null_count(np.linalg.svd(wider, compute_uv=False), wider.shape[1], rel_threshold)
-    return KernelBasis(
-        pair=pair,
-        band=band,
-        basis=tuple(vectors),
-        singular_values=tuple(svals),
-        stabilized=wider_dim == len(vectors),
-        transposed=(kind == "transposed"),
-    )
+    return _kernel_basis(pair, band, kind, rel_threshold, _expected_dim(pair.a, pair.b))
 
 
 def adjoint_kernel_basis(
@@ -217,9 +289,11 @@ def adjoint_kernel_basis(
 
     Realized as the exact kernel of the transposed operator of the
     conjugated pair, so membership is exact rather than a matrix adjoint of
-    a truncation.
+    a truncation.  Conjugation negates winding numbers, so the expected
+    dimension is max(0, wind a - wind b), read from the roots of a and b.
     """
-    return kernel_basis(pair.conjugated(), band, kind="transposed", rel_threshold=rel_threshold)
+    pair.require_nondegenerate()
+    return _kernel_basis(pair.conjugated(), band, "transposed", rel_threshold, _expected_dim(pair.b, pair.a))
 
 
 @dataclass(frozen=True)
@@ -538,13 +612,7 @@ def invertible_on_circle(symbol: LaurentPoly, min_distance: float = 1e-8) -> boo
     For Laurent polynomials this is exactly invertibility of the symbol as a
     bounded multiplier.
     """
-    if symbol.is_zero:
-        return False
-    lifted = symbol.shift(-symbol.kmin)
-    if lifted.kmax == 0:
-        return True
-    roots = poly_roots(lifted).roots
-    return all(abs(abs(r) - 1.0) > min_distance for r in roots)
+    return _winding(symbol, min_distance) is not None
 
 
 def reciprocal_symbol(symbol: LaurentPoly) -> RationalSymbol:
@@ -701,14 +769,15 @@ def coburn_check(
     """
     if pair.a.is_zero or pair.b.is_zero:
         raise DegeneratePairError(is_nondegenerate(pair.a, pair.b))
+    wind_a, wind_b = _winding(pair.a), _winding(pair.b)
     invertible = tuple(
         case
-        for case, source in (
-            ("a", pair.a),
-            ("b", pair.b),
-            ("difference", pair.a - pair.b),
+        for case, holds in (
+            ("a", wind_a is not None),
+            ("b", wind_b is not None),
+            ("difference", invertible_on_circle(pair.a - pair.b)),
         )
-        if invertible_on_circle(source)
+        if holds
     )
     if (pair.a - pair.b).is_zero:
         # a multiplication operator by a nonzero symbol: all four kernels trivial
@@ -726,10 +795,14 @@ def coburn_check(
             all_stabilized=True,
             degenerate_difference=True,
         )
-    k = kernel_basis(pair, band, rel_threshold=rel_threshold)
-    k_swap = kernel_basis(pair.swapped(), band, rel_threshold=rel_threshold)
-    k_conj = kernel_basis(pair.conjugated(), band, rel_threshold=rel_threshold)
-    k_adj = adjoint_kernel_basis(pair, band, rel_threshold=rel_threshold)
+    # conjugation negates both winding numbers, so the swapped, conjugated
+    # and adjoint kernels all expect max(0, wind a - wind b)
+    backward = _index_dim(wind_b, wind_a)
+    k = _kernel_basis(pair, band, "paired", rel_threshold, _index_dim(wind_a, wind_b))
+    k_swap = _kernel_basis(pair.swapped(), band, "paired", rel_threshold, backward)
+    conjugated = pair.conjugated()
+    k_conj = _kernel_basis(conjugated, band, "paired", rel_threshold, backward)
+    k_adj = _kernel_basis(conjugated, band, "transposed", rel_threshold, backward)
     stable = all(x.stabilized for x in (k, k_swap, k_conj, k_adj))
     return CoburnReport(
         pair=pair,

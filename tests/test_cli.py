@@ -93,11 +93,17 @@ def test_kernel_dimensions(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--a", "z^-1", "--b", "z", "--N", "8", "--format", "json")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["dim"] == 2 and result["stabilized"]
+    assert result["dim"] == 2 and result["stabilized"] and result["expected_dim"] == 2
 
     code, out, _ = run_cli(capsys, "kernel", "--a", "1", "--b", "1-z", "--N", "16", "--format", "json")
     assert code == 0
-    assert json.loads(out)["result"]["dim"] == 0
+    result = json.loads(out)["result"]
+    assert result["dim"] == 0 and result["expected_dim"] is None
+
+    # the shortfall shows next to stabilized: the index says 1
+    code, out, _ = run_cli(capsys, "kernel", "--a", "1", "--b", "z - 0.3", "--N", "8")
+    assert code == 0
+    assert "dim = 0   stabilized = True   expected_dim = 1" in out
 
 
 def test_kernel_project_flag(capsys):
@@ -345,6 +351,15 @@ def test_consecutive_main_calls_share_no_state(capsys):
 def test_norm_json_is_repeatable_in_and_across_processes(capsys):
     argv = ["norm", "--a", "1 + 0.3*z - 2*z^-2 + 0.5i*z^4", "--b", "z^-1 - 0.7*z^3",
             "--N", "8,16,32,64,128,256", "--format", "json"]
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv)[1] == first
+    assert _fresh_process_stdout(argv) == first
+
+
+@pytest.mark.parametrize("command", ["kernel", "coburn"])
+def test_kernel_json_is_repeatable_in_and_across_processes(capsys, command):
+    argv = [command, "--a", "1 - 0.2*z + 0.1*z^-1", "--b", "z^2 - 0.25*z", "--N", "24", "--format", "json"]
     code, first, _ = run_cli(capsys, *argv)
     assert code == 0
     assert run_cli(capsys, *argv)[1] == first

@@ -10,10 +10,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pairedops import kernels
 from pairedops.kernels import (
+    NULL_SPACE_REL_THRESHOLD,
     AmbiguousKernelError,
+    _index_dim,
     _null_count,
     _null_space,
+    _winding,
     adjoint_inverse_report,
     adjoint_kernel_basis,
     adjoint_kernel_map,
@@ -40,7 +44,7 @@ from pairedops.operators import (
     op_norm,
 )
 from pairedops.properties import check_norm_bounds
-from pairedops.symbols import LaurentPoly, parse_symbol
+from pairedops.symbols import FactorizationError, LaurentPoly, parse_symbol
 
 
 def lp(text: str) -> LaurentPoly:
@@ -54,6 +58,14 @@ def pair(a: str, b: str) -> SymbolPair:
 # ---------------------------------------------------------------------------
 # null-space machinery
 # ---------------------------------------------------------------------------
+
+
+def _full_svd_null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESHOLD):
+    """Oracle for ``_null_space``: count and vectors from one full SVD."""
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=False)
+    count = _null_count(svals, matrix.shape[1], rel_threshold)
+    columns = vh[len(svals) - count :].conj().T if svals[0] else np.eye(count, dtype=complex)
+    return columns, sorted(float(s) for s in svals)
 
 
 def test_null_space_gap_guard():
@@ -79,7 +91,7 @@ def test_null_space_gap_guard():
 
 def test_kernel_basis_pinned_dimensions():
     k = kernel_basis(pair("z^-1", "z"), 4)
-    assert k.dim == 2 and k.stabilized
+    assert k.dim == 2 and k.stabilized and k.expected_dim == 2
     expected = [lp("1 - z^-2"), lp("z - z^-1")]
     assert subspace_angle(list(k.basis), expected) <= 1e-10
 
@@ -99,8 +111,39 @@ def _rooted(rng, kmin: int) -> LaurentPoly:
     return LaurentPoly.from_dense(np.poly(roots)[::-1].astype(complex), kmin)
 
 
-def test_stabilized_matches_full_svd_count():
-    """``stabilized`` equals the null count of a full SVD at band N + 2."""
+def test_values_first_null_space_matches_full_svd():
+    rng = np.random.default_rng(5)
+    seen = Counter()
+    for _ in range(30):
+        p = SymbolPair(_rooted(rng, int(rng.integers(-1, 2))), _rooted(rng, int(rng.integers(-1, 2))))
+        for kind in ("paired", "transposed"):
+            for n in (2, 8, 17):
+                matrix = exact_action_matrix(p, n, kind=kind)
+                try:
+                    columns, svals = _full_svd_null_space(matrix)
+                except AmbiguousKernelError:
+                    with pytest.raises(AmbiguousKernelError):
+                        _null_space(matrix)
+                    seen["refused"] += 1
+                    continue
+                got_columns, got_svals = _null_space(matrix)
+                assert got_columns.shape == columns.shape
+                assert np.array_equal(got_columns, columns)
+                # LAPACK computes values with and without vectors on different paths
+                assert max(abs(s - t) for s, t in zip(got_svals, svals)) <= 1e-14 * svals[-1]
+                seen[columns.shape[1] > 0] += 1
+    assert seen[True] and seen[False] and seen["refused"]
+
+
+def test_stabilized_matches_full_svd_count(monkeypatch):
+    """``stabilized`` equals the null count of a full SVD at band N + 2.
+
+    A band-N dimension equal to the index settles it without building the
+    band-(N + 2) matrix; every other answer takes the band-(N + 2) count.
+    """
+    bands = []
+    build = kernels.exact_action_matrix
+    monkeypatch.setattr(kernels, "exact_action_matrix", lambda p, n, kind: bands.append(n) or build(p, n, kind=kind))
     rng = np.random.default_rng(71)
     seen = Counter()
     for _ in range(30):
@@ -108,27 +151,77 @@ def test_stabilized_matches_full_svd_count():
         for kind in ("paired", "transposed"):
             for n in (1, 2, 3, 8, 17):
                 try:
-                    oracle = _null_space(exact_action_matrix(p, n + 2, kind=kind))[0].shape[1]
+                    oracle = _full_svd_null_space(exact_action_matrix(p, n + 2, kind=kind))[0].shape[1]
                 except AmbiguousKernelError:
                     oracle = None
+                bands.clear()
                 try:
                     k = kernel_basis(p, n, kind=kind)
                 except AmbiguousKernelError as err:
                     # a refusal the N + 2 oracle does not share comes from band N
                     if oracle is not None and "certification" not in str(err):
                         with pytest.raises(AmbiguousKernelError):
-                            _null_space(exact_action_matrix(p, n, kind=kind))
+                            _full_svd_null_space(exact_action_matrix(p, n, kind=kind))
                     seen["refused" if oracle is not None else "refused at N + 2"] += 1
                     continue
                 assert oracle is not None
                 assert k.stabilized == (oracle == k.dim)
                 seen[k.stabilized] += 1
+                path = "index" if k.expected_dim == k.dim else "N + 2"
+                assert bands == ([n] if path == "index" else [n, n + 2])
+                seen[path] += 1
     assert seen[True] and seen[False] and seen["refused at N + 2"]
+    assert seen["index"] and seen["N + 2"]
+
+
+def _far_rooted(rng, kmin: int) -> LaurentPoly:
+    """z^kmin times a monic polynomial with 1 or 2 roots at least 0.3 from the circle."""
+    count = int(rng.integers(1, 3))
+    moduli = np.where(rng.random(count) < 0.5, rng.uniform(0.05, 0.7, count), rng.uniform(1.3, 8.0, count))
+    roots = moduli * np.exp(2j * np.pi * rng.random(count))
+    return LaurentPoly.from_dense(np.poly(roots)[::-1].astype(complex), kmin)
+
+
+def test_index_matches_large_band_null_count():
+    # at band 96 the slowest kernel tail, (1/1.3)^96 ~ 1e-11, is far below the threshold
+    rng = np.random.default_rng(13)
+    seen = Counter()
+    for _ in range(12):
+        p = SymbolPair(_far_rooted(rng, int(rng.integers(-1, 2))), _far_rooted(rng, int(rng.integers(-1, 2))))
+        expected = _index_dim(_winding(p.a), _winding(p.b))
+        for kind in ("paired", "transposed"):
+            assert _full_svd_null_space(exact_action_matrix(p, 96, kind=kind))[0].shape[1] == expected
+            seen[expected > 0] += 1
+    assert seen[True] and seen[False]
+
+
+def test_winding_unknown_off_the_fredholm_case():
+    assert _winding(lp("z^-2 * (z - 0.5) * (z - 3)")) == -1
+    assert _winding(lp("2*z^3")) == 3
+    for symbol in (LaurentPoly.zero(), lp("1 - z"), lp("z - 1.000000001")):
+        assert _winding(symbol) is None and not invertible_on_circle(symbol)
+    assert _winding(lp("z - 1.001")) == 0 and _winding(lp("z - 1.001"), 1e-2) is None
+    assert _index_dim(None, 1) is None and _index_dim(2, None) is None
+    assert (_index_dim(0, 2), _index_dim(2, 0)) == (2, 0)
+
+
+def test_failed_root_solve_leaves_the_index_unknown(monkeypatch):
+    def failing(_):
+        raise FactorizationError("root residual above tolerance")
+
+    monkeypatch.setattr(kernels, "poly_roots", failing)
+    k = kernel_basis(pair("1", "z - 0.3"), 8)
+    assert k.expected_dim is None
+    assert k.dim == 0 and k.stabilized
 
 
 def test_stabilized_pinned_cases():
     k = kernel_basis(pair("1", "z - 0.01"), 2)
     assert k.dim == 0 and not k.stabilized
+    # the known shortfall: the band-10 count agrees with dim 0, the index says 1
+    k = kernel_basis(pair("1", "z - 0.3"), 8)
+    assert (k.dim, k.stabilized, k.expected_dim) == (0, True, 1)
+    assert k.to_json_dict()["expected_dim"] == 1
     k = kernel_basis(pair("z^-1", "z - 0.05"), 5)
     assert k.dim == 1 and not k.stabilized
     # band 11 is clean; the gray value comes from the band-13 check
@@ -149,9 +242,15 @@ def test_svd_counts_per_call(monkeypatch):
     kernel_basis(pair("z^-1", "z"), 8)
     assert counts == {"full": 1, "values": 1}
 
+    # the index settles all four: only the one nontrivial kernel takes vectors
     counts.clear()
     coburn_check(pair("1", "z"), 8)
-    assert counts == {"full": 4, "values": 4}
+    assert counts == {"full": 1, "values": 4}
+
+    # dim 0 below the index 1: no vectors, and the band-(N + 2) count
+    counts.clear()
+    kernel_basis(pair("1", "z - 0.01"), 2)
+    assert counts == {"values": 2}
 
     # only sections below op_norm's size rule take the SVD: N = 16, and
     # N = 8, 16, 32 of the five norm_bounds sections; 64 and 128 take Lanczos
@@ -497,6 +596,22 @@ def test_coburn_pinned_cases():
     r = coburn_check(pair("1", "1 - z"), 16)
     assert (r.dim_kernel, r.dim_swapped) == (0, 0)
     assert r.dichotomy_holds
+
+
+def test_coburn_solves_each_symbol_once(monkeypatch):
+    calls = []
+    solve = kernels.poly_roots
+    monkeypatch.setattr(kernels, "poly_roots", lambda p: calls.append(p) or solve(p))
+    p = pair("1 - 0.2*z", "z^2 - 0.25*z")  # wind a = 0, wind b = 2
+    r = coburn_check(p, 24)
+    assert len(calls) == 3  # a, b and a - b
+    assert r.invertible_cases == ("a", "b", "difference")
+    assert (r.kernel.expected_dim, r.adjoint.expected_dim) == (2, 0)
+    assert (r.dim_kernel, r.dim_swapped, r.dim_conjugated, r.dim_adjoint) == (2, 0, 0, 0)
+    assert r.all_stabilized
+    calls.clear()
+    assert r.kernel == kernel_basis(p, 24) and r.adjoint == adjoint_kernel_basis(p, 24)
+    assert len(calls) == 4
 
 
 def test_coburn_rejects_zero_symbol():
