@@ -44,6 +44,10 @@ __all__ = ["RunConfig", "main"]
 _FORMATS = ("json", "csv", "pretty")
 _TOLERANCES = ("exact", "numeric", "null_threshold")
 
+# Bytes of the largest dense complex array `norm`, `kernel` or `coburn` may
+# build: 64 times the 4 MB section of `norm` at N = 256.
+MAX_DENSE_BYTES = 1 << 28
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -130,6 +134,25 @@ def _parse_bands(text: str) -> list[int]:
     return values
 
 
+def _check_size(pair: SymbolPair, bands: list[int], cfg: RunConfig) -> None:
+    """Refuse, before any allocation, inputs whose dense arrays exceed :data:`MAX_DENSE_BYTES`.
+
+    For band radius d and the largest band N: the exact action matrix of
+    (2(N+d)+1) x (2N+1) entries (it contains every finite section), the
+    companion matrix of a root solve of degree up to 2d, and the evaluation
+    grid of max(--grid, 16(2d+1)) points.
+    """
+    d, band = pair.band_radius(), max(bands)
+    arrays = {
+        f"band {band} matrix": (2 * (band + d) + 1) * (2 * band + 1),
+        "root-solve matrix": (2 * d) ** 2,
+        "evaluation grid": max(cfg.grid_points, 16 * (2 * d + 1)),
+    }
+    for name, entries in arrays.items():
+        if 16 * entries > MAX_DENSE_BYTES:
+            raise ValueError(f"the {name} would take {16 * entries} bytes, above the cap of {MAX_DENSE_BYTES}")
+
+
 def _fmt_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -158,6 +181,7 @@ def _cmd_apply(args, cfg: RunConfig):
 def _cmd_norm(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     bands = _parse_bands(args.N) if args.N else [8, 16, 32, 64]
+    _check_size(pair, bands, cfg)
     sup_a, sup_b = pair.a.sup_norm(cfg.grid_points), pair.b.sup_norm(cfg.grid_points)
     m = max(sup_a, sup_b)
     rows = []
@@ -185,6 +209,7 @@ def _cmd_norm(args, cfg: RunConfig):
 def _cmd_kernel(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
+    _check_size(pair, [band], cfg)
     basis = kernel_basis(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
     result = basis.to_json_dict()
     pretty = [
@@ -256,6 +281,7 @@ def _cmd_pair_from(args, cfg: RunConfig):
 def _cmd_coburn(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
+    _check_size(pair, [band], cfg)
     report = coburn_check(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
     result = report.to_json_dict()
     pretty = [

@@ -195,8 +195,8 @@ class KernelBasis:
         }
 
 
-def _winding(symbol: LaurentPoly, min_distance: float = 1e-8) -> int | None:
-    """Winding number of the symbol around 0 on the unit circle, from one root solve.
+def _circle_free_roots(symbol: LaurentPoly, min_distance: float = 1e-8) -> tuple[complex, ...] | None:
+    """Roots of symbol * z^-kmin from one root solve.
 
     None when the symbol is zero or has a root within ``min_distance`` of the
     circle, i.e. when it is not invertible as a multiplier.
@@ -204,10 +204,16 @@ def _winding(symbol: LaurentPoly, min_distance: float = 1e-8) -> int | None:
     if symbol.is_zero:
         return None
     lifted = symbol.shift(-symbol.kmin)
-    if lifted.kmax == 0:
-        return symbol.kmin
-    roots = poly_roots(lifted).roots
+    roots = poly_roots(lifted).roots if lifted.kmax else ()
     if not all(abs(abs(r) - 1.0) > min_distance for r in roots):
+        return None
+    return roots
+
+
+def _winding(symbol: LaurentPoly, min_distance: float = 1e-8) -> int | None:
+    """Winding number of the symbol around 0 on the unit circle; None as in :func:`_circle_free_roots`."""
+    roots = _circle_free_roots(symbol, min_distance)
+    if roots is None:
         return None
     return symbol.kmin + sum(1 for r in roots if abs(r) < 1.0)
 
@@ -617,9 +623,10 @@ def invertible_on_circle(symbol: LaurentPoly, min_distance: float = 1e-8) -> boo
 
 def reciprocal_symbol(symbol: LaurentPoly) -> RationalSymbol:
     """1/symbol as a rational symbol; requires no roots near the circle."""
-    if not invertible_on_circle(symbol):
+    roots = _circle_free_roots(symbol)
+    if roots is None:
         raise ConditioningError("symbol has a root on or near the unit circle")
-    return RationalSymbol(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin))
+    return RationalSymbol._from_poles(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin), roots)
 
 
 def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair) -> CoeffVector:

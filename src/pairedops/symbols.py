@@ -353,31 +353,52 @@ class LaurentPoly:
         """Max of |self| over the circle, estimated from below.
 
         Evaluates on the cached grid of n >= max(256, 16 * (band width + 1))
-        roots of unity, then runs one golden-section refinement pass over
-        [theta_j - h, theta_j + h] around the grid argmax theta_j = 2*pi*j/n,
-        h = 2*pi/n; the result underestimates the true sup norm by O(h^2).
+        roots of unity, spacing h = 2*pi/n.  Every grid local maximum theta_j
+        = 2*pi*j/n whose value lies within B = (h^2/2) * sum (k - kbar)^2 |c_k|
+        of the largest grid value G, with kbar = sum k |c_k| / sum |c_k|, gets
+        one golden-section refinement pass over [theta_j - h, theta_j + h];
+        the result underestimates the true sup norm by O(h^2).
+
+        The bound B: for real kbar, F(t) = e^(-i kbar t) self(e^(it)) has
+        |F| = |self| on the circle.  Let t* be a maximizer, M = |F(t*)|, and
+        phi(t) = Re(conj(F(t*)) F(t)) / M.  Then phi <= |F| <= M = phi(t*), so
+        phi'(t*) = 0 and |phi''| <= sum (k - kbar)^2 |c_k|, hence |self| >= phi
+        >= M - B within h of t*.  The local maximum whose window holds t* has
+        a grid value of at least M - B >= G - B, so no lower peak needs a
+        pass; this kbar minimizes B.
+
         Both stages run the Horner evaluator of :meth:`__call__` (defined for
         z != 0) without the factor z**kmin, which has modulus one on the
         circle, over a term list built once.  The grid takes one array pass
-        and only picks j: numpy's complex multiply may take a SIMD path whose
-        last bit depends on the CPU.  The value at theta_j and every
-        refinement step are computed in Python ``complex`` arithmetic, with
-        moduli from ``hypot``.
+        and only picks the peaks: numpy's complex multiply may take a SIMD
+        path whose last bit depends on the CPU.  The values at the peaks and
+        every refinement step are computed in Python ``complex`` arithmetic,
+        with moduli from ``hypot``.
         """
         if self.is_zero:
             return 0.0
         n = max(grid_points or 0, 256, 16 * (self._kmax - self._kmin + 1))
         terms = self._horner_terms()
         grid = unit_grid(n)
-        j = int(np.argmax(_cabs(_horner_array(terms, grid))))
+        values = _cabs(_horner_array(terms, grid))
+        j = int(np.argmax(values))
         h = 2 * math.pi / n
-        theta = 2 * math.pi * j / n
+        weights = [(k, abs(v)) for k, v in self._coeffs.items()]
+        kbar = sum(k * w for k, w in weights) / sum(w for _, w in weights)
+        slack = h * h / 2 * sum((k - kbar) ** 2 * w for k, w in weights)
+        near = np.flatnonzero(values >= values[j] - slack)
+        top = values[near]
+        peaks = near[(top > values[near - 1]) & (top >= values[(near + 1) % n])]
 
         def objective(t: float) -> float:
             return abs(_horner(terms, complex(math.cos(t), math.sin(t))))
 
-        refined = _golden_max(objective, theta - h, theta + h)
-        return max(abs(_horner(terms, complex(grid[j]))), refined)
+        best = 0.0
+        for i in {j, *peaks.tolist()}:
+            theta = 2 * math.pi * i / n
+            refined = _golden_max(objective, theta - h, theta + h)
+            best = max(best, abs(_horner(terms, complex(grid[i]))), refined)
+        return best
 
     def classify(self) -> "AnalyticityClass":
         if self.is_zero or (self._kmin == 0 and self._kmax == 0):
@@ -711,39 +732,62 @@ def poly_from_roots(roots: Sequence[complex], leading: complex = 1.0, shift: int
     return poly.shift(shift)
 
 
+def _monic(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(num, den) divided by the leading coefficient of the analytic ``den``."""
+    if den.is_zero:
+        raise ZeroDivisionError("rational symbol with zero denominator")
+    if den.kmin < 0:
+        raise ValueError("denominator must be an analytic polynomial")
+    inv = 1.0 / den.coeff(den.kmax)
+    den = LaurentPoly({**{k: v * inv for k, v in den._coeffs.items() if k != den.kmax}, den.kmax: 1.0})
+    return num * inv, den
+
+
 class RationalSymbol:
     """Quotient of Laurent polynomials with an analytic, circle-free denominator.
 
-    The denominator is normalized to be monic; its roots must keep a distance
-    of at least 1e-8 from the unit circle (checked both by root location and
-    by a minimum-modulus sweep over a grid).
+    The denominator is normalized to be monic, and ``poles`` holds its roots
+    with multiplicity.  Coefficient input (``RationalSymbol(num, den)``, as
+    the parser, :meth:`from_json_dict` and callers' own tables give it) is
+    solved once with :func:`poly_roots`; the roots must keep a distance of
+    more than 1e-8 from the unit circle, and a minimum-modulus sweep over a
+    grid must agree.  Every operation that already knows the roots composes
+    them instead: products and sums concatenate the poles, negation and
+    :meth:`shift` keep them, :meth:`conj_reflect` maps p to 1/conj(p), and
+    :func:`blaschke` and :func:`inner_outer_factor` pass 1/conj(w) for each
+    nonzero zero w.  The composed path keeps the normalization and the
+    distance check, but neither solves nor sweeps.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "poles")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.one()
-        if den.is_zero:
-            raise ZeroDivisionError("rational symbol with zero denominator")
-        if den.kmin < 0:
-            raise ValueError("denominator must be an analytic polynomial")
-        lead = den.coeff(den.kmax)
-        inv = 1.0 / lead
-        den = LaurentPoly({**{k: v * inv for k, v in den._coeffs.items() if k != den.kmax}, den.kmax: 1.0})
-        num = num * inv
-        if den.kmax > 0:
-            rr = poly_roots(den)
-            dist = min(abs(abs(r) - 1.0) for r in rr.roots) if rr.roots else math.inf
-            if rr.monomial_order > 0:
-                raise ValueError("denominator must not vanish at the origin")
-            if dist <= 1e-8:
-                raise ConditioningError(f"denominator root within {dist:.2e} of the unit circle")
-            grid_vals = np.abs(den(unit_grid(512)))
-            if grid_vals.min() <= 1e-9 * max(1.0, grid_vals.max()):
-                raise ConditioningError("denominator nearly vanishes on the circle")
+        num, den = _monic(num, LaurentPoly.one() if den is None else den)
+        if den.kmax == 0:
+            self._adopt(num, den, ())
+            return
+        rr = poly_roots(den)
+        if rr.monomial_order > 0:
+            raise ValueError("denominator must not vanish at the origin")
+        self._adopt(num, den, rr.roots)
+        grid_vals = np.abs(den(unit_grid(512)))
+        if grid_vals.min() <= 1e-9 * max(1.0, grid_vals.max()):
+            raise ConditioningError("denominator nearly vanishes on the circle")
+
+    @classmethod
+    def _from_poles(cls, num: LaurentPoly, den: LaurentPoly, poles: Sequence[complex]) -> "RationalSymbol":
+        """The symbol num/den, whose denominator has the known roots ``poles``."""
+        self = object.__new__(cls)
+        self._adopt(*_monic(num, den), tuple(poles))
+        return self
+
+    def _adopt(self, num: LaurentPoly, den: LaurentPoly, poles: tuple[complex, ...]) -> None:
+        dist = min((abs(abs(p) - 1.0) for p in poles), default=math.inf)
+        if dist <= 1e-8:
+            raise ConditioningError(f"denominator root within {dist:.2e} of the unit circle")
         self.num = num
         self.den = den
+        self.poles = poles
 
     # -- helpers ---------------------------------------------------------------
 
@@ -791,7 +835,7 @@ class RationalSymbol:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return RationalSymbol(self.num * rhs.num, self.den * rhs.den)
+        return RationalSymbol._from_poles(self.num * rhs.num, self.den * rhs.den, self.poles + rhs.poles)
 
     __rmul__ = __mul__
 
@@ -799,12 +843,14 @@ class RationalSymbol:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return RationalSymbol(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
+        return RationalSymbol._from_poles(
+            self.num * rhs.den + rhs.num * self.den, self.den * rhs.den, self.poles + rhs.poles
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalSymbol":
-        return RationalSymbol(-self.num, self.den)
+        return RationalSymbol._from_poles(-self.num, self.den, self.poles)
 
     def __sub__(self, other) -> "RationalSymbol":
         rhs = self._coerce(other)
@@ -819,12 +865,16 @@ class RationalSymbol:
         return rhs + (-self)
 
     def shift(self, k: int) -> "RationalSymbol":
-        return RationalSymbol(self.num.shift(k), self.den)
+        return RationalSymbol._from_poles(self.num.shift(k), self.den, self.poles)
 
     def conj_reflect(self) -> "RationalSymbol":
         """Boundary conjugate: the rational with values conj(self(z)) on |z| = 1."""
         d = self.den.kmax
-        return RationalSymbol(self.num.conj_reflect().shift(d), self.den.conj_reflect().shift(d))
+        return RationalSymbol._from_poles(
+            self.num.conj_reflect().shift(d),
+            self.den.conj_reflect().shift(d),
+            tuple(1.0 / p.conjugate() for p in self.poles),
+        )
 
     def is_unimodular_on_circle(self, tol: float = 1e-8, grid_points: int = 1024) -> bool:
         vals = np.abs(self(unit_grid(grid_points)))
@@ -861,14 +911,14 @@ class InnerOuterFactorization:
         return self.monomial_order == 0 and not self.interior_roots
 
 
-def _blaschke_factor(zero: complex) -> tuple[LaurentPoly, LaurentPoly]:
-    """Numerator/denominator of one Blaschke factor for a zero inside the disk."""
+def _blaschke_factor(zero: complex) -> tuple[LaurentPoly, LaurentPoly, tuple[complex, ...]]:
+    """Numerator, denominator and denominator root of one Blaschke factor for a zero inside the disk."""
     if abs(zero) < 1e-9:
-        return LaurentPoly.monomial(1), LaurentPoly.one()
+        return LaurentPoly.monomial(1), LaurentPoly.one(), ()
     u = abs(zero) / zero
     num = LaurentPoly({0: u * zero, 1: -u})
     den = LaurentPoly({0: 1.0, 1: -zero.conjugate()})
-    return num, den
+    return num, den, (1.0 / zero.conjugate(),)
 
 
 def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> InnerOuterFactorization:
@@ -889,11 +939,13 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
 
     blaschke_num = LaurentPoly.one()
     blaschke_den = LaurentPoly.one()
+    poles: tuple[complex, ...] = ()
     outer_poly = LaurentPoly({0: leading})
     for r in interior:
-        fn, fd = _blaschke_factor(r)
+        fn, fd, fp = _blaschke_factor(r)
         blaschke_num = blaschke_num * fn
         blaschke_den = blaschke_den * fd
+        poles += fp
         if abs(r) < 1e-9:
             continue
         outer_poly = outer_poly * LaurentPoly({0: 1.0, 1: -r.conjugate()})
@@ -906,7 +958,7 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
         raise FactorizationError("outer candidate vanishes at the origin")
     gamma = at_zero / abs(at_zero)
     outer_poly = outer_poly * (1.0 / gamma)
-    inner = RationalSymbol(blaschke_num.shift(rr.monomial_order) * gamma, blaschke_den)
+    inner = RationalSymbol._from_poles(blaschke_num.shift(rr.monomial_order) * gamma, blaschke_den, poles)
     outer = RationalSymbol(outer_poly)
 
     grid = unit_grid(1024)
@@ -935,14 +987,16 @@ def blaschke(zeros: Sequence[complex], constant: complex = 1.0) -> RationalSymbo
         raise ValueError("constant must be unimodular")
     num = LaurentPoly({0: c})
     den = LaurentPoly.one()
+    poles: tuple[complex, ...] = ()
     for zero in zeros:
         w = complex(zero)
         if abs(w) >= 1.0 - BLASCHKE_BOUNDARY_MARGIN:
             raise ValueError(f"Blaschke zero {w!r} too close to the unit circle")
-        fn, fd = _blaschke_factor(w)
+        fn, fd, fp = _blaschke_factor(w)
         num = num * fn
         den = den * fd
-    return RationalSymbol(num, den)
+        poles += fp
+    return RationalSymbol._from_poles(num, den, poles)
 
 
 # ---------------------------------------------------------------------------
@@ -981,9 +1035,8 @@ def rational_to_coeffs(
     """
     if band < 0:
         raise ValueError("band must be nonnegative")
-    if r.den.kmax > 0:
-        rr = poly_roots(r.den)
-        dist = min(abs(abs(root) - 1.0) for root in rr.roots)
+    if r.poles:
+        dist = min(abs(abs(p) - 1.0) for p in r.poles)
         if dist < min_root_distance:
             raise ConditioningError(
                 f"denominator root at distance {dist:.2e} from the circle; "

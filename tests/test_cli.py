@@ -309,6 +309,40 @@ def test_json_embeds_config(capsys):
     assert data["config"]["N"] == 32
 
 
+_OVERSIZED = [
+    ["kernel", "--a", "1", "--b", "z", "--N", "40000"],
+    ["coburn", "--a", "1", "--b", "z", "--N", "40000"],
+    ["norm", "--a", "1", "--b", "z", "--N", "8,40000"],
+    ["norm", "--a", "1", "--b", "z", "--N", "8", "--grid", "1000000000"],
+    ["kernel", "--a", "1 + z^12000", "--b", "z", "--N", "8"],
+]
+_UNDER_TWO_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from pairedops.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", _OVERSIZED, ids=lambda argv: " ".join(argv[::2]))
+def test_oversized_input_exits_2_before_allocating(argv):
+    # under a 2 GiB address-space limit a missing check fails fast instead of exhausting memory
+    env = dict(os.environ, PYTHONPATH=str(Path(pairedops.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_TWO_GIB, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "above the cap of 268435456" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_size_cap_admits_the_largest_benchmark_section(capsys):
+    a = "0.5*z^-4 + z^-1 + 1 + 0.25*z^4"
+    code, out, _ = run_cli(capsys, "norm", "--a", a, "--b", "z^3", "--N", "256", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["rows"][0]["N"] == 256
+
+
 def test_python_dash_m_runs_quietly():
     env = dict(os.environ, PYTHONPATH=str(Path(pairedops.__file__).parents[1]))
     proc = subprocess.run(
