@@ -61,6 +61,7 @@ from .kernels import (
     KernelBasis,
     KernelPair,
     KernelProjections,
+    L2Kernel,
     adjoint_inverse_report,
     adjoint_kernel_basis,
     adjoint_kernel_map,
@@ -72,6 +73,8 @@ from .kernels import (
     kernel_element_direct,
     kernel_element_from_inner_factor,
     kernel_projections,
+    l2_coburn,
+    l2_kernel,
     multiplier_invariance_test,
     pair_from_function,
     reciprocal_symbol,

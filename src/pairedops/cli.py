@@ -5,6 +5,10 @@ the JSON form embeds the resolved run configuration as a reproducibility
 header and is byte-stable across runs with identical flags.  Exit codes:
 0 success / suite passed, 1 suite violations, 2 invalid input or an
 ambiguity the library refused to resolve.
+
+``kernel`` and ``coburn`` answer from the closed-form L2 kernels where a and b
+are invertible on the circle (``"route": "index"``, independent of N), and
+from the band-N null spaces otherwise (``"route": "band-limited"``).
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .kernels import (
     coburn_check,
     kernel_basis,
     kernel_projections,
+    l2_coburn,
+    l2_kernel,
     pair_from_function,
 )
 from .operators import (
@@ -29,11 +35,14 @@ from .operators import (
     apply_paired,
     apply_transposed,
     op_norm,
+    riesz_minus,
+    riesz_plus,
 )
 from .properties import SUITES, GeneratorConfig, run_all
 from .symbols import (
     ConditioningError,
     LaurentPoly,
+    RationalSymbol,
     SymbolParseError,
     inner_outer_factor,
     parse_symbol,
@@ -168,9 +177,24 @@ def _triples(v: LaurentPoly) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 
 
+def _check_products(products) -> None:
+    """Refuse, before any allocation, an exact product whose dense convolution exceeds :data:`MAX_DENSE_BYTES`.
+
+    Two multi-term factors of widths w1 and w2 convolve into w1 + w2 - 1
+    dense entries; a single-term factor takes the sparse path.
+    """
+    for left, right in products:
+        if len(left.coeffs) > 1 and len(right.coeffs) > 1:
+            entries = (left.kmax - left.kmin) + (right.kmax - right.kmin) + 1
+            if 16 * entries > MAX_DENSE_BYTES:
+                raise ValueError(f"a dense product would take {16 * entries} bytes, above the cap of {MAX_DENSE_BYTES}")
+
+
 def _cmd_apply(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     vector = parse_symbol(args.f)
+    parts = (vector, vector) if args.sigma else (riesz_plus(vector), riesz_minus(vector))
+    _check_products(zip((pair.a, pair.b), parts))
     image = apply_transposed(pair, vector) if args.sigma else apply_paired(pair, vector)
     triples = _triples(image)
     pretty = [f"({k}, {_fmt_number(re)}, {_fmt_number(im)})" for k, re, im in triples]
@@ -206,14 +230,43 @@ def _cmd_norm(args, cfg: RunConfig):
     return result, pretty, csv_rows
 
 
+def _rational_expression(symbol: RationalSymbol) -> str:
+    return f"({symbol.num.to_expression()}) / ({symbol.den.to_expression()})"
+
+
 def _cmd_kernel(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
     _check_size(pair, [band], cfg)
-    basis = kernel_basis(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
-    result = basis.to_json_dict()
+    kernel = l2_kernel(pair)
+    if kernel is None:
+        return _band_limited_kernel(args, cfg, pair, band)
+    result = {"route": "index", "N": band, **kernel.to_json_dict()}
     pretty = [
-        f"kernel of ({args.a}, {args.b}) at band {band}",
+        f"kernel of ({args.a}, {args.b}), index route",
+        f"dim = {kernel.dim}   wind_a = {kernel.wind_a}   wind_b = {kernel.wind_b}   residual = {kernel.residual:.3e}",
+    ]
+    for i, (plus, minus) in enumerate(kernel.basis):
+        pretty.append(f"basis[{i}] = {_rational_expression(plus)} + {_rational_expression(minus)}")
+    csv_rows = [["vector", "part", "exponent", "re", "im"]]
+    for i, parts in enumerate(kernel.basis):
+        for side, symbol in zip(("plus", "minus"), parts):
+            for name, poly in (("num", symbol.num), ("den", symbol.den)):
+                for k, re, im in _triples(poly):
+                    csv_rows.append([str(i), f"{side}_{name}", str(k), repr(re), repr(im)])
+    if args.project:
+        result["plus"] = [p.to_json_dict() for p, _ in kernel.basis]
+        result["minus"] = [m.to_json_dict() for _, m in kernel.basis]
+        pretty += [f"plus[{i}] = {_rational_expression(p)}" for i, (p, _) in enumerate(kernel.basis)]
+        pretty += [f"minus[{i}] = {_rational_expression(m)}" for i, (_, m) in enumerate(kernel.basis)]
+    return result, pretty, csv_rows
+
+
+def _band_limited_kernel(args, cfg: RunConfig, pair: SymbolPair, band: int):
+    basis = kernel_basis(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
+    result = {"route": "band-limited", **basis.to_json_dict()}
+    pretty = [
+        f"kernel of ({args.a}, {args.b}) at band {band}, band-limited route",
         f"dim = {basis.dim}   stabilized = {basis.stabilized}   expected_dim = {basis.expected_dim}",
     ]
     for i, v in enumerate(basis.basis):
@@ -282,9 +335,12 @@ def _cmd_coburn(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
     _check_size(pair, [band], cfg)
-    report = coburn_check(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
-    result = report.to_json_dict()
+    report, route = l2_coburn(pair, band), "index"
+    if report is None:
+        report, route = coburn_check(pair, band, rel_threshold=cfg.tolerances["null_threshold"]), "band-limited"
+    result = {"route": route, **report.to_json_dict()}
     pretty = [
+        f"route = {route}",
         f"dims: kernel={report.dim_kernel} swapped={report.dim_swapped} "
         f"conjugated={report.dim_conjugated} adjoint={report.dim_adjoint}",
         f"dichotomy holds = {report.dichotomy_holds}",
@@ -367,7 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.set_defaults(handler=_cmd_norm)
 
-    p = sub.add_parser("kernel", parents=[common], help="band-limited kernel basis")
+    p = sub.add_parser(
+        "kernel", parents=[common], help="kernel basis: closed form on Fredholm pairs, band-limited otherwise"
+    )
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--project", action="store_true", help="include Riesz projections of the basis")

@@ -1,23 +1,32 @@
 """Kernels of paired operators and the structure maps between them.
 
-Kernel computations run on the exact band-growing action, so every reported
-basis vector is a genuine kernel element of the operator restricted to
-trigonometric polynomials, not merely a null vector of a truncation.  The
-band-limited kernel is always a subspace of the true kernel; the
-``stabilized`` flag is evidence, not proof, that the two coincide.
+Two routes compute a kernel.
 
-The dimension comes from a values-only SVD of the band-N action matrix; a
-full SVD runs only when that count is positive, and its null vectors become
-the basis.  When a and b are invertible on the circle the operator is
-Fredholm, and its index gives the L2 kernel dimension max(0, wind b - wind a)
-(``expected_dim``).  A band-N dimension equal to it is ``stabilized``;
-otherwise ``stabilized`` compares the dimension with the null count of a
-values-only SVD of the band-(N+2) action matrix, under the same threshold and
-gray-zone rule.
+* **Index route** (:func:`l2_kernel`, :func:`l2_coburn`).  When a and b are
+  invertible on the circle the operator is Fredholm, with index
+  wind b - wind a, and its L2 kernel has a closed-form rational basis from
+  the Wiener-Hopf factorization of b^-1 a: two root solves, one per symbol,
+  and no SVD.  Every element f = f+ + f- is certified in exact arithmetic:
+  f+ analytic with its poles outside the disk, f- strictly coanalytic with
+  its poles inside, and a*f+ + b*f- = 0 after clearing denominators.
+* **Band-limited route** (:func:`kernel_basis`, :func:`coburn_check`).  The
+  null space of the exact band-growing action on trigonometric polynomials
+  of band N, so every reported basis vector is a genuine kernel element of
+  the operator restricted to them, not merely a null vector of a truncation.
+  The band-limited kernel is always a subspace of the true kernel; the
+  ``stabilized`` flag is evidence, not proof, that the two coincide.
+
+On the band-limited route the dimension comes from a values-only SVD of the
+band-N action matrix; a full SVD runs only when that count is positive, and
+its null vectors become the basis.  For a Fredholm pair the index gives the
+L2 kernel dimension max(0, wind b - wind a) (``expected_dim``).  A band-N
+dimension equal to it is ``stabilized``; otherwise ``stabilized`` compares
+the dimension with the null count of a values-only SVD of the band-(N+2)
+action matrix, under the same threshold and gray-zone rule.
 
 Singular values below 1e-8 of the largest one count as null; any singular
-value landing in the gray zone just above the threshold, or a candidate null
-vector whose exact-action residual fails certification, raises
+value landing in the gray zone just above the threshold, or a candidate
+kernel element whose exact residual fails certification, raises
 :class:`AmbiguousKernelError` instead of silently committing to a dimension.
 """
 
@@ -49,6 +58,7 @@ from .symbols import (
     in_hardy,
     inner_outer_factor,
     is_nondegenerate,
+    poly_from_roots,
     poly_roots,
     rational_to_coeffs_auto,
 )
@@ -62,6 +72,7 @@ __all__ = [
     "KernelBasis",
     "KernelPair",
     "KernelProjections",
+    "L2Kernel",
     "NULL_SPACE_REL_THRESHOLD",
     "adjoint_kernel_basis",
     "adjoint_kernel_map",
@@ -74,6 +85,8 @@ __all__ = [
     "kernel_element_direct",
     "kernel_element_from_inner_factor",
     "kernel_projections",
+    "l2_coburn",
+    "l2_kernel",
     "multiplier_invariance_test",
     "pair_from_function",
     "reciprocal_symbol",
@@ -85,6 +98,7 @@ __all__ = [
 NULL_SPACE_REL_THRESHOLD = 1e-8
 _NULL_GAP_FACTOR = 10.0
 _MEMBERSHIP_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 # error bounds of the rational expansions behind explicit kernel elements
 _INNER_FACTOR_CONVERSION_TOL = 1e-13
 _CONVERSION_TOL = 1e-12
@@ -300,6 +314,149 @@ def adjoint_kernel_basis(
     """
     pair.require_nondegenerate()
     return _kernel_basis(pair.conjugated(), band, "transposed", rel_threshold, _expected_dim(pair.b, pair.a))
+
+
+# ---------------------------------------------------------------------------
+# closed-form L2 kernels of Fredholm pairs
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class L2Kernel:
+    """Basis of the L2 kernel of a Fredholm paired operator.
+
+    Each element is f = plus + minus: ``plus`` analytic, with its poles
+    outside the disk, and ``minus`` strictly coanalytic, with its poles inside.
+    ``residual`` is the largest relative residual of the certificate over the
+    basis (0 for a trivial kernel).
+    """
+
+    pair: SymbolPair
+    wind_a: int
+    wind_b: int
+    basis: tuple[tuple[RationalSymbol, RationalSymbol], ...]
+    residual: float
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "spec": self.pair.to_json_dict(),
+            "wind_a": self.wind_a,
+            "wind_b": self.wind_b,
+            "dim": self.dim,
+            "residual": self.residual,
+            "basis": [{"plus": p.to_json_dict(), "minus": m.to_json_dict()} for p, m in self.basis],
+        }
+
+
+def _sides_certified(symbol: LaurentPoly, roots: Sequence[complex]) -> bool:
+    """True when inclusion disks place every root of symbol * z^-kmin on the side its computed root is on.
+
+    For p of degree n with leading coefficient c and distinct approximations
+    r_i, every root of p lies in the union of the disks |z - r_i| <= n |W_i|,
+    W_i = p(r_i) / (c prod_{j != i} (r_i - r_j)), and a connected component
+    of k disks holds exactly k roots (Braess and Hadeler).  When no disk
+    meets the circle, each component lies on one side of it, so the computed
+    roots count the roots inside exactly.  |p(r_i)| is taken as its computed
+    value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.  A root
+    cluster, which a root solve scatters over a disk of radius about
+    eps^(1/multiplicity), fails the test near the circle.
+    """
+    lifted = symbol.shift(-symbol.kmin)
+    n, lead = len(roots), lifted.coeff(lifted.kmax)
+    for i, r in enumerate(roots):
+        gaps = math.prod(r - s for j, s in enumerate(roots) if j != i)
+        if gaps == 0:
+            return False
+        modulus = abs(r)
+        value = abs(lifted(r)) + 2 * (n + 1) * _EPS * sum(abs(c) * modulus**k for k, c in lifted.items())
+        if abs(modulus - 1.0) <= n * value / abs(lead * gaps):
+            return False
+    return True
+
+
+def _pair_roots(pair: SymbolPair) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:
+    """:func:`_circle_free_roots` of a and of b, each with certified sides; None otherwise."""
+    roots = []
+    for symbol in (pair.a, pair.b):
+        try:
+            found = _circle_free_roots(symbol)
+        except ArithmeticError:
+            return None
+        if found is None or not _sides_certified(symbol, found):
+            return None
+        roots.append(found)
+    return roots[0], roots[1]
+
+
+def _split(roots: Sequence[complex]) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """(roots inside the disk, roots outside)."""
+    return tuple(r for r in roots if abs(r) < 1.0), tuple(r for r in roots if abs(r) > 1.0)
+
+
+def _certify_l2_element(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, minus: RationalSymbol) -> float:
+    """Relative residual of a*plus + b*minus = 0 with denominators cleared.
+
+    Raises :class:`AmbiguousKernelError` unless ``plus`` is analytic with
+    poles outside the disk, ``minus`` has poles inside and degree at most -1
+    at infinity, and the residual of a*num+*den- + b*num-*den+ is at most
+    1e-10 of the larger of the two terms.
+    """
+    if plus.num.kmin < 0 or not all(abs(p) > 1.0 for p in plus.poles):
+        raise AmbiguousKernelError("the analytic part has a pole in the disk or a negative mode", ())
+    if not all(abs(p) < 1.0 for p in minus.poles) or minus.num.kmax - minus.den.kmax > -1:
+        raise AmbiguousKernelError("the coanalytic part has a pole outside the disk or no zero at infinity", ())
+    left, right = a * plus.num * minus.den, b * minus.num * plus.den
+    residual = (left + right).max_abs_coeff() / max(left.max_abs_coeff(), right.max_abs_coeff())
+    if not residual <= _MEMBERSHIP_TOL:
+        raise AmbiguousKernelError(f"closed-form kernel element has residual {residual:.3e}", ())
+    return residual
+
+
+def _l2_kernel(pair: SymbolPair, roots_a: Sequence[complex], roots_b: Sequence[complex]) -> L2Kernel:
+    """:func:`l2_kernel` of a pair whose symbols have the circle-free roots ``roots_a`` and ``roots_b``.
+
+    With a = c_a z^k_a prod(z - alpha) and b = c_b z^k_b prod(z - beta), the
+    elements are, for j = 0 .. wind b - wind a - 1,
+
+        plus_j  = z^j prod(z - beta_out) / prod(z - alpha_out)
+        minus_j = -(c_a / c_b) z^(k_a - k_b + j) prod(z - alpha_in) / prod(z - beta_in),
+
+    so that a*plus_j = -b*minus_j.  The poles are passed on, not solved again.
+    """
+    a, b = pair.a, pair.b
+    alpha_in, alpha_out = _split(roots_a)
+    beta_in, beta_out = _split(roots_b)
+    wind_a, wind_b = a.kmin + len(alpha_in), b.kmin + len(beta_in)
+    num_plus, den_plus = poly_from_roots(beta_out), poly_from_roots(alpha_out)
+    num_minus = poly_from_roots(alpha_in, -a.coeff(a.kmax) / b.coeff(b.kmax), a.kmin - b.kmin)
+    den_minus = poly_from_roots(beta_in)
+    basis, residual = [], 0.0
+    for j in range(wind_b - wind_a):
+        plus = RationalSymbol._from_poles(num_plus.shift(j), den_plus, alpha_out)
+        minus = RationalSymbol._from_poles(num_minus.shift(j), den_minus, beta_in)
+        residual = max(residual, _certify_l2_element(a, b, plus, minus))
+        basis.append((plus, minus))
+    return L2Kernel(pair=pair, wind_a=wind_a, wind_b=wind_b, basis=tuple(basis), residual=residual)
+
+
+def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
+    """The L2 kernel of aP+ + bP- in closed form, from one root solve per symbol.
+
+    None when a or b has a root within 1e-8 of the circle (the operator is
+    not Fredholm) or a root solve fails, as for ``expected_dim``, and also
+    when inclusion disks cannot place every root on one side of the circle
+    (:func:`_sides_certified`); callers then fall back to
+    :func:`kernel_basis`.  Every element is certified (see
+    :func:`_certify_l2_element`); a failed certificate raises
+    :class:`AmbiguousKernelError`.
+    """
+    pair.require_nondegenerate()
+    roots = _pair_roots(pair)
+    return None if roots is None else _l2_kernel(pair, *roots)
 
 
 @dataclass(frozen=True)
@@ -825,6 +982,44 @@ def coburn_check(
         all_stabilized=stable,
         kernel=k,
         adjoint=k_adj,
+    )
+
+
+def l2_coburn(pair: SymbolPair, band: int) -> CoburnReport | None:
+    """:func:`coburn_check` from the closed-form L2 kernels of a Fredholm pair.
+
+    Solves the roots of a, b and a - b once each; None where
+    :func:`l2_kernel` is None.  The swapped pair reuses the roots, and the
+    conjugated pair (conj a, conj b) has the roots 1/conj(r).  The kernel,
+    swapped and conjugated bases are built and certified.  The adjoint
+    kernel is (1/conj b) * P+ of the conjugated pair's kernel (g = f+/conj b,
+    with inverse f = conj b * g - conj a * g), so its dimension is that
+    kernel's.  The flags then follow from the index and the certified
+    elements; ``band`` is only reported.
+    """
+    roots = _pair_roots(pair)
+    if roots is None:
+        return None
+    roots_a, roots_b = roots
+    difference = pair.a - pair.b
+    invertible = ("a", "b") + (("difference",) if invertible_on_circle(difference) else ())
+    reflected = [tuple(1.0 / r.conjugate() for r in rs) for rs in roots]
+    kernel = _l2_kernel(pair, roots_a, roots_b)
+    swapped = _l2_kernel(pair.swapped(), roots_b, roots_a)
+    conjugated = _l2_kernel(pair.conjugated(), *reflected)
+    return CoburnReport(
+        pair=pair,
+        band=band,
+        dim_kernel=kernel.dim,
+        dim_swapped=swapped.dim,
+        dim_conjugated=conjugated.dim,
+        dim_adjoint=conjugated.dim,
+        dichotomy_holds=min(kernel.dim, swapped.dim) == 0,
+        conjugate_dims_match=swapped.dim == conjugated.dim,
+        invertible_cases=invertible,
+        adjoint_dim_matches=True,
+        all_stabilized=True,
+        degenerate_difference=difference.is_zero,
     )
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pairedops
-from pairedops import properties
+from pairedops import kernels, properties
 from pairedops.cli import RunConfig, main
 
 
@@ -93,17 +93,23 @@ def test_kernel_dimensions(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--a", "z^-1", "--b", "z", "--N", "8", "--format", "json")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["dim"] == 2 and result["stabilized"] and result["expected_dim"] == 2
+    assert result["route"] == "index" and result["dim"] == 2
+    assert (result["wind_a"], result["wind_b"]) == (-1, 1) and "singular_values" not in result
 
+    # b vanishes at 1: not Fredholm, so the band-limited route answers
     code, out, _ = run_cli(capsys, "kernel", "--a", "1", "--b", "1-z", "--N", "16", "--format", "json")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["dim"] == 0 and result["expected_dim"] is None
+    assert result["route"] == "band-limited" and result["dim"] == 0 and result["expected_dim"] is None
 
-    # the shortfall shows next to stabilized: the index says 1
-    code, out, _ = run_cli(capsys, "kernel", "--a", "1", "--b", "z - 0.3", "--N", "8")
-    assert code == 0
-    assert "dim = 0   stabilized = True   expected_dim = 1" in out
+    # band 8 fell short of the index here (dim 0); the closed form does not depend on N
+    answers = []
+    for band in ("8", "64"):
+        code, out, _ = run_cli(capsys, "kernel", "--a", "1", "--b", "z - 0.3", "--N", band, "--format", "json")
+        assert code == 0
+        answers.append(json.loads(out)["result"])
+    assert answers[0]["route"] == "index" and answers[0]["dim"] == 1
+    assert {**answers[0], "N": 64} == answers[1]
 
 
 def test_kernel_project_flag(capsys):
@@ -112,10 +118,23 @@ def test_kernel_project_flag(capsys):
     )
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["dim"] == 1
-    assert len(result["plus"]) == 1 and len(result["minus"]) == 1
-    (plus_entry,) = result["plus"][0]["coeffs"]
-    assert plus_entry[0] == 0  # the analytic projection is a constant
+    assert result["route"] == "index" and result["dim"] == 1
+    # the index route's basis is given by its Riesz parts: f = 1 - z^-1
+    assert result["plus"] == [result["basis"][0]["plus"]] and result["minus"] == [result["basis"][0]["minus"]]
+    one = {"coeffs": [[0, 1.0, 0.0]]}
+    assert result["plus"][0] == {"num": one, "den": one}
+    assert result["minus"][0] == {"num": {"coeffs": [[-1, -1.0, 0.0]]}, "den": one}
+
+    # b vanishes at 1: band-limited vectors, projected coefficientwise
+    code, out, _ = run_cli(
+        capsys, "kernel", "--a", "z^-2", "--b", "1 - z", "--N", "6", "--project", "--format", "json"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["route"] == "band-limited" and result["dim"] == 2
+    assert len(result["plus"]) == len(result["minus"]) == 2
+    assert all(k >= 0 for v in result["plus"] for k, _, _ in v["coeffs"])
+    assert all(k <= -1 for v in result["minus"] for k, _, _ in v["coeffs"])
 
 
 def test_kernel_degenerate_exit_2(capsys):
@@ -151,22 +170,37 @@ def test_coburn_report(capsys):
     code, out, _ = run_cli(capsys, "coburn", "--a", "1", "--b", "z", "--N", "8", "--format", "json")
     assert code == 0
     result = json.loads(out)["result"]
+    assert result["route"] == "index"
     assert result["dims"] == {"kernel": 1, "swapped": 0, "conjugated": 0, "adjoint": 0}
-    assert result["dichotomy_holds"]
+    assert result["dichotomy_holds"] and result["all_stabilized"]
+    assert result["invertible_cases"] == ["a", "b"] and result["adjoint_dim_matches"]
+
+    # b vanishes at 1: the band-limited route answers, with the same keys
+    code, out, _ = run_cli(capsys, "coburn", "--a", "z^-2", "--b", "1 - z", "--N", "8", "--format", "json")
+    assert code == 0
+    limited = json.loads(out)["result"]
+    assert limited["route"] == "band-limited" and set(limited) == set(result)
+    assert limited["dims"]["kernel"] == 2 and limited["invertible_cases"] == ["a", "difference"]
 
 
 @pytest.mark.parametrize("command", ["kernel", "coburn"])
 def test_null_threshold_from_config_reaches_every_kernel(command, tmp_path, capsys):
-    # at band 6 the kernel of (z^-1, z - 0.3) leaves a singular value 1.6e-3,
-    # inside the gray zone of a 1e-3 threshold: both commands must refuse
+    # b vanishes at 1, so the band-limited route answers: at band 6 and a
+    # 1e-3 threshold a null candidate of (z^-1, (1 - z)(z - 0.3)) fails
+    # certification, and both commands must refuse
     tolerances = {"exact": 1e-12, "numeric": 1e-8, "null_threshold": 1e-3}
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"tolerances": tolerances}), encoding="utf-8")
-    argv = (command, "--a", "z^-1", "--b", "z - 0.3", "--N", "6")
+    argv = (command, "--a", "z^-1", "--b", "(1 - z)*(z - 0.3)", "--N", "6")
     code, _, err = run_cli(capsys, *argv, "--config", str(path))
     assert code == 2 and err.startswith("ambiguous:")
     # the default threshold answers the same question
     assert run_cli(capsys, *argv)[0] == 0
+    # a Fredholm pair takes the index route, which has no null threshold
+    fredholm = (command, "--a", "z^-1", "--b", "z - 0.3", "--N", "6", "--format", "json")
+    code, out, _ = run_cli(capsys, *fredholm, "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(run_cli(capsys, *fredholm)[1])["result"]
 
 
 def test_suite_null_threshold_from_config(tmp_path, capsys):
@@ -315,6 +349,7 @@ _OVERSIZED = [
     ["norm", "--a", "1", "--b", "z", "--N", "8,40000"],
     ["norm", "--a", "1", "--b", "z", "--N", "8", "--grid", "1000000000"],
     ["kernel", "--a", "1 + z^12000", "--b", "z", "--N", "8"],
+    ["apply", "--a", "1 + z^400000000", "--b", "1", "--f", "1 + z"],
 ]
 _UNDER_TWO_GIB = """
 import resource, sys
@@ -334,6 +369,14 @@ def test_oversized_input_exits_2_before_allocating(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "above the cap of 268435456" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_apply_cap_spares_single_term_factors(capsys):
+    # a one-term factor multiplies sparsely: the 400000001-wide symbol needs no dense array
+    for extra in ([], ["--sigma"]):
+        code, out, _ = run_cli(capsys, "apply", "--a", "1 + z^400000000", "--b", "1", "--f", "1", *extra)
+        assert code == 0
+        assert out.splitlines() == ["(0, 1, 0)", "(400000000, 1, 0)"]
 
 
 def test_size_cap_admits_the_largest_benchmark_section(capsys):
@@ -378,6 +421,7 @@ def test_consecutive_main_calls_share_no_state(capsys):
     assert not {"plus", "minus"} & set(json.loads(outputs[1])["result"])
     assert [r["N"] for r in json.loads(outputs[2])["result"]["rows"]] == [8, 16]
     assert [r["N"] for r in json.loads(outputs[3])["result"]["rows"]] == [8, 16, 32, 64]
+    assert json.loads(outputs[0])["result"]["route"] == json.loads(outputs[1])["result"]["route"] == "index"
     for argv, out in zip(sequence, outputs):
         assert out == _fresh_process_stdout(argv)
 
@@ -393,11 +437,30 @@ def test_norm_json_is_repeatable_in_and_across_processes(capsys):
 
 @pytest.mark.parametrize("command", ["kernel", "coburn"])
 def test_kernel_json_is_repeatable_in_and_across_processes(capsys, command):
+    # b = z^2 - 0.25*z takes the index route; (z - 1)(z - 0.25) vanishes at 1, the band-limited one
+    for b, route in (("z^2 - 0.25*z", "index"), ("(z - 1)*(z - 0.25)", "band-limited")):
+        argv = [command, "--a", "1 - 0.2*z + 0.1*z^-1", "--b", b, "--N", "24", "--format", "json"]
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(first)["result"]["route"] == route
+        assert run_cli(capsys, *argv)[1] == first
+        assert _fresh_process_stdout(argv) == first
+
+
+@pytest.mark.parametrize("command, solves", [("kernel", 2), ("coburn", 3)])
+def test_fredholm_pair_takes_one_root_solve_per_symbol(capsys, monkeypatch, command, solves):
+    # a and b for both commands, plus a - b for coburn's invertible cases
+    calls = []
+    solve = kernels.poly_roots
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "poly_roots", counting)
     argv = [command, "--a", "1 - 0.2*z + 0.1*z^-1", "--b", "z^2 - 0.25*z", "--N", "24", "--format", "json"]
-    code, first, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert run_cli(capsys, *argv)[1] == first
-    assert _fresh_process_stdout(argv) == first
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["result"]["route"] == "index"
+    assert len(calls) == solves
 
 
 def test_suite_json_is_identical_across_hash_seeds():

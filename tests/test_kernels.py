@@ -29,6 +29,8 @@ from pairedops.kernels import (
     kernel_element_direct,
     kernel_element_from_inner_factor,
     kernel_projections,
+    l2_coburn,
+    l2_kernel,
     multiplier_invariance_test,
     pair_from_function,
     reciprocal_symbol,
@@ -44,7 +46,14 @@ from pairedops.operators import (
     op_norm,
 )
 from pairedops.properties import check_norm_bounds
-from pairedops.symbols import FactorizationError, LaurentPoly, parse_symbol
+from pairedops.symbols import (
+    FactorizationError,
+    LaurentPoly,
+    RationalSymbol,
+    parse_symbol,
+    poly_from_roots,
+    rational_to_coeffs,
+)
 
 
 def lp(text: str) -> LaurentPoly:
@@ -637,6 +646,112 @@ def test_coburn_report_carries_its_bases():
         assert bare == r and repr(bare) == repr(r)
         assert r.to_json_dict() == bare.to_json_dict()
         assert "basis" not in json.dumps(r.to_json_dict())
+
+
+# ---------------------------------------------------------------------------
+# closed-form L2 kernels, with the band-limited SVD route as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _fredholm_symbol(rng: np.random.Generator) -> LaurentPoly:
+    """c z^k prod(z - r): one to three roots of modulus in [0.1, 0.6] or [1.7, 4], k in -2..2."""
+    count = int(rng.integers(1, 4))
+    moduli = np.where(rng.random(count) < 0.5, rng.uniform(0.1, 0.6, count), rng.uniform(1.7, 4.0, count))
+    roots = moduli * np.exp(2j * np.pi * rng.random(count))
+    lead = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
+    return poly_from_roots(roots.tolist(), lead, int(rng.integers(-2, 3)))
+
+
+def _truncations(kernel, band: int) -> list[LaurentPoly]:
+    """The basis elements on exponents [-band, band]; the tails are below 0.6^band."""
+    return [rational_to_coeffs(p, band).coeffs + rational_to_coeffs(m, band).coeffs for p, m in kernel.basis]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_l2_kernel_agrees_with_the_band_limited_kernel(seed):
+    rng = np.random.default_rng(seed)
+    p = SymbolPair(_fredholm_symbol(rng), _fredholm_symbol(rng))
+    dims = []
+    for variant in (p, p.swapped(), p.conjugated()):
+        closed = l2_kernel(variant)
+        svd = kernel_basis(variant, 64)
+        assert closed.dim == svd.dim == svd.expected_dim == max(0, closed.wind_b - closed.wind_a)
+        assert closed.residual <= 1e-10
+        assert subspace_angle(svd.basis, _truncations(closed, 64)) <= 1e-9
+        dims.append(closed.dim)
+    assert kernel_basis(p, 64, kind="transposed").dim == dims[0]
+    report = l2_coburn(p, 64)
+    assert (report.dim_kernel, report.dim_swapped, report.dim_conjugated) == tuple(dims)
+    assert report.dim_adjoint == adjoint_kernel_basis(p, 64).dim
+
+
+def test_l2_kernel_draws_cover_both_sides_of_the_dichotomy():
+    # the oracle test above is not vacuous: its pairs have nontrivial kernels both ways
+    dims = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        p = SymbolPair(_fredholm_symbol(rng), _fredholm_symbol(rng))
+        dims.append((l2_kernel(p).dim, l2_kernel(p.swapped()).dim))
+    assert sum(d > 0 for d, _ in dims) >= 5 and sum(d > 0 for _, d in dims) >= 5
+    assert max(max(d) for d in dims) >= 3
+
+
+def test_l2_kernel_pinned():
+    k = l2_kernel(pair("1", "z - 0.3"))
+    assert (k.wind_a, k.wind_b, k.dim, k.residual) == (0, 1, 1, 0.0)
+    ((plus, minus),) = k.basis
+    # f = 1 - 1/(z - 0.3): a*1 + b*(-1/(z - 0.3)) = 0
+    assert plus == RationalSymbol.one()
+    assert (minus.num, minus.den, minus.poles) == (lp("-1"), lp("z - 0.3"), (0.3,))
+    k = l2_kernel(pair("z^-1", "z"))
+    assert [(p.num, m.num) for p, m in k.basis] == [(lp("1"), lp("-z^-2")), (lp("z"), lp("-z^-1"))]
+    assert l2_kernel(pair("z", "z^-1")).dim == 0
+
+
+def test_l2_kernel_is_none_off_the_fredholm_class(monkeypatch):
+    assert l2_kernel(pair("1", "1 - z")) is None
+    assert l2_kernel(pair("(z - 1)*(z - 3)", "z")) is None
+    # a 16-fold root at 0.9: the solve scatters it over moduli 0.73 to 1.09,
+    # which would read wind b = 10; the inclusion disks cross the circle
+    cluster = SymbolPair(lp("1"), poly_from_roots([0.9] * 16))
+    assert sum(abs(r) < 1 for r in kernels._circle_free_roots(cluster.b)) < 16
+    assert l2_kernel(cluster) is None
+    # an 8-fold root at 0.5 stays well inside its disks
+    assert l2_kernel(SymbolPair(lp("1"), poly_from_roots([0.5] * 8))).dim == 8
+    with pytest.raises(DegeneratePairError):
+        l2_kernel(pair("1 + z", "1 + z"))
+
+    def failing(p):
+        raise FactorizationError("root residual too large")
+
+    monkeypatch.setattr(kernels, "poly_roots", failing)
+    assert l2_kernel(pair("1", "z - 0.3")) is None
+
+
+def test_l2_certificate_refuses_a_wrong_element():
+    a, b = lp("6 - 2*z"), lp("z - 0.3")  # wind a = 0, wind b = 1, -c_a/c_b = 2
+    plus, minus = l2_kernel(SymbolPair(a, b)).basis[0]
+    assert kernels._certify_l2_element(a, b, plus, minus) <= 1e-15
+    # a pole inside the disk in the analytic part
+    inside = RationalSymbol._from_poles(plus.num, plus.den * lp("z - 0.5"), plus.poles + (0.5,))
+    # the factor -c_a/c_b dropped
+    unscaled = RationalSymbol._from_poles(minus.num * 0.5, minus.den, minus.poles)
+    # z^1 * minus does not vanish at infinity, though it annihilates z * plus
+    shifted = (plus.shift(1), minus.shift(1))
+    for bad in ((inside, minus), (plus, unscaled), shifted):
+        with pytest.raises(AmbiguousKernelError):
+            kernels._certify_l2_element(a, b, *bad)
+
+
+def test_l2_coburn_matches_coburn_check_keys_and_special_cases():
+    p = pair("1 - 0.2*z", "z^2 - 0.25*z")
+    r = l2_coburn(p, 24)
+    assert r.to_json_dict() == coburn_check(p, 24).to_json_dict()
+    assert l2_coburn(pair("1", "1 - z"), 8) is None
+    assert l2_coburn(SymbolPair(LaurentPoly.zero(), lp("z")), 8) is None
+    same = l2_coburn(pair("1 + 0.5*z", "1 + 0.5*z"), 8)
+    assert same.to_json_dict() == coburn_check(pair("1 + 0.5*z", "1 + 0.5*z"), 8).to_json_dict()
+    assert same.degenerate_difference and same.dim_kernel == 0
 
 
 # ---------------------------------------------------------------------------

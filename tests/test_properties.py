@@ -13,7 +13,7 @@ import pytest
 from numpy.random import default_rng
 
 from pairedops import properties
-from pairedops.kernels import kernel_basis
+from pairedops.kernels import kernel_basis, l2_kernel, subspace_angle
 from pairedops.operators import SymbolPair, apply_paired
 from pairedops.properties import (
     GeneratorConfig,
@@ -31,6 +31,7 @@ from pairedops.symbols import (
     RationalSymbol,
     parse_symbol,
     poly_roots,
+    rational_to_coeffs,
     unit_grid,
 )
 
@@ -296,3 +297,14 @@ def test_recorded_kernels_violation_replays():
     assert record["residuals"]["dim"] == 2 and record["residuals"]["angle"] > 1e-8
     base = properties._decode(record["inputs"]["base"])
     assert kernel_basis(base, 24).dim == 3
+
+
+def test_recorded_shortfall_pairs_have_the_index_dimension_in_closed_form():
+    # the L2 kernel of the common-factor group, where band 12 found dim 2
+    record = json.loads(SHORTFALL.read_text(encoding="utf-8"))
+    closed = [l2_kernel(properties._decode(record["inputs"][name])) for name in ("base", "scaled")]
+    assert [(k.dim, k.wind_b - k.wind_a) for k in closed] == [(3, 3), (3, 3)]
+    base, scaled = (
+        [rational_to_coeffs(p, 64).coeffs + rational_to_coeffs(m, 64).coeffs for p, m in k.basis] for k in closed
+    )
+    assert subspace_angle(base, scaled) <= 1e-12

@@ -807,10 +807,19 @@ def _sup_norm_oracle(p: LaurentPoly, grid_points: int | None = None) -> float:
     """sup_norm's search in power sums: the grid, then 60 golden steps at each peak near its top.
 
     A peak is a grid local maximum within (h^2/2) sum (k - kbar)^2 |c_k| of
-    the grid maximum, kbar the |c_k|-weighted mean exponent.
+    the grid maximum, kbar the |c_k|-weighted mean exponent.  The search runs
+    on p scaled up by an exact power of two to a largest coefficient in
+    [1/2, 1), and its result is scaled back: power sums of subnormal
+    coefficients lose bits.
     """
     if p.is_zero:
         return 0.0
+    e = min(0, math.frexp(p.max_abs_coeff())[1])
+    scaled = LaurentPoly({k: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for k, c in p.items()})
+    return math.ldexp(_normalized_sup_norm_oracle(scaled, grid_points), e)
+
+
+def _normalized_sup_norm_oracle(p: LaurentPoly, grid_points: int | None) -> float:
     n = max(grid_points or 0, 256, 16 * (p.kmax - p.kmin + 1))
     theta = 2 * np.pi * np.arange(n) / n
     vals = np.abs(_power_sum_oracle(p, np.exp(1j * theta)))
@@ -927,6 +936,7 @@ def test_sup_norm_within_rounding_of_replaced_algorithm():
 @given(laurent_polys(kmin=-8, kmax=8))
 @example(LaurentPoly({8: 2.75 + 2.75j}))
 @example(LaurentPoly({0: 1.0, 1: 0.001953125, 6: 1j}))
+@example(LaurentPoly({1: 2.225073858507e-311}))
 def test_sup_norm_within_rounding_of_replaced_algorithm_drawn(p):
     _assert_sup_norm_against_oracle(p)
 
