@@ -3,8 +3,8 @@
 Every command emits a report in one of three formats (json, csv, pretty);
 the JSON form embeds the resolved run configuration as a reproducibility
 header and is byte-stable across runs with identical flags.  Exit codes:
-0 success / suite passed, 1 suite violations, 2 invalid input or an
-ambiguity the library refused to resolve.
+0 success / suite passed, 1 suite violations, 2 invalid input, an
+ambiguity the library refused to resolve, or another arithmetic failure.
 
 ``kernel`` and ``coburn`` answer from the closed-form L2 kernels where a and b
 are invertible on the circle (``"route": "index"``, independent of N), and
@@ -472,6 +472,10 @@ def main(argv=None) -> int:
         return 2
     except (AmbiguousKernelError, ConditioningError) as err:
         print(f"ambiguous: {err}", file=sys.stderr)
+        return 2
+    except ArithmeticError as err:
+        # overflow or a failed self-check: exit 1 stays reserved for suite violations
+        print(f"error: {err}", file=sys.stderr)
         return 2
     if len(outcome) == 4:
         result, pretty, csv_rows, exit_code = outcome

@@ -16,6 +16,12 @@ Two routes compute a kernel.
   The band-limited kernel is always a subspace of the true kernel; the
   ``stabilized`` flag is evidence, not proof, that the two coincide.
 
+Every winding number, Fredholm index and invertibility test reads one rule,
+:func:`_root_split`: one root solve per symbol, whose inclusion disks must
+all stay more than ``CIRCLE_MARGIN`` (1e-8) from the circle.  A root on or
+near the circle, a root cluster whose disks reach it, or a failed solve
+leaves the symbol not invertible and its winding number unknown.
+
 On the band-limited route the dimension comes from a values-only SVD of the
 band-N action matrix; a full SVD runs only when that count is positive, and
 its null vectors become the basis.  For a Fredholm pair the index gives the
@@ -50,6 +56,7 @@ from .operators import (
     toeplitz_window,
 )
 from .symbols import (
+    CIRCLE_MARGIN,
     ConditioningError,
     LaurentPoly,
     RationalSymbol,
@@ -209,27 +216,52 @@ class KernelBasis:
         }
 
 
-def _circle_free_roots(symbol: LaurentPoly, min_distance: float = 1e-8) -> tuple[complex, ...] | None:
-    """Roots of symbol * z^-kmin from one root solve.
+_Split = tuple[tuple[complex, ...], tuple[complex, ...]]
 
-    None when the symbol is zero or has a root within ``min_distance`` of the
-    circle, i.e. when it is not invertible as a multiplier.
+
+def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> _Split | None:
+    """(roots inside the disk, roots outside) of p = symbol * z^-kmin, certified.
+
+    One :func:`poly_roots` solve.  None when the symbol is zero, the solve or
+    the certificate fails, or an inclusion disk comes within ``margin`` of
+    the circle: the symbol is then not invertible on the circle, or its
+    winding number cannot be certified.
+
+    The disks: p has degree n, leading coefficient c and distinct computed
+    roots r_i, and W_i = p(r_i) / (c prod_{j != i} (r_i - r_j)).  The matrix
+    diag(r) - W 1^T has characteristic polynomial p / c, since both are monic
+    and agree at every r_i.  Its Gerschgorin disks, centre r_i - W_i and
+    radius (n - 1)|W_i|, lie inside |z - r_i| <= n |W_i|.  So a connected
+    component of k of these disks holds exactly k roots of p (Carstensen,
+    Numer. Math. 59, 1991), and one that stays clear of the circle lies on
+    one side of it together with its computed roots.  |p(r_i)| is taken as
+    its computed value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.
+    A root cluster, which a solve scatters over a disk of radius about
+    eps^(1/multiplicity), gives disks of about that radius, so near the
+    circle it is refused rather than split.
     """
     if symbol.is_zero:
         return None
     lifted = symbol.shift(-symbol.kmin)
-    roots = poly_roots(lifted).roots if lifted.kmax else ()
-    if not all(abs(abs(r) - 1.0) > min_distance for r in roots):
+    n, lead = lifted.kmax, lifted.coeff(lifted.kmax)
+    try:
+        roots = poly_roots(lifted).roots if n else ()
+        for i, r in enumerate(roots):
+            gaps = math.prod(r - s for j, s in enumerate(roots) if j != i)
+            modulus = abs(r)
+            value = abs(lifted(r)) + 2 * (n + 1) * _EPS * sum(abs(c) * modulus**k for k, c in lifted.items())
+            # `not x > margin` also refuses a NaN from an overflowing certificate
+            if gaps == 0 or not abs(modulus - 1.0) - n * value / abs(lead * gaps) > margin:
+                return None
+    except ArithmeticError:
         return None
-    return roots
+    return tuple(r for r in roots if abs(r) < 1.0), tuple(r for r in roots if abs(r) > 1.0)
 
 
-def _winding(symbol: LaurentPoly, min_distance: float = 1e-8) -> int | None:
-    """Winding number of the symbol around 0 on the unit circle; None as in :func:`_circle_free_roots`."""
-    roots = _circle_free_roots(symbol, min_distance)
-    if roots is None:
-        return None
-    return symbol.kmin + sum(1 for r in roots if abs(r) < 1.0)
+def _winding(symbol: LaurentPoly) -> int | None:
+    """Winding number of the symbol around 0 on the unit circle; None as in :func:`_root_split`."""
+    split = _root_split(symbol)
+    return None if split is None else symbol.kmin + len(split[0])
 
 
 def _index_dim(wind_a: int | None, wind_b: int | None) -> int | None:
@@ -245,11 +277,8 @@ def _index_dim(wind_a: int | None, wind_b: int | None) -> int | None:
 
 
 def _expected_dim(a: LaurentPoly, b: LaurentPoly) -> int | None:
-    """:func:`_index_dim` of (a, b); a failed root solve leaves the index unknown."""
-    try:
-        return _index_dim(_winding(a), _winding(b))
-    except ArithmeticError:
-        return None
+    """:func:`_index_dim` of (a, b)."""
+    return _index_dim(_winding(a), _winding(b))
 
 
 def _kernel_basis(
@@ -352,51 +381,6 @@ class L2Kernel:
         }
 
 
-def _sides_certified(symbol: LaurentPoly, roots: Sequence[complex]) -> bool:
-    """True when inclusion disks place every root of symbol * z^-kmin on the side its computed root is on.
-
-    For p of degree n with leading coefficient c and distinct approximations
-    r_i, every root of p lies in the union of the disks |z - r_i| <= n |W_i|,
-    W_i = p(r_i) / (c prod_{j != i} (r_i - r_j)), and a connected component
-    of k disks holds exactly k roots (Braess and Hadeler).  When no disk
-    meets the circle, each component lies on one side of it, so the computed
-    roots count the roots inside exactly.  |p(r_i)| is taken as its computed
-    value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.  A root
-    cluster, which a root solve scatters over a disk of radius about
-    eps^(1/multiplicity), fails the test near the circle.
-    """
-    lifted = symbol.shift(-symbol.kmin)
-    n, lead = len(roots), lifted.coeff(lifted.kmax)
-    for i, r in enumerate(roots):
-        gaps = math.prod(r - s for j, s in enumerate(roots) if j != i)
-        if gaps == 0:
-            return False
-        modulus = abs(r)
-        value = abs(lifted(r)) + 2 * (n + 1) * _EPS * sum(abs(c) * modulus**k for k, c in lifted.items())
-        if abs(modulus - 1.0) <= n * value / abs(lead * gaps):
-            return False
-    return True
-
-
-def _pair_roots(pair: SymbolPair) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:
-    """:func:`_circle_free_roots` of a and of b, each with certified sides; None otherwise."""
-    roots = []
-    for symbol in (pair.a, pair.b):
-        try:
-            found = _circle_free_roots(symbol)
-        except ArithmeticError:
-            return None
-        if found is None or not _sides_certified(symbol, found):
-            return None
-        roots.append(found)
-    return roots[0], roots[1]
-
-
-def _split(roots: Sequence[complex]) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """(roots inside the disk, roots outside)."""
-    return tuple(r for r in roots if abs(r) < 1.0), tuple(r for r in roots if abs(r) > 1.0)
-
-
 def _certify_l2_element(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, minus: RationalSymbol) -> float:
     """Relative residual of a*plus + b*minus = 0 with denominators cleared.
 
@@ -416,8 +400,8 @@ def _certify_l2_element(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, mi
     return residual
 
 
-def _l2_kernel(pair: SymbolPair, roots_a: Sequence[complex], roots_b: Sequence[complex]) -> L2Kernel:
-    """:func:`l2_kernel` of a pair whose symbols have the circle-free roots ``roots_a`` and ``roots_b``.
+def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
+    """:func:`l2_kernel` of a pair whose symbols have the root splits ``split_a`` and ``split_b``.
 
     With a = c_a z^k_a prod(z - alpha) and b = c_b z^k_b prod(z - beta), the
     elements are, for j = 0 .. wind b - wind a - 1,
@@ -428,8 +412,7 @@ def _l2_kernel(pair: SymbolPair, roots_a: Sequence[complex], roots_b: Sequence[c
     so that a*plus_j = -b*minus_j.  The poles are passed on, not solved again.
     """
     a, b = pair.a, pair.b
-    alpha_in, alpha_out = _split(roots_a)
-    beta_in, beta_out = _split(roots_b)
+    (alpha_in, alpha_out), (beta_in, beta_out) = split_a, split_b
     wind_a, wind_b = a.kmin + len(alpha_in), b.kmin + len(beta_in)
     num_plus, den_plus = poly_from_roots(beta_out), poly_from_roots(alpha_out)
     num_minus = poly_from_roots(alpha_in, -a.coeff(a.kmax) / b.coeff(b.kmax), a.kmin - b.kmin)
@@ -446,17 +429,17 @@ def _l2_kernel(pair: SymbolPair, roots_a: Sequence[complex], roots_b: Sequence[c
 def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
     """The L2 kernel of aP+ + bP- in closed form, from one root solve per symbol.
 
-    None when a or b has a root within 1e-8 of the circle (the operator is
-    not Fredholm) or a root solve fails, as for ``expected_dim``, and also
-    when inclusion disks cannot place every root on one side of the circle
-    (:func:`_sides_certified`); callers then fall back to
-    :func:`kernel_basis`.  Every element is certified (see
-    :func:`_certify_l2_element`); a failed certificate raises
-    :class:`AmbiguousKernelError`.
+    None when the root split of a or of b (:func:`_root_split`) is None, as
+    for ``expected_dim``: the operator is not Fredholm, or its index cannot
+    be certified.  Callers then fall back to :func:`kernel_basis`.  Every
+    element is certified (see :func:`_certify_l2_element`); a failed
+    certificate raises :class:`AmbiguousKernelError`.
     """
     pair.require_nondegenerate()
-    roots = _pair_roots(pair)
-    return None if roots is None else _l2_kernel(pair, *roots)
+    split_a, split_b = _root_split(pair.a), _root_split(pair.b)
+    if split_a is None or split_b is None:
+        return None
+    return _l2_kernel(pair, split_a, split_b)
 
 
 @dataclass(frozen=True)
@@ -769,21 +752,24 @@ def kernel_conjugate(phi: CoeffVector, pair: SymbolPair) -> CoeffVector:
     return result
 
 
-def invertible_on_circle(symbol: LaurentPoly, min_distance: float = 1e-8) -> bool:
-    """True when the symbol has no roots within ``min_distance`` of the circle.
+def invertible_on_circle(symbol: LaurentPoly, min_distance: float = CIRCLE_MARGIN) -> bool:
+    """True when inclusion disks keep every root more than ``min_distance`` from the circle.
 
-    For Laurent polynomials this is exactly invertibility of the symbol as a
-    bounded multiplier.
+    For Laurent polynomials a root-free circle is exactly invertibility of
+    the symbol as a bounded multiplier.  False also means that this could not
+    be certified: the root solve failed, or the disks of a root cluster reach
+    within ``min_distance`` of the circle (see :func:`_root_split`).
     """
-    return _winding(symbol, min_distance) is not None
+    return _root_split(symbol, min_distance) is not None
 
 
 def reciprocal_symbol(symbol: LaurentPoly) -> RationalSymbol:
-    """1/symbol as a rational symbol; requires no roots near the circle."""
-    roots = _circle_free_roots(symbol)
-    if roots is None:
+    """1/symbol as a rational symbol; requires a certified root-free circle (:func:`invertible_on_circle`)."""
+    split = _root_split(symbol)
+    if split is None:
         raise ConditioningError("symbol has a root on or near the unit circle")
-    return RationalSymbol._from_poles(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin), roots)
+    inside, outside = split
+    return RationalSymbol._from_poles(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin), inside + outside)
 
 
 def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair) -> CoeffVector:
@@ -997,15 +983,18 @@ def l2_coburn(pair: SymbolPair, band: int) -> CoburnReport | None:
     kernel's.  The flags then follow from the index and the certified
     elements; ``band`` is only reported.
     """
-    roots = _pair_roots(pair)
-    if roots is None:
+    split_a, split_b = _root_split(pair.a), _root_split(pair.b)
+    if split_a is None or split_b is None:
         return None
-    roots_a, roots_b = roots
     difference = pair.a - pair.b
     invertible = ("a", "b") + (("difference",) if invertible_on_circle(difference) else ())
-    reflected = [tuple(1.0 / r.conjugate() for r in rs) for rs in roots]
-    kernel = _l2_kernel(pair, roots_a, roots_b)
-    swapped = _l2_kernel(pair.swapped(), roots_b, roots_a)
+    # conj a and conj b have the roots 1/conj(r): the outside side becomes the inside one
+    reflected = [
+        (tuple(1.0 / r.conjugate() for r in outside), tuple(1.0 / r.conjugate() for r in inside))
+        for inside, outside in (split_a, split_b)
+    ]
+    kernel = _l2_kernel(pair, split_a, split_b)
+    swapped = _l2_kernel(pair.swapped(), split_b, split_a)
     conjugated = _l2_kernel(pair.conjugated(), *reflected)
     return CoburnReport(
         pair=pair,

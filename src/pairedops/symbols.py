@@ -57,6 +57,15 @@ __all__ = [
 CIRCLE_ROOT_TOL = 1e-7
 # Blaschke zeros must stay at least this far inside the open disk.
 BLASCHKE_BOUNDARY_MARGIN = 1e-3
+# Distance from the unit circle that a pole, or a root whose side decides a
+# winding number, must exceed.
+CIRCLE_MARGIN = 1e-8
+# Smallest sum of squared coefficient moduli that l2_norm takes unscaled: below
+# it a subnormal square could carry more than rounding error into the sum.
+_L2_UNSCALED_MIN = 2.0**-969
+# Largest sum of coefficient moduli that sup_norm evaluates unscaled, with
+# room for the rounding of every Horner step.
+_HORNER_UNSCALED_MAX = 2.0**1020
 
 _Scalar = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -340,7 +349,21 @@ class LaurentPoly:
         return [(gap, self._coeffs[k]) for gap, k in zip(gaps, exponents)]
 
     def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self._coeffs.values()))
+        """Euclidean norm of the coefficients.
+
+        The squares are summed as they are unless that overflows or the sum
+        falls below 2^-969; then the table is scaled first (:func:`_unit_scaled`).
+        An unrepresentable norm raises :class:`OverflowError`.
+        """
+        values = self._coeffs.values()
+        try:
+            total = sum(abs(v) ** 2 for v in values)
+        except OverflowError:
+            total = math.inf
+        if _L2_UNSCALED_MIN <= total < math.inf or not values:
+            return math.sqrt(total)
+        scaled, e = _unit_scaled(self._coeffs)
+        return _scaled_back(math.sqrt(sum(abs(v) ** 2 for v in scaled.values())), e, "l2 norm")
 
     def l1_norm(self) -> float:
         """Sum of coefficient magnitudes (an upper bound for the sup norm)."""
@@ -374,17 +397,28 @@ class LaurentPoly:
         path whose last bit depends on the CPU.  The values at the peaks and
         every refinement step are computed in Python ``complex`` arithmetic,
         with moduli from ``hypot``.
+
+        On the circle every Horner partial sum is at most sum |c_k|.  When
+        that may overflow, the table is scaled first (:func:`_unit_scaled`);
+        an unrepresentable sup norm raises :class:`OverflowError`.
         """
         if self.is_zero:
             return 0.0
         n = max(grid_points or 0, 256, 16 * (self._kmax - self._kmin + 1))
+        try:
+            weights = [(k, abs(v)) for k, v in self._coeffs.items()]
+            total = sum(w for _, w in weights)
+        except OverflowError:
+            total = math.inf
+        if not total <= _HORNER_UNSCALED_MAX:
+            scaled, e = _unit_scaled(self._coeffs)
+            return _scaled_back(LaurentPoly._trusted(scaled).sup_norm(n), e, "sup norm")
         terms = self._horner_terms()
         grid = unit_grid(n)
         values = _cabs(_horner_array(terms, grid))
         j = int(np.argmax(values))
         h = 2 * math.pi / n
-        weights = [(k, abs(v)) for k, v in self._coeffs.items()]
-        kbar = sum(k * w for k, w in weights) / sum(w for _, w in weights)
+        kbar = sum(k * w for k, w in weights) / total
         slack = h * h / 2 * sum((k - kbar) ** 2 * w for k, w in weights)
         near = np.flatnonzero(values >= values[j] - slack)
         top = values[near]
@@ -427,6 +461,25 @@ def _lift(value) -> "LaurentPoly":
     if isinstance(value, _Scalar):
         return LaurentPoly({0: complex(value)})
     return NotImplemented
+
+
+def _unit_scaled(table: Mapping[int, complex]) -> tuple[dict[int, complex], int]:
+    """(table / 2^e, e) for the e that brings the largest real or imaginary part into [1/2, 1).
+
+    Dividing by a power of two is exact except where a part falls into the
+    subnormal range; entries that vanish there are dropped.
+    """
+    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in table.values()))[1]
+    scaled = ((k, complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))) for k, v in table.items())
+    return {k: v for k, v in scaled if v}, e
+
+
+def _scaled_back(value: float, e: int, what: str) -> float:
+    """value * 2^e; :class:`OverflowError` when that is above the largest float."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise OverflowError(f"{what} {value!r} * 2^{e} is above the largest float") from None
 
 
 def _horner(terms: list[tuple[int, complex]], z: complex) -> complex:
@@ -783,7 +836,7 @@ class RationalSymbol:
 
     def _adopt(self, num: LaurentPoly, den: LaurentPoly, poles: tuple[complex, ...]) -> None:
         dist = min((abs(abs(p) - 1.0) for p in poles), default=math.inf)
-        if dist <= 1e-8:
+        if dist <= CIRCLE_MARGIN:
             raise ConditioningError(f"denominator root within {dist:.2e} of the unit circle")
         self.num = num
         self.den = den
@@ -963,11 +1016,12 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
 
     grid = unit_grid(1024)
     inner_vals = inner(grid)
-    if np.max(np.abs(np.abs(inner_vals) - 1.0)) > 1e-8:
+    # written as `not x <= tol` so that a NaN from overflowing values refuses
+    if not np.max(np.abs(np.abs(inner_vals) - 1.0)) <= 1e-8:
         raise FactorizationError("inner factor is not unimodular on the circle")
     p_vals = p(grid)
     scale = max(1.0, float(np.max(np.abs(p_vals))))
-    if np.max(np.abs(inner_vals * outer(grid) - p_vals)) > 1e-8 * scale:
+    if not np.max(np.abs(inner_vals * outer(grid) - p_vals)) <= 1e-8 * scale:
         raise FactorizationError("inner * outer does not reproduce the input")
     return InnerOuterFactorization(
         inner=inner,

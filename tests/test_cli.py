@@ -371,6 +371,26 @@ def test_oversized_input_exits_2_before_allocating(argv):
     assert proc.stdout == ""
 
 
+_EXTREME = [
+    ["norm", "--a", "1e308*z+1e308", "--b", "1e308", "--N", "8"],
+    ["norm", "--a", "1e-320*z+1e-320", "--b", "1e-320", "--N", "8"],
+    ["pair-from", "--f", "z^-1+1e308*z"],
+    ["pair-from", "--f", "z^-1+1e-320*z"],
+    ["factor", "--p", "1e308*z+1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXTREME, ids=" ".join)
+def test_extreme_coefficients_exit_0_or_2_without_a_traceback(argv):
+    # exit 1 is reserved for suite violations; overflow and failed self-checks are input errors
+    env = dict(os.environ, PYTHONPATH=str(Path(pairedops.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairedops", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_apply_cap_spares_single_term_factors(capsys):
     # a one-term factor multiplies sparsely: the 400000001-wide symbol needs no dense array
     for extra in ([], ["--sigma"]):

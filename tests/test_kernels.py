@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -9,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairedops import kernels
 from pairedops.kernels import (
@@ -52,6 +55,7 @@ from pairedops.symbols import (
     RationalSymbol,
     parse_symbol,
     poly_from_roots,
+    poly_roots,
     rational_to_coeffs,
 )
 
@@ -209,9 +213,66 @@ def test_winding_unknown_off_the_fredholm_case():
     assert _winding(lp("2*z^3")) == 3
     for symbol in (LaurentPoly.zero(), lp("1 - z"), lp("z - 1.000000001")):
         assert _winding(symbol) is None and not invertible_on_circle(symbol)
-    assert _winding(lp("z - 1.001")) == 0 and _winding(lp("z - 1.001"), 1e-2) is None
+    assert _winding(lp("z - 1.001")) == 0 and not invertible_on_circle(lp("z - 1.001"), 1e-2)
     assert _index_dim(None, 1) is None and _index_dim(2, None) is None
     assert (_index_dim(0, 2), _index_dim(2, 0)) == (2, 0)
+
+
+@st.composite
+def clustered_symbols(draw):
+    """(z^shift * prod of up to three root clusters, its winding number).
+
+    Each cluster is an m-fold root, m in 1..16, of modulus in [0.5, 0.95] or
+    [1.05, 2] and any argument; a root solve scatters it over a disk of
+    radius about eps^(1/m), which for large m reaches across the circle.
+    """
+    clusters = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 16),
+                st.one_of(st.floats(0.5, 0.95), st.floats(1.05, 2.0)),
+                st.floats(0.0, 2 * math.pi),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    shift = draw(st.integers(-3, 3))
+    roots = [modulus * cmath.exp(1j * angle) for m, modulus, angle in clusters for _ in range(m)]
+    return poly_from_roots(roots, 1.0, shift), shift + sum(m for m, modulus, _ in clusters if modulus < 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clustered_symbols())
+def test_winding_is_right_or_refused(drawn):
+    symbol, wind = drawn
+    assert _winding(symbol) in (None, wind)
+
+
+def test_winding_refuses_clusters_whose_disks_reach_the_circle():
+    # computed roots alone would read 10, 9 and 4 here
+    for root, multiplicity in ((0.9, 16), (0.95, 12), (1.05, 12)):
+        assert _winding(poly_from_roots([root] * multiplicity)) is None
+    assert _winding(poly_from_roots([0.5] * 8)) == 8
+    assert _winding(lp("z - 1.000000001")) is None
+
+
+@pytest.mark.parametrize(
+    "call, solves",
+    [
+        (lambda p: invertible_on_circle(p.b), 1),
+        (lambda p: kernel_basis(p, 24), 2),
+        (lambda p: coburn_check(p, 24), 3),
+        (lambda p: l2_coburn(p, 24), 3),
+    ],
+    ids=["invertible_on_circle", "kernel_basis", "coburn_check", "l2_coburn"],
+)
+def test_one_root_solve_per_symbol(monkeypatch, call, solves):
+    calls = []
+    solve = kernels.poly_roots
+    monkeypatch.setattr(kernels, "poly_roots", lambda p: calls.append(p) or solve(p))
+    call(pair("1 - 0.2*z", "z^2 - 0.25*z"))
+    assert len(calls) == solves
 
 
 def test_failed_root_solve_leaves_the_index_unknown(monkeypatch):
@@ -714,7 +775,7 @@ def test_l2_kernel_is_none_off_the_fredholm_class(monkeypatch):
     # a 16-fold root at 0.9: the solve scatters it over moduli 0.73 to 1.09,
     # which would read wind b = 10; the inclusion disks cross the circle
     cluster = SymbolPair(lp("1"), poly_from_roots([0.9] * 16))
-    assert sum(abs(r) < 1 for r in kernels._circle_free_roots(cluster.b)) < 16
+    assert sum(abs(r) < 1 for r in poly_roots(cluster.b).roots) < 16
     assert l2_kernel(cluster) is None
     # an 8-fold root at 0.5 stays well inside its disks
     assert l2_kernel(SymbolPair(lp("1"), poly_from_roots([0.5] * 8))).dim == 8

@@ -199,6 +199,18 @@ def test_sup_norm_pinned():
     assert LaurentPoly.zero().sup_norm() == 0.0
 
 
+def test_norms_scale_out_of_overflow_and_underflow():
+    # squaring 1e308 overflows and squaring 1e-200 underflows, though both norms are representable
+    assert lp("z^-1 + 1e308*z").l2_norm() == 1e308
+    assert LaurentPoly({0: 1e-200}).l2_norm() == 1e-200
+    assert lp("3 + 4i*z^2 - 0.5*z^-1").l2_norm() == math.sqrt(9 + 16 + 0.25)
+    assert lp("1e308*z - 7e307").sup_norm() == pytest.approx(1.7e308, rel=1e-12)
+    too_large = LaurentPoly({k: 1e308 for k in range(4)})
+    for value in (too_large.l2_norm, too_large.sup_norm, lp("1e308*z + 1e308").sup_norm):
+        with pytest.raises(OverflowError):
+            value()
+
+
 _TIED_PEAKS = LaurentPoly({0: 1j, 2: -1.1441845782070718e-4, 3: -1.0})
 
 
