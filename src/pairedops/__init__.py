@@ -73,7 +73,6 @@ from .kernels import (
     kernel_element_direct,
     kernel_element_from_inner_factor,
     kernel_projections,
-    l2_coburn,
     l2_kernel,
     multiplier_invariance_test,
     pair_from_function,

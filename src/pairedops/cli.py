@@ -25,7 +25,6 @@ from .kernels import (
     coburn_check,
     kernel_basis,
     kernel_projections,
-    l2_coburn,
     l2_kernel,
     pair_from_function,
 )
@@ -267,7 +266,7 @@ def _band_limited_kernel(args, cfg: RunConfig, pair: SymbolPair, band: int):
     result = {"route": "band-limited", **basis.to_json_dict()}
     pretty = [
         f"kernel of ({args.a}, {args.b}) at band {band}, band-limited route",
-        f"dim = {basis.dim}   stabilized = {basis.stabilized}   expected_dim = {basis.expected_dim}",
+        f"dim = {basis.dim}   certified = {basis.certified}   expected_dim = {basis.expected_dim}",
     ]
     for i, v in enumerate(basis.basis):
         pretty.append(f"basis[{i}] = {v.to_expression()}")
@@ -335,12 +334,10 @@ def _cmd_coburn(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
     _check_size(pair, [band], cfg)
-    report, route = l2_coburn(pair, band), "index"
-    if report is None:
-        report, route = coburn_check(pair, band, rel_threshold=cfg.tolerances["null_threshold"]), "band-limited"
-    result = {"route": route, **report.to_json_dict()}
+    report = coburn_check(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
+    result = report.to_json_dict()
     pretty = [
-        f"route = {route}",
+        f"route = {report.route}",
         f"dims: kernel={report.dim_kernel} swapped={report.dim_swapped} "
         f"conjugated={report.dim_conjugated} adjoint={report.dim_adjoint}",
         f"dichotomy holds = {report.dichotomy_holds}",

@@ -2,19 +2,24 @@
 
 Two routes compute a kernel.
 
-* **Index route** (:func:`l2_kernel`, :func:`l2_coburn`).  When a and b are
-  invertible on the circle the operator is Fredholm, with index
+* **Index route** (:func:`l2_kernel`, :func:`coburn_check`).  When a and b
+  are invertible on the circle the operator is Fredholm, with index
   wind b - wind a, and its L2 kernel has a closed-form rational basis from
   the Wiener-Hopf factorization of b^-1 a: two root solves, one per symbol,
   and no SVD.  Every element f = f+ + f- is certified in exact arithmetic:
   f+ analytic with its poles outside the disk, f- strictly coanalytic with
-  its poles inside, and a*f+ + b*f- = 0 after clearing denominators.
-* **Band-limited route** (:func:`kernel_basis`, :func:`coburn_check`).  The
-  null space of the exact band-growing action on trigonometric polynomials
-  of band N, so every reported basis vector is a genuine kernel element of
-  the operator restricted to them, not merely a null vector of a truncation.
-  The band-limited kernel is always a subspace of the true kernel; the
-  ``stabilized`` flag is evidence, not proof, that the two coincide.
+  its poles inside, and a*f+ + b*f- = 0 after clearing denominators.  The
+  kernel has dimension max(0, wind b - wind a), and its first element
+  generates it: every element is p*f with p a polynomial of degree below
+  the dimension.
+* **Band-limited route** (:func:`kernel_basis`, and :func:`coburn_check`
+  where a or b is not invertible on the circle).  The null space of the
+  exact band-growing action on trigonometric polynomials of band N, so
+  every reported basis vector is a genuine kernel element of the operator
+  restricted to them, not merely a null vector of a truncation.  The
+  band-limited kernel is always a subspace of the L2 kernel; a basis is
+  ``certified`` when its dimension equals the index dimension
+  (``expected_dim``), and claims nothing about the L2 kernel otherwise.
 
 Every winding number, Fredholm index and invertibility test reads one rule,
 :func:`_root_split`: one root solve per symbol, whose inclusion disks must
@@ -24,22 +29,17 @@ leaves the symbol not invertible and its winding number unknown.
 
 On the band-limited route the dimension comes from a values-only SVD of the
 band-N action matrix; a full SVD runs only when that count is positive, and
-its null vectors become the basis.  For a Fredholm pair the index gives the
-L2 kernel dimension max(0, wind b - wind a) (``expected_dim``).  A band-N
-dimension equal to it is ``stabilized``; otherwise ``stabilized`` compares
-the dimension with the null count of a values-only SVD of the band-(N+2)
-action matrix, under the same threshold and gray-zone rule.
-
-Singular values below 1e-8 of the largest one count as null; any singular
-value landing in the gray zone just above the threshold, or a candidate
-kernel element whose exact residual fails certification, raises
-:class:`AmbiguousKernelError` instead of silently committing to a dimension.
+its null vectors become the basis.  Singular values below 1e-8 of the
+largest one count as null; any singular value landing in the gray zone just
+above the threshold, or a candidate kernel element whose exact residual
+fails certification, raises :class:`AmbiguousKernelError` instead of
+silently committing to a dimension.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -92,7 +92,6 @@ __all__ = [
     "kernel_element_direct",
     "kernel_element_from_inner_factor",
     "kernel_projections",
-    "l2_coburn",
     "l2_kernel",
     "multiplier_invariance_test",
     "pair_from_function",
@@ -195,7 +194,6 @@ class KernelBasis:
     band: int
     basis: tuple[CoeffVector, ...]
     singular_values: tuple[float, ...]
-    stabilized: bool
     transposed: bool = False
     expected_dim: int | None = None
 
@@ -203,12 +201,17 @@ class KernelBasis:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def certified(self) -> bool:
+        """The band-N dimension equals the index dimension, so the basis spans the L2 kernel."""
+        return self.dim == self.expected_dim
+
     def to_json_dict(self) -> dict:
         return {
             "spec": self.pair.to_json_dict(),
             "N": self.band,
             "dim": self.dim,
-            "stabilized": self.stabilized,
+            "certified": self.certified,
             "expected_dim": self.expected_dim,
             "transposed": self.transposed,
             "singular_values": list(self.singular_values),
@@ -276,11 +279,6 @@ def _index_dim(wind_a: int | None, wind_b: int | None) -> int | None:
     return max(0, wind_b - wind_a)
 
 
-def _expected_dim(a: LaurentPoly, b: LaurentPoly) -> int | None:
-    """:func:`_index_dim` of (a, b)."""
-    return _index_dim(_winding(a), _winding(b))
-
-
 def _kernel_basis(
     pair: SymbolPair, band: int, kind: str, rel_threshold: float, expected_dim: int | None
 ) -> KernelBasis:
@@ -290,16 +288,11 @@ def _kernel_basis(
     apply = apply_paired if kind == "paired" else apply_transposed
     matrix = exact_action_matrix(pair, band, kind=kind)
     vectors, svals = _certified_null_space(matrix, -band, lambda v: apply(pair, v), "null candidate", rel_threshold)
-    stabilized = expected_dim == len(vectors)
-    if not stabilized:
-        wider = exact_action_matrix(pair, band + 2, kind=kind)
-        stabilized = _null_count(np.linalg.svd(wider, compute_uv=False), wider.shape[1], rel_threshold) == len(vectors)
     return KernelBasis(
         pair=pair,
         band=band,
         basis=tuple(vectors),
         singular_values=tuple(svals),
-        stabilized=stabilized,
         transposed=(kind == "transposed"),
         expected_dim=expected_dim,
     )
@@ -321,14 +314,12 @@ def kernel_basis(
     certification failures surface as :class:`AmbiguousKernelError`.
 
     ``expected_dim`` is max(0, wind b - wind a) when a and b are invertible
-    on the circle, the same for ``kind="transposed"``.  A dimension equal to
-    it is ``stabilized``.  Otherwise ``stabilized`` records whether the
-    dimension equals the null count of a values-only SVD of the band-(N + 2)
-    action matrix, under the same threshold and gray-zone rule (a gray value
-    there also raises).
+    on the circle, the same for ``kind="transposed"``, and the basis is
+    ``certified`` when its dimension equals it.  A shorter basis is a proper
+    subspace of the L2 kernel, whose elements have tails beyond band N.
     """
     pair.require_nondegenerate()
-    return _kernel_basis(pair, band, kind, rel_threshold, _expected_dim(pair.a, pair.b))
+    return _kernel_basis(pair, band, kind, rel_threshold, _index_dim(_winding(pair.a), _winding(pair.b)))
 
 
 def adjoint_kernel_basis(
@@ -342,7 +333,8 @@ def adjoint_kernel_basis(
     dimension is max(0, wind a - wind b), read from the roots of a and b.
     """
     pair.require_nondegenerate()
-    return _kernel_basis(pair.conjugated(), band, "transposed", rel_threshold, _expected_dim(pair.b, pair.a))
+    wind_a, wind_b = _winding(pair.a), _winding(pair.b)
+    return _kernel_basis(pair.conjugated(), band, "transposed", rel_threshold, _index_dim(wind_b, wind_a))
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +373,28 @@ class L2Kernel:
         }
 
 
-def _certify_l2_element(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, minus: RationalSymbol) -> float:
+def _l2_residual(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, minus: RationalSymbol) -> float:
     """Relative residual of a*plus + b*minus = 0 with denominators cleared.
+
+    The largest coefficient of a*num+*den- + b*num-*den+ over the larger of
+    the two terms' largest coefficients.
+    """
+    left, right = a * plus.num * minus.den, b * minus.num * plus.den
+    return (left + right).max_abs_coeff() / max(left.max_abs_coeff(), right.max_abs_coeff())
+
+
+def _certify_l2_element(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, minus: RationalSymbol) -> float:
+    """:func:`_l2_residual` of a certified L2 kernel element of (a, b).
 
     Raises :class:`AmbiguousKernelError` unless ``plus`` is analytic with
     poles outside the disk, ``minus`` has poles inside and degree at most -1
-    at infinity, and the residual of a*num+*den- + b*num-*den+ is at most
-    1e-10 of the larger of the two terms.
+    at infinity, and the residual is at most 1e-10.
     """
     if plus.num.kmin < 0 or not all(abs(p) > 1.0 for p in plus.poles):
         raise AmbiguousKernelError("the analytic part has a pole in the disk or a negative mode", ())
     if not all(abs(p) < 1.0 for p in minus.poles) or minus.num.kmax - minus.den.kmax > -1:
         raise AmbiguousKernelError("the coanalytic part has a pole outside the disk or no zero at infinity", ())
-    left, right = a * plus.num * minus.den, b * minus.num * plus.den
-    residual = (left + right).max_abs_coeff() / max(left.max_abs_coeff(), right.max_abs_coeff())
+    residual = _l2_residual(a, b, plus, minus)
     if not residual <= _MEMBERSHIP_TOL:
         raise AmbiguousKernelError(f"closed-form kernel element has residual {residual:.3e}", ())
     return residual
@@ -410,6 +410,9 @@ def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
         minus_j = -(c_a / c_b) z^(k_a - k_b + j) prod(z - alpha_in) / prod(z - beta_in),
 
     so that a*plus_j = -b*minus_j.  The poles are passed on, not solved again.
+    Element j is z^j times element 0, and shifts are exact, so all elements
+    have one residual: certifying the first and the last element (the lowest
+    analytic mode and the highest coanalytic one) certifies every element.
     """
     a, b = pair.a, pair.b
     (alpha_in, alpha_out), (beta_in, beta_out) = split_a, split_b
@@ -417,13 +420,15 @@ def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
     num_plus, den_plus = poly_from_roots(beta_out), poly_from_roots(alpha_out)
     num_minus = poly_from_roots(alpha_in, -a.coeff(a.kmax) / b.coeff(b.kmax), a.kmin - b.kmin)
     den_minus = poly_from_roots(beta_in)
-    basis, residual = [], 0.0
-    for j in range(wind_b - wind_a):
-        plus = RationalSymbol._from_poles(num_plus.shift(j), den_plus, alpha_out)
-        minus = RationalSymbol._from_poles(num_minus.shift(j), den_minus, beta_in)
-        residual = max(residual, _certify_l2_element(a, b, plus, minus))
-        basis.append((plus, minus))
-    return L2Kernel(pair=pair, wind_a=wind_a, wind_b=wind_b, basis=tuple(basis), residual=residual)
+    basis = tuple(
+        (
+            RationalSymbol._from_poles(num_plus.shift(j), den_plus, alpha_out),
+            RationalSymbol._from_poles(num_minus.shift(j), den_minus, beta_in),
+        )
+        for j in range(wind_b - wind_a)
+    )
+    residual = max((_certify_l2_element(a, b, *f) for f in basis[:1] + basis[1:][-1:]), default=0.0)
+    return L2Kernel(pair=pair, wind_a=wind_a, wind_b=wind_b, basis=basis, residual=residual)
 
 
 def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
@@ -431,7 +436,7 @@ def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
 
     None when the root split of a or of b (:func:`_root_split`) is None, as
     for ``expected_dim``: the operator is not Fredholm, or its index cannot
-    be certified.  Callers then fall back to :func:`kernel_basis`.  Every
+    be certified.  Callers then take :func:`kernel_basis`.  Every
     element is certified (see :func:`_certify_l2_element`); a failed
     certificate raises :class:`AmbiguousKernelError`.
     """
@@ -867,7 +872,11 @@ def adjoint_inverse_report(phi: CoeffVector, pair: SymbolPair) -> AdjointInverse
 
 @dataclass(frozen=True)
 class CoburnReport:
-    """Kernel dimensions of the four associated operators and the dichotomy."""
+    """Kernel dimensions of the four associated operators and the dichotomy.
+
+    ``route`` is "index" when the dimensions come from the closed-form L2
+    kernels, "band-limited" when they are band-N null counts.
+    """
 
     pair: SymbolPair
     band: int
@@ -879,16 +888,14 @@ class CoburnReport:
     conjugate_dims_match: bool
     invertible_cases: tuple[str, ...]
     adjoint_dim_matches: bool | None
-    all_stabilized: bool
+    route: str
     degenerate_difference: bool = False
-    # the bases behind dim_kernel and dim_adjoint; None for a degenerate difference
-    kernel: KernelBasis | None = field(default=None, compare=False, repr=False)
-    adjoint: KernelBasis | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
             "spec": self.pair.to_json_dict(),
             "N": self.band,
+            "route": self.route,
             "dims": {
                 "kernel": self.dim_kernel,
                 "swapped": self.dim_swapped,
@@ -899,7 +906,6 @@ class CoburnReport:
             "conjugate_dims_match": self.conjugate_dims_match,
             "invertible_cases": list(self.invertible_cases),
             "adjoint_dim_matches": self.adjoint_dim_matches,
-            "all_stabilized": self.all_stabilized,
             "degenerate_difference": self.degenerate_difference,
         }
 
@@ -907,107 +913,65 @@ class CoburnReport:
 def coburn_check(
     pair: SymbolPair, band: int, *, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
 ) -> CoburnReport:
-    """Verify the kernel dichotomy for a pair of nonzero symbols.
+    """Kernel dimensions of the pair, its swap, its conjugate and its adjoint, and the dichotomy.
 
-    Computes the band-limited kernels of the pair, its swap, its conjugate
-    and its adjoint, all under the null threshold ``rel_threshold`` of
-    :func:`kernel_basis`; asserts that the pair kernel and the swapped kernel
-    cannot both be nontrivial, that the swapped and conjugated dimensions
-    agree (they are antilinearly isomorphic), and, whenever one of a, b or
-    a - b is invertible on the circle, that the adjoint kernel dimension
-    matches the conjugated one.
+    Solves the roots of a, b and a - b once each.  The report states that
+    the pair kernel and the swapped kernel are not both nontrivial, that the
+    swapped and conjugated dimensions agree (they are antilinearly
+    isomorphic), and, whenever one of a, b or a - b is invertible on the
+    circle, that the adjoint dimension matches the conjugated one.
+
+    When a and b are invertible on the circle (route "index") the kernels
+    are the closed-form L2 kernels.  The swapped pair reuses the roots, and
+    the conjugated pair (conj a, conj b) has the roots 1/conj(r).  The
+    adjoint kernel is (1/conj b) * P+ of the conjugated pair's kernel
+    (g = f+/conj b, with inverse f = conj b * g - conj a * g), so its
+    dimension is that kernel's; ``band`` is only reported.  Otherwise (route
+    "band-limited") the four dimensions are band-N null counts of
+    :func:`kernel_basis` under ``rel_threshold``.
     """
     if pair.a.is_zero or pair.b.is_zero:
         raise DegeneratePairError(is_nondegenerate(pair.a, pair.b))
-    wind_a, wind_b = _winding(pair.a), _winding(pair.b)
+    split_a, split_b = _root_split(pair.a), _root_split(pair.b)
+    difference = pair.a - pair.b
     invertible = tuple(
         case
         for case, holds in (
-            ("a", wind_a is not None),
-            ("b", wind_b is not None),
-            ("difference", invertible_on_circle(pair.a - pair.b)),
+            ("a", split_a is not None),
+            ("b", split_b is not None),
+            ("difference", invertible_on_circle(difference)),
         )
         if holds
     )
-    if (pair.a - pair.b).is_zero:
+    route = "band-limited" if split_a is None or split_b is None else "index"
+    if difference.is_zero:
         # a multiplication operator by a nonzero symbol: all four kernels trivial
-        return CoburnReport(
-            pair=pair,
-            band=band,
-            dim_kernel=0,
-            dim_swapped=0,
-            dim_conjugated=0,
-            dim_adjoint=0,
-            dichotomy_holds=True,
-            conjugate_dims_match=True,
-            invertible_cases=invertible,
-            adjoint_dim_matches=True if invertible else None,
-            all_stabilized=True,
-            degenerate_difference=True,
-        )
-    # conjugation negates both winding numbers, so the swapped, conjugated
-    # and adjoint kernels all expect max(0, wind a - wind b)
-    backward = _index_dim(wind_b, wind_a)
-    k = _kernel_basis(pair, band, "paired", rel_threshold, _index_dim(wind_a, wind_b))
-    k_swap = _kernel_basis(pair.swapped(), band, "paired", rel_threshold, backward)
-    conjugated = pair.conjugated()
-    k_conj = _kernel_basis(conjugated, band, "paired", rel_threshold, backward)
-    k_adj = _kernel_basis(conjugated, band, "transposed", rel_threshold, backward)
-    stable = all(x.stabilized for x in (k, k_swap, k_conj, k_adj))
+        dims = (0, 0, 0, 0)
+    elif route == "index":
+        # conj a and conj b have the roots 1/conj(r): the outside side becomes the inside one
+        reflected = [
+            (tuple(1.0 / r.conjugate() for r in outside), tuple(1.0 / r.conjugate() for r in inside))
+            for inside, outside in (split_a, split_b)
+        ]
+        dims = [_l2_kernel(pair, split_a, split_b).dim, _l2_kernel(pair.swapped(), split_b, split_a).dim]
+        dims += [_l2_kernel(pair.conjugated(), *reflected).dim] * 2  # conjugated and adjoint
+    else:
+        conj = pair.conjugated()
+        variants = ((pair, "paired"), (pair.swapped(), "paired"), (conj, "paired"), (conj, "transposed"))
+        dims = [_kernel_basis(p, band, kind, rel_threshold, None).dim for p, kind in variants]
+    dim_kernel, dim_swapped, dim_conjugated, dim_adjoint = dims
     return CoburnReport(
         pair=pair,
         band=band,
-        dim_kernel=k.dim,
-        dim_swapped=k_swap.dim,
-        dim_conjugated=k_conj.dim,
-        dim_adjoint=k_adj.dim,
-        dichotomy_holds=min(k.dim, k_swap.dim) == 0,
-        conjugate_dims_match=k_swap.dim == k_conj.dim,
+        dim_kernel=dim_kernel,
+        dim_swapped=dim_swapped,
+        dim_conjugated=dim_conjugated,
+        dim_adjoint=dim_adjoint,
+        dichotomy_holds=min(dim_kernel, dim_swapped) == 0,
+        conjugate_dims_match=dim_swapped == dim_conjugated,
         invertible_cases=invertible,
-        adjoint_dim_matches=(k_adj.dim == k_conj.dim) if invertible else None,
-        all_stabilized=stable,
-        kernel=k,
-        adjoint=k_adj,
-    )
-
-
-def l2_coburn(pair: SymbolPair, band: int) -> CoburnReport | None:
-    """:func:`coburn_check` from the closed-form L2 kernels of a Fredholm pair.
-
-    Solves the roots of a, b and a - b once each; None where
-    :func:`l2_kernel` is None.  The swapped pair reuses the roots, and the
-    conjugated pair (conj a, conj b) has the roots 1/conj(r).  The kernel,
-    swapped and conjugated bases are built and certified.  The adjoint
-    kernel is (1/conj b) * P+ of the conjugated pair's kernel (g = f+/conj b,
-    with inverse f = conj b * g - conj a * g), so its dimension is that
-    kernel's.  The flags then follow from the index and the certified
-    elements; ``band`` is only reported.
-    """
-    split_a, split_b = _root_split(pair.a), _root_split(pair.b)
-    if split_a is None or split_b is None:
-        return None
-    difference = pair.a - pair.b
-    invertible = ("a", "b") + (("difference",) if invertible_on_circle(difference) else ())
-    # conj a and conj b have the roots 1/conj(r): the outside side becomes the inside one
-    reflected = [
-        (tuple(1.0 / r.conjugate() for r in outside), tuple(1.0 / r.conjugate() for r in inside))
-        for inside, outside in (split_a, split_b)
-    ]
-    kernel = _l2_kernel(pair, split_a, split_b)
-    swapped = _l2_kernel(pair.swapped(), split_b, split_a)
-    conjugated = _l2_kernel(pair.conjugated(), *reflected)
-    return CoburnReport(
-        pair=pair,
-        band=band,
-        dim_kernel=kernel.dim,
-        dim_swapped=swapped.dim,
-        dim_conjugated=conjugated.dim,
-        dim_adjoint=conjugated.dim,
-        dichotomy_holds=min(kernel.dim, swapped.dim) == 0,
-        conjugate_dims_match=swapped.dim == conjugated.dim,
-        invertible_cases=invertible,
-        adjoint_dim_matches=True,
-        all_stabilized=True,
+        adjoint_dim_matches=(dim_adjoint == dim_conjugated) if invertible else None,
+        route=route,
         degenerate_difference=difference.is_zero,
     )
 

@@ -9,6 +9,11 @@ conditions.  ``_SuiteRun.check`` calls the registered check once per input
 set, and a violation records exactly those inputs and that output, so
 :func:`replay_violation`, which calls the same check, returns its residuals.
 
+Kernel dimensions come from the closed-form L2 kernels wherever a and b are
+invertible on the circle; band-limited null spaces answer, at one band, only
+for the other pairs.  The ``coburn`` suite also samples certified band-16
+kernel elements for its Gram and adjoint round-trip checks.
+
 Determinism contract: identical :class:`GeneratorConfig` values produce
 byte-identical JSON reports (the wall-clock ``runtime`` field excluded).
 Every random input is drawn from its own named stream,
@@ -27,10 +32,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .kernels import (
+    _MEMBERSHIP_TOL,
     NULL_SPACE_REL_THRESHOLD,
     AmbiguousKernelError,
     _containment_gap,
+    _l2_residual,
     adjoint_inverse_report,
+    adjoint_kernel_basis,
     adjoint_kernel_map,
     coburn_check,
     invertible_on_circle,
@@ -38,6 +46,7 @@ from .kernels import (
     kernel_conjugate,
     kernel_element_direct,
     kernel_element_from_inner_factor,
+    l2_kernel,
     pair_from_function,
     same_kernel_test,
     subspace_angle,
@@ -97,7 +106,6 @@ _TRUNCATION_TOL = 1e-9  # results through a truncated rational expansion, relati
 _DISTINCT_ANGLE = 1e-6  # principal angle below which two kernels count as one
 _CONTAINMENT_TOL = 1e-8  # sine below which one kernel lies inside another
 _GRAM_TOL = 1e-10  # orthonormality of a conjugated kernel basis
-_BAND_CAP = 128  # last band of an escalation ladder
 _DRAW_ATTEMPTS = 50  # candidates an accept loop draws before it gives up
 
 
@@ -301,40 +309,6 @@ class _SuiteRun:
         self.observe(*(result[key] for key in observe))
         return _Checked(self, trial, name, inputs, result)
 
-    def check_escalating(
-        self,
-        trial: int,
-        context: str,
-        name: str,
-        inputs: dict,
-        band: int,
-        observe: tuple = (),
-        accept: Callable[[dict], bool] = lambda result: True,
-    ) -> _Checked | None:
-        """:meth:`check` at ``band``, doubling up to ``_BAND_CAP``, until ``accept`` takes the output.
-
-        Kernel tails that land in the gray zone at a small band fall cleanly
-        on the null side at a larger one.  Each refused band (an
-        :class:`AmbiguousKernelError` or a rejected output) counts as one band
-        escalation; an exhausted ladder returns None and records its last
-        error, if any, as an ambiguity under ``context``.
-        """
-        error = None
-        while band <= _BAND_CAP:
-            try:
-                result = _CHECKS[name](**inputs, band=band)
-            except AmbiguousKernelError as err:
-                error = err
-            else:
-                if accept(result):
-                    self.observe(*(result[key] for key in observe))
-                    return _Checked(self, trial, name, {**inputs, "band": band}, result)
-            self.bump("band_escalations")
-            band *= 2
-        if error is not None:
-            self.ambiguity(trial, error, context)
-        return None
-
     def ambiguity(self, trial: int, error: AmbiguousKernelError | ConditioningError, context: str):
         record = {"trial": trial, "context": context, "error": str(error)}
         if isinstance(error, AmbiguousKernelError):
@@ -403,14 +377,6 @@ def _register(name: str):
         return fn
 
     return decorate
-
-
-class _Residuals(dict):
-    """A check's residuals (all that is recorded) plus the report it built, for reuse."""
-
-    def __init__(self, residuals: dict, report):
-        super().__init__(residuals)
-        self.report = report
 
 
 def replay_violation(record: Violation | Mapping) -> dict:
@@ -517,8 +483,11 @@ def check_kernel_annihilation(pair: SymbolPair, f: LaurentPoly) -> dict:
 def check_kernel_dimension(
     pair: SymbolPair, band: int, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
 ) -> dict:
-    k = kernel_basis(pair, band, rel_threshold=rel_threshold)
-    return {"dim": k.dim, "stabilized": k.stabilized}
+    """The L2 kernel dimension from the index; the band-``band`` one where there is no closed form."""
+    closed = l2_kernel(pair)
+    if closed is not None:
+        return {"dim": closed.dim, "route": "index"}
+    return {"dim": kernel_basis(pair, band, rel_threshold=rel_threshold).dim, "route": "band-limited"}
 
 
 @_register("same_kernel")
@@ -555,6 +524,40 @@ def check_kernel_group(
     return out
 
 
+def _generator_gap(first: tuple, second: tuple) -> float:
+    """Largest relative gap n1*d2 - n2*d1 between the parts of two (plus, minus) rational pairs."""
+    products = [(r.num * s.den, s.num * r.den) for r, s in zip(first, second)]
+    return max((n - m).max_abs_coeff() / max(n.max_abs_coeff(), m.max_abs_coeff()) for n, m in products)
+
+
+@_register("l2_kernel_group")
+def check_l2_kernel_group(base: SymbolPair, scaled: SymbolPair, other: SymbolPair | None) -> dict:
+    """Closed-form L2 kernels of a pair, a common-factor multiple and an unrelated pair.
+
+    Every element of a kernel of dimension d is p*G, with G its first basis
+    element (the generator) and deg p < d, so a pair annihilates a nonzero
+    element of a kernel exactly when it annihilates G: no truncation and no
+    SVD.  Reports the dimensions, the ``generator_gap`` of ``base`` and
+    ``scaled``, and with ``other`` the equality criterion and the residuals
+    of ``other`` on G_base and of ``base`` on G_other; infinity where a
+    trivial kernel has no generator.  A pair without a closed form leaves
+    only ``closed_form`` False.
+    """
+    kernels = [l2_kernel(p) for p in (base, scaled, other) if p is not None]
+    if None in kernels:
+        return {"closed_form": False}
+    g_base, g_scaled, *g_other = [k.basis[0] if k.dim else None for k in kernels]
+    out = {"closed_form": True, "dim": kernels[0].dim, "dim_scaled": kernels[1].dim}
+    out["generator_gap"] = _generator_gap(g_base, g_scaled) if g_base and g_scaled else math.inf
+    if other is not None:
+        shared = g_base and g_other[0]
+        out["dim_other"] = kernels[2].dim
+        out["same_kernel_other"] = same_kernel_test(base, other)
+        out["other_on_base"] = _l2_residual(other.a, other.b, *g_base) if shared else math.inf
+        out["base_on_other"] = _l2_residual(base.a, base.b, *g_other[0]) if shared else math.inf
+    return out
+
+
 @_register("pair_from_function")
 def check_pair_from_function(phi: LaurentPoly, pair: SymbolPair) -> dict:
     """Rebuild the pair whose kernel holds ``phi`` and compare it with ``pair``."""
@@ -565,7 +568,7 @@ def check_pair_from_function(phi: LaurentPoly, pair: SymbolPair) -> dict:
 @_register("coburn")
 def check_coburn(pair: SymbolPair, band: int, rel_threshold: float = NULL_SPACE_REL_THRESHOLD) -> dict:
     report = coburn_check(pair, band, rel_threshold=rel_threshold)
-    residuals = {
+    return {
         "dim_kernel": report.dim_kernel,
         "dim_swapped": report.dim_swapped,
         "dim_conjugated": report.dim_conjugated,
@@ -573,9 +576,9 @@ def check_coburn(pair: SymbolPair, band: int, rel_threshold: float = NULL_SPACE_
         "dichotomy": report.dichotomy_holds,
         "conjugate_dims_match": report.conjugate_dims_match,
         "adjoint_dim_matches": report.adjoint_dim_matches,
-        "all_stabilized": report.all_stabilized,
+        "invertible_cases": list(report.invertible_cases),
+        "route": report.route,
     }
-    return _Residuals(residuals, report)
 
 
 @_register("conjugate_orthonormality")
@@ -946,19 +949,17 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         pair = SymbolPair(parse_symbol(a_text), parse_symbol(b_text))
         inputs = {"pair": pair, "band": 32, "rel_threshold": cfg.null_threshold}
         result = run.check(-1, "kernel_dimension", inputs)
-        result.fail_if(
-            result["dim"] != expected or not result["stabilized"],
-            f"pinned kernel dimension for ({a_text}, {b_text}) wrong",
-        )
+        result.fail_if(result["dim"] != expected, f"pinned kernel dimension for ({a_text}, {b_text}) wrong")
 
     for trial in range(cfg.trials):
         # analytic/coanalytic pairs have trivial kernels (vacuous invariance)
         pair_i = _draw_pair(cfg, run, trial, "trivial", "analytic", "coanalytic")
-        band_i = max(4, pair_i.band_radius() + 2)
-        context = "analytic/coanalytic kernel"
-        inputs = {"pair": pair_i, "rel_threshold": cfg.null_threshold}
-        k_i = run.check_escalating(trial, context, "kernel_dimension", inputs, band_i)
-        if k_i is not None:
+        inputs = {"pair": pair_i, "band": max(4, pair_i.band_radius() + 2), "rel_threshold": cfg.null_threshold}
+        try:
+            k_i = run.check(trial, "kernel_dimension", inputs)
+        except AmbiguousKernelError as err:
+            run.ambiguity(trial, err, "analytic/coanalytic kernel")
+        else:
             k_i.fail_if(k_i["dim"] != 0, "analytic/coanalytic pair with a nontrivial kernel")
             if k_i["dim"] == 0:
                 run.bump("invariance_vacuous_trials")
@@ -996,34 +997,52 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         except RuntimeError:
             other = None
 
-        inputs = {"base": base, "scaled": scaled, "other": other, "rel_threshold": cfg.null_threshold}
-        band = max(4, abs(f_iii.kmin), f_iii.kmax) + 2
-        group = run.check_escalating(trial, "kernel group", "kernel_group", inputs, band, observe=("angle",))
-        if group is None:
+        inputs = {"base": base, "scaled": scaled, "other": other}
+        try:
+            group = run.check(trial, "l2_kernel_group", inputs)
+            closed = group["closed_form"]
+            if not closed:
+                band = max(4, abs(f_iii.kmin), f_iii.kmax) + 2
+                inputs = {**inputs, "band": band, "rel_threshold": cfg.null_threshold}
+                group = run.check(trial, "kernel_group", inputs, observe=("angle",))
+        except AmbiguousKernelError as err:
+            run.ambiguity(trial, err, "kernel group")
             continue
         group.fail_if(group["dim"] == 0, "expected nontrivial kernel")
         if group["dim"] == 0:
             continue
-        group.fail_if(
-            group["angle"] > cfg.numeric_tol, "common-factor pair has a different band-limited kernel"
-        )
-        if group.result.get("dim_other", 0) > 0:
-            group.fail_if(group["same_kernel_other"], "differing cross products but equality criterion held")
+        if closed:
+            run.observe(group["generator_gap"])
             group.fail_if(
-                group["angle_other"] <= _DISTINCT_ANGLE and group["dim"] == group["dim_other"],
-                "distinct pairs share a band-limited kernel",
+                group["dim_scaled"] != group["dim"] or not group["generator_gap"] <= cfg.numeric_tol,
+                "common-factor pair has a different L2 kernel",
             )
-            # inclusion dichotomy: distinct kernels admit no strict
-            # nontrivial inclusion in either direction
-            group.fail_if(
-                (group["base_in_other"] <= _CONTAINMENT_TOL and group["dim"] < group["dim_other"])
-                or (group["other_in_base"] <= _CONTAINMENT_TOL and group["dim_other"] < group["dim"]),
-                "strict nontrivial kernel inclusion observed",
-            )
+            if other is not None:
+                group.fail_if(group["same_kernel_other"], "differing cross products but equality criterion held")
+                # distinct kernels meet only in 0: neither pair annihilates the other's generator
+                group.fail_if(
+                    not group["other_on_base"] > _MEMBERSHIP_TOL or not group["base_on_other"] > _MEMBERSHIP_TOL,
+                    "distinct pairs share a kernel element",
+                )
+        else:
+            group.fail_if(group["angle"] > cfg.numeric_tol, "common-factor pair has a different band-limited kernel")
+            if group.result.get("dim_other", 0) > 0:
+                group.fail_if(group["same_kernel_other"], "differing cross products but equality criterion held")
+                group.fail_if(
+                    group["angle_other"] <= _DISTINCT_ANGLE and group["dim"] == group["dim_other"],
+                    "distinct pairs share a band-limited kernel",
+                )
+                # inclusion dichotomy: distinct kernels admit no strict
+                # nontrivial inclusion in either direction
+                group.fail_if(
+                    (group["base_in_other"] <= _CONTAINMENT_TOL and group["dim"] < group["dim_other"])
+                    or (group["other_in_base"] <= _CONTAINMENT_TOL and group["dim_other"] < group["dim"]),
+                    "strict nontrivial kernel inclusion observed",
+                )
 
         # a kernel vector determines its kernel: rebuild the pair from a
         # random multiple of the known low-degree element.  (Higher-degree
-        # combinations of escalated-band basis vectors would push the exact
+        # combinations of kernel basis vectors would push the exact
         # cross-product comparison outside its rounding envelope.)
         phi = f_iii * complex(*run.stream(trial, "phi").standard_normal(2))
         if phi.is_zero or riesz_plus(phi).is_zero or riesz_minus(phi).is_zero:
@@ -1050,36 +1069,46 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
 def suite_coburn(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Kernel dichotomy, conjugate dimension bookkeeping, adjoint round trips."""
 
+    band = 16
+
+    def sample(basis_of, pair: SymbolPair) -> tuple:
+        """Certified band-16 kernel elements; a gray-zone basis is skipped, its dimension already decided."""
+        try:
+            return basis_of(pair, band, rel_threshold=cfg.null_threshold).basis
+        except AmbiguousKernelError:
+            run.bump("element_checks_skipped")
+            return ()
+
     def process(pair: SymbolPair, trial: int):
-        context = "coburn escalation exhausted"
-        inputs = {"pair": pair, "rel_threshold": cfg.null_threshold}
-        stable = run.check_escalating(trial, context, "coburn", inputs, 16, accept=lambda r: r["all_stabilized"])
-        if stable is None:
+        try:
+            result = run.check(trial, "coburn", {"pair": pair, "band": band, "rel_threshold": cfg.null_threshold})
+        except AmbiguousKernelError as err:
+            run.ambiguity(trial, err, "coburn")
             return
-        stable.fail_if(not stable["dichotomy"], "dichotomy violated")
-        stable.fail_if(not stable["conjugate_dims_match"], "swapped/conjugated dimensions differ")
-        stable.fail_if(stable["adjoint_dim_matches"] is False, "adjoint dimension mismatch")
-        report = stable.result.report
-        if report.dim_kernel:
+        result.fail_if(not result["dichotomy"], "dichotomy violated")
+        result.fail_if(not result["conjugate_dims_match"], "swapped/conjugated dimensions differ")
+        result.fail_if(result["adjoint_dim_matches"] is False, "adjoint dimension mismatch")
+        if result["dim_kernel"]:
             run.bump("nontrivial_kernels")
-            inputs = {"pair": pair, "basis": list(report.kernel.basis)}
-            gram = run.check(trial, "conjugate_orthonormality", inputs)
-            gram.fail_if(gram["gram_deviation"] > _GRAM_TOL, "conjugate images not orthonormal")
-        if report.dim_adjoint and report.invertible_cases:
+            basis = sample(kernel_basis, pair)
+            if basis:
+                run.bump("gram_checks")
+                gram = run.check(trial, "conjugate_orthonormality", {"pair": pair, "basis": list(basis)})
+                gram.fail_if(gram["gram_deviation"] > _GRAM_TOL, "conjugate images not orthonormal")
+        adjoint = sample(adjoint_kernel_basis, pair) if result["dim_adjoint"] and result["invertible_cases"] else ()
+        if adjoint:
             run.bump("adjoint_round_trips")
-            for psi in report.adjoint.basis:
-                try:
-                    trip = run.check(
-                        trial, "adjoint_round_trip", {"pair": pair, "psi": psi}, ("discrepancy", "round_trip")
-                    )
-                except ConditioningError as err:
-                    run.ambiguity(trial, err, "adjoint inverse conversion")
-                    continue
-                trip.fail_if(trip["discrepancy"] > _TRUNCATION_TOL, "inverse case formulas disagree")
-                trip.fail_if(
-                    trip["round_trip"] > _TRUNCATION_TOL * max(1.0, psi.l2_norm()),
-                    "adjoint transfer round trip failed",
-                )
+        for psi in adjoint:
+            try:
+                trip = run.check(trial, "adjoint_round_trip", {"pair": pair, "psi": psi}, ("discrepancy", "round_trip"))
+            except ConditioningError as err:
+                run.ambiguity(trial, err, "adjoint inverse conversion")
+                continue
+            trip.fail_if(trip["discrepancy"] > _TRUNCATION_TOL, "inverse case formulas disagree")
+            trip.fail_if(
+                trip["round_trip"] > _TRUNCATION_TOL * max(1.0, psi.l2_norm()),
+                "adjoint transfer round trip failed",
+            )
 
     for a_text, b_text in (("1", "z"), ("z^-1", "z"), ("1", "1 - z"), ("z", "1"), ("1", "z^-1")):
         process(SymbolPair(parse_symbol(a_text), parse_symbol(b_text)), -1)

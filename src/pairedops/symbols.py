@@ -758,6 +758,10 @@ def poly_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
     if degree == 0:
         return PolyRoots((), order, ())
     dense = q.to_dense(0, degree)  # ascending powers
+    # an exact power of two brings the largest part into [1/2, 1): subnormal
+    # coefficients then reach neither the companion matrix nor the residuals
+    e = math.frexp(float(np.max(np.maximum(np.abs(dense.real), np.abs(dense.imag)))))[1]
+    dense = np.ldexp(dense.real, -e) + 1j * np.ldexp(dense.imag, -e)
     scale = float(np.max(np.abs(dense)))
     rev = dense[::-1]
     roots = np.array(sorted(np.roots(rev), key=lambda w: (w.real, w.imag)), dtype=complex)

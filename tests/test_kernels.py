@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import json
 import math
 from collections import Counter
 
@@ -32,7 +31,6 @@ from pairedops.kernels import (
     kernel_element_direct,
     kernel_element_from_inner_factor,
     kernel_projections,
-    l2_coburn,
     l2_kernel,
     multiplier_invariance_test,
     pair_from_function,
@@ -104,17 +102,18 @@ def test_null_space_gap_guard():
 
 def test_kernel_basis_pinned_dimensions():
     k = kernel_basis(pair("z^-1", "z"), 4)
-    assert k.dim == 2 and k.stabilized and k.expected_dim == 2
+    assert k.dim == 2 and k.certified and k.expected_dim == 2
     expected = [lp("1 - z^-2"), lp("z - z^-1")]
     assert subspace_angle(list(k.basis), expected) <= 1e-10
 
     k = kernel_basis(pair("z^-1", "1"), 4)
-    assert k.dim == 1 and k.stabilized
+    assert k.dim == 1 and k.certified
     assert subspace_angle(list(k.basis), [lp("1 - z^-1")]) <= 1e-10
 
+    # b vanishes at 1: no index, so nothing to certify against
     for band in (32, 64):
         k = kernel_basis(pair("1", "1 - z"), band)
-        assert k.dim == 0 and k.stabilized
+        assert k.dim == 0 and k.expected_dim is None and not k.certified
 
 
 def _rooted(rng, kmin: int) -> LaurentPoly:
@@ -146,45 +145,6 @@ def test_values_first_null_space_matches_full_svd():
                 assert max(abs(s - t) for s, t in zip(got_svals, svals)) <= 1e-14 * svals[-1]
                 seen[columns.shape[1] > 0] += 1
     assert seen[True] and seen[False] and seen["refused"]
-
-
-def test_stabilized_matches_full_svd_count(monkeypatch):
-    """``stabilized`` equals the null count of a full SVD at band N + 2.
-
-    A band-N dimension equal to the index settles it without building the
-    band-(N + 2) matrix; every other answer takes the band-(N + 2) count.
-    """
-    bands = []
-    build = kernels.exact_action_matrix
-    monkeypatch.setattr(kernels, "exact_action_matrix", lambda p, n, kind: bands.append(n) or build(p, n, kind=kind))
-    rng = np.random.default_rng(71)
-    seen = Counter()
-    for _ in range(30):
-        p = SymbolPair(_rooted(rng, int(rng.integers(-1, 2))), _rooted(rng, int(rng.integers(-1, 2))))
-        for kind in ("paired", "transposed"):
-            for n in (1, 2, 3, 8, 17):
-                try:
-                    oracle = _full_svd_null_space(exact_action_matrix(p, n + 2, kind=kind))[0].shape[1]
-                except AmbiguousKernelError:
-                    oracle = None
-                bands.clear()
-                try:
-                    k = kernel_basis(p, n, kind=kind)
-                except AmbiguousKernelError as err:
-                    # a refusal the N + 2 oracle does not share comes from band N
-                    if oracle is not None and "certification" not in str(err):
-                        with pytest.raises(AmbiguousKernelError):
-                            _full_svd_null_space(exact_action_matrix(p, n, kind=kind))
-                    seen["refused" if oracle is not None else "refused at N + 2"] += 1
-                    continue
-                assert oracle is not None
-                assert k.stabilized == (oracle == k.dim)
-                seen[k.stabilized] += 1
-                path = "index" if k.expected_dim == k.dim else "N + 2"
-                assert bands == ([n] if path == "index" else [n, n + 2])
-                seen[path] += 1
-    assert seen[True] and seen[False] and seen["refused at N + 2"]
-    assert seen["index"] and seen["N + 2"]
 
 
 def _far_rooted(rng, kmin: int) -> LaurentPoly:
@@ -263,9 +223,9 @@ def test_winding_refuses_clusters_whose_disks_reach_the_circle():
         (lambda p: invertible_on_circle(p.b), 1),
         (lambda p: kernel_basis(p, 24), 2),
         (lambda p: coburn_check(p, 24), 3),
-        (lambda p: l2_coburn(p, 24), 3),
+        (lambda p: l2_kernel(p), 2),
     ],
-    ids=["invertible_on_circle", "kernel_basis", "coburn_check", "l2_coburn"],
+    ids=["invertible_on_circle", "kernel_basis", "coburn_check", "l2_kernel"],
 )
 def test_one_root_solve_per_symbol(monkeypatch, call, solves):
     calls = []
@@ -282,22 +242,28 @@ def test_failed_root_solve_leaves_the_index_unknown(monkeypatch):
     monkeypatch.setattr(kernels, "poly_roots", failing)
     k = kernel_basis(pair("1", "z - 0.3"), 8)
     assert k.expected_dim is None
-    assert k.dim == 0 and k.stabilized
+    assert k.dim == 0 and not k.certified
 
 
-def test_stabilized_pinned_cases():
+def test_certified_pinned_cases(monkeypatch):
     k = kernel_basis(pair("1", "z - 0.01"), 2)
-    assert k.dim == 0 and not k.stabilized
-    # the known shortfall: the band-10 count agrees with dim 0, the index says 1
+    assert k.dim == 0 and not k.certified
+    k = kernel_basis(pair("1", "z - 0.01"), 8)
+    assert (k.dim, k.certified) == (1, True)
+    # the known shortfall: dim 0 at band 8, where the index says 1
     k = kernel_basis(pair("1", "z - 0.3"), 8)
-    assert (k.dim, k.stabilized, k.expected_dim) == (0, True, 1)
-    assert k.to_json_dict()["expected_dim"] == 1
+    assert (k.dim, k.certified, k.expected_dim) == (0, False, 1)
+    assert (k.to_json_dict()["certified"], k.to_json_dict()["expected_dim"]) == (False, 1)
+    assert "stabilized" not in k.to_json_dict()
     k = kernel_basis(pair("z^-1", "z - 0.05"), 5)
-    assert k.dim == 1 and not k.stabilized
-    # band 11 is clean; the gray value comes from the band-13 check
-    with pytest.raises(AmbiguousKernelError) as err:
-        kernel_basis(pair("1", "z - 0.3"), 11)
-    assert len(err.value.singular_values) == 27
+    assert k.dim == 1 and not k.certified
+    assert kernel_basis(pair("z^-1", "z - 0.05"), 12).certified
+    # one action matrix and one values-only SVD per basis, at band N only
+    bands = []
+    build = kernels.exact_action_matrix
+    monkeypatch.setattr(kernels, "exact_action_matrix", lambda p, n, kind: bands.append(n) or build(p, n, kind=kind))
+    k = kernel_basis(pair("1", "z - 0.3"), 11)
+    assert (k.dim, k.certified, bands) == (0, False, [11])
 
 
 def test_svd_counts_per_call(monkeypatch):
@@ -312,15 +278,18 @@ def test_svd_counts_per_call(monkeypatch):
     kernel_basis(pair("z^-1", "z"), 8)
     assert counts == {"full": 1, "values": 1}
 
-    # the index settles all four: only the one nontrivial kernel takes vectors
+    # the index route settles all four dimensions without an SVD; off it,
+    # each of the four band-limited kernels takes one values-only SVD
     counts.clear()
     coburn_check(pair("1", "z"), 8)
-    assert counts == {"full": 1, "values": 4}
+    assert counts == {}
+    coburn_check(pair("1", "1 - z"), 8)
+    assert counts == {"values": 4}
 
-    # dim 0 below the index 1: no vectors, and the band-(N + 2) count
+    # dim 0 below the index 1: no vectors, and no wider band
     counts.clear()
     kernel_basis(pair("1", "z - 0.01"), 2)
-    assert counts == {"values": 2}
+    assert counts == {"values": 1}
 
     # only sections below op_norm's size rule take the SVD: N = 16, and
     # N = 8, 16, 32 of the five norm_bounds sections; 64 and 128 take Lanczos
@@ -673,15 +642,18 @@ def test_coburn_solves_each_symbol_once(monkeypatch):
     solve = kernels.poly_roots
     monkeypatch.setattr(kernels, "poly_roots", lambda p: calls.append(p) or solve(p))
     p = pair("1 - 0.2*z", "z^2 - 0.25*z")  # wind a = 0, wind b = 2
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
     r = coburn_check(p, 24)
-    assert len(calls) == 3  # a, b and a - b
-    assert r.invertible_cases == ("a", "b", "difference")
-    assert (r.kernel.expected_dim, r.adjoint.expected_dim) == (2, 0)
+    assert len(calls) == 3 and not svds  # a, b and a - b; the index route takes no SVD
+    assert r.route == "index" and r.invertible_cases == ("a", "b", "difference")
     assert (r.dim_kernel, r.dim_swapped, r.dim_conjugated, r.dim_adjoint) == (2, 0, 0, 0)
-    assert r.all_stabilized
+    # the band-limited route solves each symbol once too, and takes the SVDs
     calls.clear()
-    assert r.kernel == kernel_basis(p, 24) and r.adjoint == adjoint_kernel_basis(p, 24)
-    assert len(calls) == 4
+    r = coburn_check(pair("1 - z", "z^2 - 0.25*z"), 8)
+    assert len(calls) == 3 and svds
+    assert r.route == "band-limited" and r.invertible_cases == ("b", "difference")
 
 
 def test_coburn_rejects_zero_symbol():
@@ -691,22 +663,9 @@ def test_coburn_rejects_zero_symbol():
 
 def test_coburn_equal_symbols_special_case():
     r = coburn_check(pair("1 + z", "1 + z"), 8)
-    assert r.degenerate_difference
-    assert r.dim_kernel == 0 and r.dichotomy_holds
-    assert r.kernel is None and r.adjoint is None
-
-
-def test_coburn_report_carries_its_bases():
-    for p, dims in ((pair("1", "z"), (1, 0)), (pair("z", "1"), (0, 1))):
-        r = coburn_check(p, 8)
-        assert r.kernel == kernel_basis(p, 8)
-        assert r.adjoint == adjoint_kernel_basis(p, 8)
-        assert (r.kernel.dim, r.adjoint.dim) == (r.dim_kernel, r.dim_adjoint) == dims
-        # the bases stay out of equality, repr and JSON
-        bare = dataclasses.replace(r, kernel=None, adjoint=None)
-        assert bare == r and repr(bare) == repr(r)
-        assert r.to_json_dict() == bare.to_json_dict()
-        assert "basis" not in json.dumps(r.to_json_dict())
+    assert r.degenerate_difference and r.route == "band-limited"
+    assert (r.dim_kernel, r.dim_swapped, r.dim_conjugated, r.dim_adjoint) == (0, 0, 0, 0)
+    assert r.dichotomy_holds and r.adjoint_dim_matches is None
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +700,8 @@ def test_l2_kernel_agrees_with_the_band_limited_kernel(seed):
         assert subspace_angle(svd.basis, _truncations(closed, 64)) <= 1e-9
         dims.append(closed.dim)
     assert kernel_basis(p, 64, kind="transposed").dim == dims[0]
-    report = l2_coburn(p, 64)
+    report = coburn_check(p, 64)
+    assert report.route == "index"
     assert (report.dim_kernel, report.dim_swapped, report.dim_conjugated) == tuple(dims)
     assert report.dim_adjoint == adjoint_kernel_basis(p, 64).dim
 
@@ -789,6 +749,20 @@ def test_l2_kernel_is_none_off_the_fredholm_class(monkeypatch):
     assert l2_kernel(pair("1", "z - 0.3")) is None
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_l2_kernel_elements_share_one_residual(seed):
+    # element j is z^j times element 0, so certifying both ends certifies all
+    rng = np.random.default_rng(seed)
+    def roots(lo: float, hi: float) -> list:
+        return (rng.uniform(lo, hi, 2) * np.exp(2j * np.pi * rng.random(2))).tolist()
+
+    # wind a = -2 and wind b = 3
+    p = SymbolPair(poly_from_roots(roots(1.5, 3.0), 0.7, -2), poly_from_roots(roots(0.1, 0.8) + roots(1.5, 3.0), 1j, 1))
+    k = l2_kernel(p)
+    assert k.dim == 5
+    assert {kernels._l2_residual(p.a, p.b, *f) for f in k.basis} == {k.residual}
+
+
 def test_l2_certificate_refuses_a_wrong_element():
     a, b = lp("6 - 2*z"), lp("z - 0.3")  # wind a = 0, wind b = 1, -c_a/c_b = 2
     plus, minus = l2_kernel(SymbolPair(a, b)).basis[0]
@@ -804,14 +778,17 @@ def test_l2_certificate_refuses_a_wrong_element():
             kernels._certify_l2_element(a, b, *bad)
 
 
-def test_l2_coburn_matches_coburn_check_keys_and_special_cases():
+def test_coburn_check_routes_share_keys_and_special_cases():
     p = pair("1 - 0.2*z", "z^2 - 0.25*z")
-    r = l2_coburn(p, 24)
-    assert r.to_json_dict() == coburn_check(p, 24).to_json_dict()
-    assert l2_coburn(pair("1", "1 - z"), 8) is None
-    assert l2_coburn(SymbolPair(LaurentPoly.zero(), lp("z")), 8) is None
-    same = l2_coburn(pair("1 + 0.5*z", "1 + 0.5*z"), 8)
-    assert same.to_json_dict() == coburn_check(pair("1 + 0.5*z", "1 + 0.5*z"), 8).to_json_dict()
+    r = coburn_check(p, 24)
+    assert r.to_json_dict()["route"] == "index"
+    # the index route does not read the band, which it only reports
+    assert dataclasses.replace(coburn_check(p, 4), band=24) == r
+    limited = coburn_check(pair("1", "1 - z"), 8)
+    assert limited.to_json_dict()["route"] == "band-limited"
+    assert set(limited.to_json_dict()) == set(r.to_json_dict())
+    same = coburn_check(pair("1 + 0.5*z", "1 + 0.5*z"), 8)
+    assert same.route == "index" and same.invertible_cases == ("a", "b")
     assert same.degenerate_difference and same.dim_kernel == 0
 
 

@@ -252,6 +252,16 @@ def test_poly_roots_residual_oracle():
         assert abs(r * r - r - 6) <= 1e-10 * max(1.0, abs(r)) ** 2 * 6
 
 
+def test_poly_roots_of_subnormal_and_huge_coefficients():
+    # (z + 1) * 1e-320: the coefficients are scaled by a power of two before the solve
+    rr = poly_roots(lp("1e-320*z + 1e-320"))
+    assert rr.roots == (-1 + 0j,) and rr.residuals == (0.0,)
+    # that scaling is exact, so roots and residuals do not see it
+    p = lp("(z - 0.5)*(z + 2i)*(z - 3)")
+    for e in (-1060, -600, 600, 1000):
+        assert poly_roots(p * math.ldexp(1.0, e)) == poly_roots(p)
+
+
 def test_poly_roots_rejects_non_analytic():
     with pytest.raises(ValueError):
         poly_roots(lp("z^-1"))
