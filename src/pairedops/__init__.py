@@ -60,7 +60,6 @@ from .kernels import (
     InvarianceReport,
     KernelBasis,
     KernelPair,
-    KernelProjections,
     L2Kernel,
     adjoint_inverse_report,
     adjoint_kernel_basis,
@@ -72,7 +71,6 @@ from .kernels import (
     kernel_conjugate,
     kernel_element_direct,
     kernel_element_from_inner_factor,
-    kernel_projections,
     l2_kernel,
     multiplier_invariance_test,
     pair_from_function,

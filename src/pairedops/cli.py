@@ -24,7 +24,6 @@ from .kernels import (
     AmbiguousKernelError,
     coburn_check,
     kernel_basis,
-    kernel_projections,
     l2_kernel,
     pair_from_function,
 )
@@ -266,7 +265,7 @@ def _band_limited_kernel(args, cfg: RunConfig, pair: SymbolPair, band: int):
     result = {"route": "band-limited", **basis.to_json_dict()}
     pretty = [
         f"kernel of ({args.a}, {args.b}) at band {band}, band-limited route",
-        f"dim = {basis.dim}   certified = {basis.certified}   expected_dim = {basis.expected_dim}",
+        f"dim = {basis.dim}",
     ]
     for i, v in enumerate(basis.basis):
         pretty.append(f"basis[{i}] = {v.to_expression()}")
@@ -275,13 +274,12 @@ def _band_limited_kernel(args, cfg: RunConfig, pair: SymbolPair, band: int):
         for k, re, im in _triples(v):
             csv_rows.append([str(i), str(k), repr(re), repr(im)])
     if args.project:
-        proj = kernel_projections(basis)
-        result["plus"] = [v.to_json_dict() for v in proj.plus]
-        result["minus"] = [v.to_json_dict() for v in proj.minus]
-        for i, v in enumerate(proj.plus):
-            pretty.append(f"plus[{i}] = {v.to_expression()}")
-        for i, v in enumerate(proj.minus):
-            pretty.append(f"minus[{i}] = {v.to_expression()}")
+        plus = [riesz_plus(v) for v in basis.basis]
+        minus = [riesz_minus(v) for v in basis.basis]
+        result["plus"] = [v.to_json_dict() for v in plus]
+        result["minus"] = [v.to_json_dict() for v in minus]
+        pretty += [f"plus[{i}] = {v.to_expression()}" for i, v in enumerate(plus)]
+        pretty += [f"minus[{i}] = {v.to_expression()}" for i, v in enumerate(minus)]
     return result, pretty, csv_rows
 
 

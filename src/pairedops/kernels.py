@@ -6,20 +6,28 @@ Two routes compute a kernel.
   are invertible on the circle the operator is Fredholm, with index
   wind b - wind a, and its L2 kernel has a closed-form rational basis from
   the Wiener-Hopf factorization of b^-1 a: two root solves, one per symbol,
-  and no SVD.  Every element f = f+ + f- is certified in exact arithmetic:
-  f+ analytic with its poles outside the disk, f- strictly coanalytic with
-  its poles inside, and a*f+ + b*f- = 0 after clearing denominators.  The
-  kernel has dimension max(0, wind b - wind a), and its first element
-  generates it: every element is p*f with p a polynomial of degree below
-  the dimension.
+  and no SVD.  Every element f = f+ + f- is certified: f+ analytic with its
+  poles outside the disk, f- strictly coanalytic with its poles inside, and
+  the membership rule below.  The kernel has dimension
+  max(0, wind b - wind a), and its first element generates it: every
+  element is p*f with p a polynomial of degree below the dimension.  This
+  route is the only source of a kernel dimension from the index.
 * **Band-limited route** (:func:`kernel_basis`, and :func:`coburn_check`
   where a or b is not invertible on the circle).  The null space of the
   exact band-growing action on trigonometric polynomials of band N, so
   every reported basis vector is a genuine kernel element of the operator
   restricted to them, not merely a null vector of a truncation.  The
-  band-limited kernel is always a subspace of the L2 kernel; a basis is
-  ``certified`` when its dimension equals the index dimension
-  (``expected_dim``), and claims nothing about the L2 kernel otherwise.
+  band-limited kernel is a subspace of the L2 kernel and claims nothing
+  more; this route solves no roots.
+
+Membership has one rule, :func:`_certify`.  A kernel is an exact
+cancellation, so the residual is scale-invariant: the largest coefficient of
+a*f+ + b*f- (denominators cleared) over the larger of its two terms for the
+paired kernel, and of P+(a*f) + P-(b*f) over the larger of a*f and b*f for
+the transposed one (:func:`_paired_residual`, :func:`_residual`).  It must
+be at most ``_MEMBERSHIP_TOL`` (1e-10); the zero element has residual 0.
+Null vectors, the Toeplitz bridge, closed-form elements, explicit elements
+and the inputs and outputs of the structure maps all pass through it.
 
 Every winding number, Fredholm index and invertibility test reads one rule,
 :func:`_root_split`: one root solve per symbol, whose inclusion disks must
@@ -31,15 +39,16 @@ On the band-limited route the dimension comes from a values-only SVD of the
 band-N action matrix; a full SVD runs only when that count is positive, and
 its null vectors become the basis.  Singular values below 1e-8 of the
 largest one count as null; any singular value landing in the gray zone just
-above the threshold, or a candidate kernel element whose exact residual
-fails certification, raises :class:`AmbiguousKernelError` instead of
-silently committing to a dimension.
+above the threshold, or a null vector that fails the membership rule,
+raises :class:`AmbiguousKernelError` instead of silently committing to a
+dimension.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -78,7 +87,6 @@ __all__ = [
     "InvarianceReport",
     "KernelBasis",
     "KernelPair",
-    "KernelProjections",
     "L2Kernel",
     "NULL_SPACE_REL_THRESHOLD",
     "adjoint_kernel_basis",
@@ -91,7 +99,6 @@ __all__ = [
     "kernel_conjugate",
     "kernel_element_direct",
     "kernel_element_from_inner_factor",
-    "kernel_projections",
     "l2_kernel",
     "multiplier_invariance_test",
     "pair_from_function",
@@ -103,9 +110,9 @@ __all__ = [
 
 NULL_SPACE_REL_THRESHOLD = 1e-8
 _NULL_GAP_FACTOR = 10.0
-_MEMBERSHIP_TOL = 1e-10
+_MEMBERSHIP_TOL = 1e-10  # of every membership residual, which is relative
 _EPS = float(np.finfo(float).eps)
-# error bounds of the rational expansions behind explicit kernel elements
+# error bounds of the rational expansions behind the two maps that still truncate
 _INNER_FACTOR_CONVERSION_TOL = 1e-13
 _CONVERSION_TOL = 1e-12
 
@@ -113,7 +120,7 @@ _CONVERSION_TOL = 1e-12
 class AmbiguousKernelError(ArithmeticError):
     """Null-space detection could not separate zero from nonzero singular values."""
 
-    def __init__(self, message: str, singular_values: Sequence[float]):
+    def __init__(self, message: str, singular_values: Sequence[float] = ()):
         super().__init__(message)
         self.singular_values = tuple(float(s) for s in singular_values)
 
@@ -160,59 +167,89 @@ def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESH
     return columns, sorted(float(s) for s in svals)
 
 
-def _certified_null_space(
-    matrix: np.ndarray, kmin: int, image: Callable, what: str, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
-) -> tuple[list[LaurentPoly], list[float]]:
-    """:func:`_null_space` as vectors from exponent ``kmin``, each certified by its exact ``image``.
+def _relative(residual: LaurentPoly, *terms: LaurentPoly) -> float:
+    """Largest coefficient of ``residual`` over the largest of its ``terms``; 0 when they all vanish."""
+    size = max(t.max_abs_coeff() for t in terms)
+    return residual.max_abs_coeff() / size if size else 0.0
 
-    A vector whose image norm exceeds 1e-10 times max(1, its norm) raises
-    :class:`AmbiguousKernelError`, which names the vector by ``what``.
+
+def _paired_residual(a, b, plus, minus) -> float:
+    """Membership residual of f = plus + minus in the kernel of aP+ + bP-.
+
+    Each argument is a :class:`LaurentPoly` or a :class:`RationalSymbol`.
+    With denominators cleared, left = a*plus*den(b)*den(minus) and right =
+    b*minus*den(a)*den(plus); the residual is :func:`_relative` of left +
+    right, so scaling a and b together leaves it unchanged.
+    """
+    left, right = _numerator(a) * _numerator(plus), _numerator(b) * _numerator(minus)
+    for den in _denominators(b, minus):
+        left = left * den
+    for den in _denominators(a, plus):
+        right = right * den
+    return _relative(left + right, left, right)
+
+
+def _numerator(symbol) -> LaurentPoly:
+    return symbol.num if isinstance(symbol, RationalSymbol) else symbol
+
+
+def _denominators(*symbols) -> list[LaurentPoly]:
+    return [s.den for s in symbols if isinstance(s, RationalSymbol)]
+
+
+def _residual(pair: SymbolPair, v: CoeffVector, kind: str) -> float:
+    """Membership residual of ``v`` in the ``kind`` ("paired" or "transposed") kernel of ``pair``.
+
+    The transposed one is P+(a v) + P-(b v) relative to the larger of a v and b v.
+    """
+    if kind == "paired":
+        return _paired_residual(pair.a, pair.b, riesz_plus(v), riesz_minus(v))
+    return _relative(apply_transposed(pair, v), pair.a * v, pair.b * v)
+
+
+def _certify(residual: float, what: str, error: Callable[[str], Exception]) -> float:
+    """The one membership rule: ``residual`` if it is at most ``_MEMBERSHIP_TOL``, else ``error``."""
+    # `not x <= tol` also refuses a NaN from an overflowing product
+    if not residual <= _MEMBERSHIP_TOL:
+        raise error(f"{what} has membership residual {residual:.3e}, above {_MEMBERSHIP_TOL:.0e}")
+    return residual
+
+
+def _certified_null_space(
+    matrix: np.ndarray, kmin: int, pair: SymbolPair, kind: str, what: str, rel_threshold: float
+) -> tuple[list[LaurentPoly], list[float]]:
+    """:func:`_null_space` as vectors from exponent ``kmin``, each in the ``kind`` kernel of ``pair``.
+
+    A vector that fails :func:`_certify` raises :class:`AmbiguousKernelError`,
+    which names it by ``what``.
     """
     columns, svals = _null_space(matrix, rel_threshold)
-    vectors = []
-    for j in range(columns.shape[1]):
-        v = LaurentPoly.from_dense(columns[:, j], kmin)
-        r = image(v).l2_norm()
-        if r > _MEMBERSHIP_TOL * max(1.0, v.l2_norm()):
-            raise AmbiguousKernelError(
-                f"{what} has exact-action residual {r:.3e}, above the kernel certification tolerance",
-                svals,
-            )
-        vectors.append(v)
+    refuse = partial(AmbiguousKernelError, singular_values=svals)
+    vectors = [LaurentPoly.from_dense(columns[:, j], kmin) for j in range(columns.shape[1])]
+    for v in vectors:
+        _certify(_residual(pair, v, kind), what, refuse)
     return vectors, svals
 
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Orthonormal basis of the band-limited kernel plus its diagnostics.
-
-    ``expected_dim`` is the L2 kernel dimension the Fredholm index gives, or
-    None when a symbol is not invertible on the circle.
-    """
+    """Orthonormal basis of the band-limited kernel plus its diagnostics."""
 
     pair: SymbolPair
     band: int
     basis: tuple[CoeffVector, ...]
     singular_values: tuple[float, ...]
     transposed: bool = False
-    expected_dim: int | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def certified(self) -> bool:
-        """The band-N dimension equals the index dimension, so the basis spans the L2 kernel."""
-        return self.dim == self.expected_dim
 
     def to_json_dict(self) -> dict:
         return {
             "spec": self.pair.to_json_dict(),
             "N": self.band,
             "dim": self.dim,
-            "certified": self.certified,
-            "expected_dim": self.expected_dim,
             "transposed": self.transposed,
             "singular_values": list(self.singular_values),
             "basis": [v.to_json_dict() for v in self.basis],
@@ -261,43 +298,6 @@ def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> _Split | 
     return tuple(r for r in roots if abs(r) < 1.0), tuple(r for r in roots if abs(r) > 1.0)
 
 
-def _winding(symbol: LaurentPoly) -> int | None:
-    """Winding number of the symbol around 0 on the unit circle; None as in :func:`_root_split`."""
-    split = _root_split(symbol)
-    return None if split is None else symbol.kmin + len(split[0])
-
-
-def _index_dim(wind_a: int | None, wind_b: int | None) -> int | None:
-    """L2 kernel dimension max(0, wind b - wind a) of aP+ + bP- and of P+a + P-b.
-
-    Both are Fredholm with index wind b - wind a when a and b are invertible
-    on the circle, and by Coburn's lemma the kernel or the cokernel is
-    trivial.  None when either winding number is unknown.
-    """
-    if wind_a is None or wind_b is None:
-        return None
-    return max(0, wind_b - wind_a)
-
-
-def _kernel_basis(
-    pair: SymbolPair, band: int, kind: str, rel_threshold: float, expected_dim: int | None
-) -> KernelBasis:
-    """:func:`kernel_basis` of a nondegenerate pair, given its ``expected_dim``."""
-    if band < 1:
-        raise ValueError("band must be at least 1")
-    apply = apply_paired if kind == "paired" else apply_transposed
-    matrix = exact_action_matrix(pair, band, kind=kind)
-    vectors, svals = _certified_null_space(matrix, -band, lambda v: apply(pair, v), "null candidate", rel_threshold)
-    return KernelBasis(
-        pair=pair,
-        band=band,
-        basis=tuple(vectors),
-        singular_values=tuple(svals),
-        transposed=(kind == "transposed"),
-        expected_dim=expected_dim,
-    )
-
-
 def kernel_basis(
     pair: SymbolPair,
     band: int,
@@ -309,17 +309,23 @@ def kernel_basis(
 
     The dimension and the reported singular values come from a values-only
     SVD; only a nontrivial kernel takes a full SVD for its vectors.  Every
-    returned vector is certified by applying the operator exactly and
-    demanding a residual of at most 1e-10 (relative to the section scale);
-    certification failures surface as :class:`AmbiguousKernelError`.
-
-    ``expected_dim`` is max(0, wind b - wind a) when a and b are invertible
-    on the circle, the same for ``kind="transposed"``, and the basis is
-    ``certified`` when its dimension equals it.  A shorter basis is a proper
-    subspace of the L2 kernel, whose elements have tails beyond band N.
+    returned vector passes the membership rule (:func:`_certify`), or
+    :class:`AmbiguousKernelError` is raised.  The basis spans a subspace of
+    the L2 kernel; :func:`l2_kernel` gives the whole of it where a and b are
+    invertible on the circle.
     """
     pair.require_nondegenerate()
-    return _kernel_basis(pair, band, kind, rel_threshold, _index_dim(_winding(pair.a), _winding(pair.b)))
+    if band < 1:
+        raise ValueError("band must be at least 1")
+    matrix = exact_action_matrix(pair, band, kind=kind)
+    vectors, svals = _certified_null_space(matrix, -band, pair, kind, "null candidate", rel_threshold)
+    return KernelBasis(
+        pair=pair,
+        band=band,
+        basis=tuple(vectors),
+        singular_values=tuple(svals),
+        transposed=(kind == "transposed"),
+    )
 
 
 def adjoint_kernel_basis(
@@ -329,12 +335,9 @@ def adjoint_kernel_basis(
 
     Realized as the exact kernel of the transposed operator of the
     conjugated pair, so membership is exact rather than a matrix adjoint of
-    a truncation.  Conjugation negates winding numbers, so the expected
-    dimension is max(0, wind a - wind b), read from the roots of a and b.
+    a truncation.
     """
-    pair.require_nondegenerate()
-    wind_a, wind_b = _winding(pair.a), _winding(pair.b)
-    return _kernel_basis(pair.conjugated(), band, "transposed", rel_threshold, _index_dim(wind_b, wind_a))
+    return kernel_basis(pair.conjugated(), band, kind="transposed", rel_threshold=rel_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -373,31 +376,18 @@ class L2Kernel:
         }
 
 
-def _l2_residual(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, minus: RationalSymbol) -> float:
-    """Relative residual of a*plus + b*minus = 0 with denominators cleared.
-
-    The largest coefficient of a*num+*den- + b*num-*den+ over the larger of
-    the two terms' largest coefficients.
-    """
-    left, right = a * plus.num * minus.den, b * minus.num * plus.den
-    return (left + right).max_abs_coeff() / max(left.max_abs_coeff(), right.max_abs_coeff())
-
-
 def _certify_l2_element(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, minus: RationalSymbol) -> float:
-    """:func:`_l2_residual` of a certified L2 kernel element of (a, b).
+    """:func:`_paired_residual` of a certified L2 kernel element of (a, b).
 
     Raises :class:`AmbiguousKernelError` unless ``plus`` is analytic with
     poles outside the disk, ``minus`` has poles inside and degree at most -1
-    at infinity, and the residual is at most 1e-10.
+    at infinity, and the residual passes :func:`_certify`.
     """
     if plus.num.kmin < 0 or not all(abs(p) > 1.0 for p in plus.poles):
-        raise AmbiguousKernelError("the analytic part has a pole in the disk or a negative mode", ())
+        raise AmbiguousKernelError("the analytic part has a pole in the disk or a negative mode")
     if not all(abs(p) < 1.0 for p in minus.poles) or minus.num.kmax - minus.den.kmax > -1:
-        raise AmbiguousKernelError("the coanalytic part has a pole outside the disk or no zero at infinity", ())
-    residual = _l2_residual(a, b, plus, minus)
-    if not residual <= _MEMBERSHIP_TOL:
-        raise AmbiguousKernelError(f"closed-form kernel element has residual {residual:.3e}", ())
-    return residual
+        raise AmbiguousKernelError("the coanalytic part has a pole outside the disk or no zero at infinity")
+    return _certify(_paired_residual(a, b, plus, minus), "closed-form kernel element", AmbiguousKernelError)
 
 
 def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
@@ -434,32 +424,17 @@ def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
 def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
     """The L2 kernel of aP+ + bP- in closed form, from one root solve per symbol.
 
-    None when the root split of a or of b (:func:`_root_split`) is None, as
-    for ``expected_dim``: the operator is not Fredholm, or its index cannot
-    be certified.  Callers then take :func:`kernel_basis`.  Every
-    element is certified (see :func:`_certify_l2_element`); a failed
-    certificate raises :class:`AmbiguousKernelError`.
+    None when the root split of a or of b (:func:`_root_split`) is None:
+    the operator is not Fredholm, or its index cannot be certified.
+    Callers then take :func:`kernel_basis`.  Every element is certified (see
+    :func:`_certify_l2_element`); a failed certificate raises
+    :class:`AmbiguousKernelError`.
     """
     pair.require_nondegenerate()
     split_a, split_b = _root_split(pair.a), _root_split(pair.b)
     if split_a is None or split_b is None:
         return None
     return _l2_kernel(pair, split_a, split_b)
-
-
-@dataclass(frozen=True)
-class KernelProjections:
-    """Componentwise Riesz projections of a kernel basis."""
-
-    plus: tuple[CoeffVector, ...]
-    minus: tuple[CoeffVector, ...]
-
-
-def kernel_projections(kernel: KernelBasis) -> KernelProjections:
-    return KernelProjections(
-        plus=tuple(riesz_plus(v) for v in kernel.basis),
-        minus=tuple(riesz_minus(v) for v in kernel.basis),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +480,6 @@ def subspace_angle(
     return math.asin(min(1.0, max(_sine(q2, q1), _sine(q1, q2))))
 
 
-def _containment_gap(inner: Sequence[CoeffVector], outer: Sequence[CoeffVector]) -> float:
-    """sin of the largest angle from span(inner) into span(outer)."""
-    if not inner:
-        return 0.0
-    if not outer:
-        return 1.0
-    return _sine(*_orthonormal_pair(inner, outer))
-
-
 # ---------------------------------------------------------------------------
 # Toeplitz bridge
 # ---------------------------------------------------------------------------
@@ -533,17 +499,21 @@ class BridgeReport:
 def toeplitz_kernel_bridge(symbol: LaurentPoly, band: int) -> BridgeReport:
     """Compare ker of the analytic compression of M_G with P+ ker of (G, 1).
 
-    The Toeplitz null vectors come from the coefficient window and are each
-    certified by exact application; the report carries the largest principal
-    angle between the two null spaces, which the bridge identity forces to
-    zero (tested at 1e-8).
+    The Toeplitz null vectors come from the coefficient window.  An analytic
+    v has P+(G v) = 0 exactly when it lies in the transposed kernel of
+    (G, 1), which certifies each of them; the report carries the largest
+    principal angle between the two null spaces, which the bridge identity
+    forces to zero (tested at 1e-8).
     """
     if symbol.is_zero:
         raise ValueError("bridge requires a nonzero symbol")
     top = band + max(0, symbol.kmax)
     window = toeplitz_window(symbol, range(top + 1), range(band + 1))
-    toeplitz_null, _ = _certified_null_space(window, 0, lambda v: riesz_plus(symbol * v), "Toeplitz null candidate")
-    kernel = kernel_basis(SymbolPair(symbol, LaurentPoly.one()), band)
+    pair = SymbolPair(symbol, LaurentPoly.one())
+    toeplitz_null, _ = _certified_null_space(
+        window, 0, pair, "transposed", "Toeplitz null candidate", NULL_SPACE_REL_THRESHOLD
+    )
+    kernel = kernel_basis(pair, band)
     projected = [riesz_plus(v) for v in kernel.basis]
     angle = subspace_angle(toeplitz_null, projected)
     return BridgeReport(
@@ -609,8 +579,9 @@ def kernel_element_from_inner_factor(a: LaurentPoly, b: LaurentPoly) -> CoeffVec
         f  =  (b - c * outer) / z   +   ( -a * (1 - c * conj(inner)) / z )
 
     whose analytic part is an exact polynomial and whose co-analytic part is
-    rational (truncated here with an automatically grown band).  The exact
-    paired action on the result is verified to 1e-9.
+    rational (truncated here with an automatically grown band).  The result
+    passes the membership rule (:func:`_certify`), or :class:`ArithmeticError`
+    is raised.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("both symbols must be nonzero")
@@ -632,13 +603,10 @@ def kernel_element_from_inner_factor(a: LaurentPoly, b: LaurentPoly) -> CoeffVec
         rational = (RationalSymbol.one() - io.inner.conj_reflect() * c) * (-a)
         truncation = rational_to_coeffs_auto(rational.shift(-1), tol=_INNER_FACTOR_CONVERSION_TOL)
         f_minus = riesz_minus(truncation.coeffs)
-    f = f_plus + f_minus
-    if f.is_zero:
+    if f_plus.is_zero and f_minus.is_zero:
         raise ArithmeticError("constructed kernel element vanished")
-    residual = apply_paired(SymbolPair(a, b), f).l2_norm()
-    if residual > 1e-9 * max(1.0, f.l2_norm()):
-        raise ArithmeticError(f"kernel element residual {residual:.3e} exceeds 1e-9")
-    return f
+    _certify(_paired_residual(a, b, f_plus, f_minus), "inner-factor kernel element", ArithmeticError)
+    return f_plus + f_minus
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +641,10 @@ def pair_from_function(phi: CoeffVector) -> KernelPair:
     inner*outer, reflect the co-analytic part to an analytic polynomial and
     factor it likewise, then combine the inner factors with reflected outer
     factors into a co-analytic symbol ``a`` and an analytic symbol ``b`` with
-    a*phi_plus + b*phi_minus = 0 on the circle.
+    a*phi_plus + b*phi_minus = 0 on the circle.  That cancellation is checked
+    on the rational pair itself, with no truncation: ``residual`` is its
+    membership residual (:func:`_paired_residual`), and one that fails
+    :func:`_certify` raises :class:`ArithmeticError`.
 
     If one Riesz part vanishes identically, no nondegenerate pair can
     annihilate the function (its kernel mate would have to vanish on a set of
@@ -708,25 +679,14 @@ def pair_from_function(phi: CoeffVector) -> KernelPair:
     a = io_plus.inner.conj_reflect() * io_refl.outer.conj_reflect()
     b = -(io_refl.inner * io_plus.outer)
     # the pair is only determined up to a common nonzero factor; normalize it
-    # so conversion and residual tolerances see order-one magnitudes
+    # to a largest numerator coefficient of 1 (a symbol that underflows to
+    # zero then fails the certificate)
     size = max(a.num.max_abs_coeff(), b.num.max_abs_coeff())
     if size > 0:
         a = a * (1.0 / size)
         b = b * (1.0 / size)
-
-    a_c = rational_to_coeffs_auto(a, tol=_CONVERSION_TOL).coeffs
-    b_c = rational_to_coeffs_auto(b, tol=_CONVERSION_TOL).coeffs
-    residual = (a_c * plus + b_c * minus).l2_norm()
-    scale = max(1.0, phi.l2_norm())
-    if residual > 1e-9 * scale:
-        raise ArithmeticError(f"annihilation residual {residual:.3e} exceeds 1e-9")
-    return KernelPair(
-        a=a,
-        b=b,
-        convention="generic",
-        source=phi,
-        residual=float(residual),
-    )
+    residual = _certify(_paired_residual(a, b, plus, minus), "the source function", ArithmeticError)
+    return KernelPair(a=a, b=b, convention="generic", source=phi, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +694,9 @@ def pair_from_function(phi: CoeffVector) -> KernelPair:
 # ---------------------------------------------------------------------------
 
 
-def _check_membership(pair: SymbolPair, v: CoeffVector, kind: str, tol: float) -> None:
-    apply = apply_paired if kind == "paired" else apply_transposed
-    residual = apply(pair, v).l2_norm()
-    if residual > tol * max(1.0, v.l2_norm()):
-        raise ValueError(
-            f"vector is not a kernel element (residual {residual:.3e} > {tol:.1e})"
-        )
+def _check_membership(pair: SymbolPair, v: CoeffVector, kind: str) -> None:
+    """A ``ValueError`` unless ``v`` passes :func:`_certify` in the ``kind`` kernel of ``pair``."""
+    _certify(_residual(pair, v, kind), "the vector", ValueError)
 
 
 def kernel_conjugate(phi: CoeffVector, pair: SymbolPair) -> CoeffVector:
@@ -750,10 +706,9 @@ def kernel_conjugate(phi: CoeffVector, pair: SymbolPair) -> CoeffVector:
     applying it twice, with the pair swapped accordingly, returns the input
     exactly.  The zero vector passes through.
     """
-    _check_membership(pair, phi, "paired", _MEMBERSHIP_TOL)
+    _check_membership(pair, phi, "paired")
     result = phi.conj_reflect().shift(-1)
-    if not result.is_zero:
-        _check_membership(pair.conj_swapped(), result, "paired", _MEMBERSHIP_TOL)
+    _check_membership(pair.conj_swapped(), result, "paired")
     return result
 
 
@@ -785,10 +740,9 @@ def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair) -> CoeffVector:
     """
     pair.require_nondegenerate()
     conj_pair = pair.conjugated()
-    _check_membership(conj_pair, psi, "transposed", _MEMBERSHIP_TOL)
+    _check_membership(conj_pair, psi, "transposed")
     result = (conj_pair.a - conj_pair.b) * psi
-    if not result.is_zero:
-        _check_membership(conj_pair, result, "paired", 1e-9)
+    _check_membership(conj_pair, result, "paired")
     return result
 
 
@@ -815,7 +769,7 @@ def adjoint_kernel_map_inverse(
     if case not in _INVERSE_CASES:
         raise ValueError(f"case must be one of {_INVERSE_CASES}")
     conj_pair = pair.conjugated()
-    _check_membership(conj_pair, phi, "paired", _MEMBERSHIP_TOL)
+    _check_membership(conj_pair, phi, "paired")
     if case == "difference":
         divisor_source = pair.a - pair.b
         numerator = phi
@@ -832,7 +786,7 @@ def adjoint_kernel_map_inverse(
         return LaurentPoly.zero()
     quotient = RationalSymbol(LaurentPoly.one()) * numerator * reciprocal_symbol(divisor)
     result = rational_to_coeffs_auto(quotient, tol=_CONVERSION_TOL).coeffs
-    _check_membership(conj_pair, result, "transposed", 1e-9)
+    _check_membership(conj_pair, result, "transposed")
     return result
 
 
@@ -958,7 +912,7 @@ def coburn_check(
     else:
         conj = pair.conjugated()
         variants = ((pair, "paired"), (pair.swapped(), "paired"), (conj, "paired"), (conj, "transposed"))
-        dims = [_kernel_basis(p, band, kind, rel_threshold, None).dim for p, kind in variants]
+        dims = [kernel_basis(p, band, kind=kind, rel_threshold=rel_threshold).dim for p, kind in variants]
     dim_kernel, dim_swapped, dim_conjugated, dim_adjoint = dims
     return CoburnReport(
         pair=pair,
@@ -1006,7 +960,7 @@ def multiplier_invariance_test(
     indicate numerical trouble and raises :class:`ArithmeticError`.
     """
     pair.require_nondegenerate()
-    _check_membership(pair, f, "paired", _MEMBERSHIP_TOL)
+    _check_membership(pair, f, "paired")
     scale = max(1.0, f.l2_norm() * max(1.0, eta.max_abs_coeff()))
     image_residual = apply_paired(pair, eta * f).l2_norm()
     h_minus = riesz_minus(eta * riesz_plus(f)).l2_norm()

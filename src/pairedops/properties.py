@@ -11,8 +11,10 @@ set, and a violation records exactly those inputs and that output, so
 
 Kernel dimensions come from the closed-form L2 kernels wherever a and b are
 invertible on the circle; band-limited null spaces answer, at one band, only
-for the other pairs.  The ``coburn`` suite also samples certified band-16
-kernel elements for its Gram and adjoint round-trip checks.
+for the other pairs.  Kernel groups are compared only in closed form; a group
+without one is recorded as an ambiguity.  The ``coburn`` suite also samples
+band-16 kernel elements, each passing the one membership rule of
+:mod:`pairedops.kernels`, for its Gram and adjoint round-trip checks.
 
 Determinism contract: identical :class:`GeneratorConfig` values produce
 byte-identical JSON reports (the wall-clock ``runtime`` field excluded).
@@ -35,8 +37,7 @@ from .kernels import (
     _MEMBERSHIP_TOL,
     NULL_SPACE_REL_THRESHOLD,
     AmbiguousKernelError,
-    _containment_gap,
-    _l2_residual,
+    _paired_residual,
     adjoint_inverse_report,
     adjoint_kernel_basis,
     adjoint_kernel_map,
@@ -49,7 +50,6 @@ from .kernels import (
     l2_kernel,
     pair_from_function,
     same_kernel_test,
-    subspace_angle,
 )
 from .operators import (
     SymbolPair,
@@ -103,8 +103,6 @@ _FAMILIES = (
 _ROUNDING_TOL = 1e-12  # exact identities: pinned norms, monotonicity, the zero norm
 _PINNED_NORM_TOL = 1e-9  # section norms of (1, z) and (3, 0) against sqrt(2) and 3
 _TRUNCATION_TOL = 1e-9  # results through a truncated rational expansion, relative
-_DISTINCT_ANGLE = 1e-6  # principal angle below which two kernels count as one
-_CONTAINMENT_TOL = 1e-8  # sine below which one kernel lies inside another
 _GRAM_TOL = 1e-10  # orthonormality of a conjugated kernel basis
 _DRAW_ATTEMPTS = 50  # candidates an accept loop draws before it gives up
 
@@ -496,34 +494,6 @@ def check_same_kernel(first: SymbolPair, second: SymbolPair) -> dict:
     return {"same_kernel": same_kernel_test(first, second)}
 
 
-@_register("kernel_group")
-def check_kernel_group(
-    base: SymbolPair,
-    scaled: SymbolPair,
-    other: SymbolPair | None,
-    band: int,
-    rel_threshold: float = NULL_SPACE_REL_THRESHOLD,
-) -> dict:
-    """Kernels of a pair, a common-factor multiple and an unrelated pair at one band.
-
-    Reports the dimensions and the principal angle between the first two;
-    with ``other``, also the equality criterion against ``base``, the
-    principal angle and the containment gaps (sines) in both directions.
-    """
-    group = [base, scaled] + ([other] if other is not None else [])
-    kernels = [list(kernel_basis(p, band, rel_threshold=rel_threshold).basis) for p in group]
-    k_base, k_scaled = kernels[0], kernels[1]
-    out = {"dim": len(k_base), "dim_scaled": len(k_scaled), "angle": subspace_angle(k_base, k_scaled)}
-    if other is not None:
-        k_other = kernels[2]
-        out["dim_other"] = len(k_other)
-        out["same_kernel_other"] = same_kernel_test(base, other)
-        out["angle_other"] = subspace_angle(k_base, k_other)
-        out["base_in_other"] = _containment_gap(k_base, k_other)
-        out["other_in_base"] = _containment_gap(k_other, k_base)
-    return out
-
-
 def _generator_gap(first: tuple, second: tuple) -> float:
     """Largest relative gap n1*d2 - n2*d1 between the parts of two (plus, minus) rational pairs."""
     products = [(r.num * s.den, s.num * r.den) for r, s in zip(first, second)]
@@ -553,8 +523,8 @@ def check_l2_kernel_group(base: SymbolPair, scaled: SymbolPair, other: SymbolPai
         shared = g_base and g_other[0]
         out["dim_other"] = kernels[2].dim
         out["same_kernel_other"] = same_kernel_test(base, other)
-        out["other_on_base"] = _l2_residual(other.a, other.b, *g_base) if shared else math.inf
-        out["base_on_other"] = _l2_residual(base.a, base.b, *g_other[0]) if shared else math.inf
+        out["other_on_base"] = _paired_residual(other.a, other.b, *g_base) if shared else math.inf
+        out["base_on_other"] = _paired_residual(base.a, base.b, *g_other[0]) if shared else math.inf
     return out
 
 
@@ -1000,45 +970,26 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         inputs = {"base": base, "scaled": scaled, "other": other}
         try:
             group = run.check(trial, "l2_kernel_group", inputs)
-            closed = group["closed_form"]
-            if not closed:
-                band = max(4, abs(f_iii.kmin), f_iii.kmax) + 2
-                inputs = {**inputs, "band": band, "rel_threshold": cfg.null_threshold}
-                group = run.check(trial, "kernel_group", inputs, observe=("angle",))
+            if not group["closed_form"]:
+                raise AmbiguousKernelError("a pair of the group has no closed-form L2 kernel")
         except AmbiguousKernelError as err:
             run.ambiguity(trial, err, "kernel group")
             continue
         group.fail_if(group["dim"] == 0, "expected nontrivial kernel")
         if group["dim"] == 0:
             continue
-        if closed:
-            run.observe(group["generator_gap"])
+        run.observe(group["generator_gap"])
+        group.fail_if(
+            group["dim_scaled"] != group["dim"] or not group["generator_gap"] <= cfg.numeric_tol,
+            "common-factor pair has a different L2 kernel",
+        )
+        if other is not None:
+            group.fail_if(group["same_kernel_other"], "differing cross products but equality criterion held")
+            # distinct kernels meet only in 0: neither pair annihilates the other's generator
             group.fail_if(
-                group["dim_scaled"] != group["dim"] or not group["generator_gap"] <= cfg.numeric_tol,
-                "common-factor pair has a different L2 kernel",
+                not group["other_on_base"] > _MEMBERSHIP_TOL or not group["base_on_other"] > _MEMBERSHIP_TOL,
+                "distinct pairs share a kernel element",
             )
-            if other is not None:
-                group.fail_if(group["same_kernel_other"], "differing cross products but equality criterion held")
-                # distinct kernels meet only in 0: neither pair annihilates the other's generator
-                group.fail_if(
-                    not group["other_on_base"] > _MEMBERSHIP_TOL or not group["base_on_other"] > _MEMBERSHIP_TOL,
-                    "distinct pairs share a kernel element",
-                )
-        else:
-            group.fail_if(group["angle"] > cfg.numeric_tol, "common-factor pair has a different band-limited kernel")
-            if group.result.get("dim_other", 0) > 0:
-                group.fail_if(group["same_kernel_other"], "differing cross products but equality criterion held")
-                group.fail_if(
-                    group["angle_other"] <= _DISTINCT_ANGLE and group["dim"] == group["dim_other"],
-                    "distinct pairs share a band-limited kernel",
-                )
-                # inclusion dichotomy: distinct kernels admit no strict
-                # nontrivial inclusion in either direction
-                group.fail_if(
-                    (group["base_in_other"] <= _CONTAINMENT_TOL and group["dim"] < group["dim_other"])
-                    or (group["other_in_base"] <= _CONTAINMENT_TOL and group["dim_other"] < group["dim"]),
-                    "strict nontrivial kernel inclusion observed",
-                )
 
         # a kernel vector determines its kernel: rebuild the pair from a
         # random multiple of the known low-degree element.  (Higher-degree
@@ -1072,7 +1023,7 @@ def suite_coburn(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     band = 16
 
     def sample(basis_of, pair: SymbolPair) -> tuple:
-        """Certified band-16 kernel elements; a gray-zone basis is skipped, its dimension already decided."""
+        """Band-16 kernel elements; a refused basis is skipped, its dimension already decided."""
         try:
             return basis_of(pair, band, rel_threshold=cfg.null_threshold).basis
         except AmbiguousKernelError:

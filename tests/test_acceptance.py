@@ -21,6 +21,7 @@ from pairedops.kernels import (
     adjoint_kernel_map,
     coburn_check,
     kernel_basis,
+    l2_kernel,
     pair_from_function,
     same_kernel_test,
     toeplitz_kernel_bridge,
@@ -96,17 +97,17 @@ def test_criterion_03_kernel_dimensions():
         started = time.perf_counter()
         for band in (2, 8):
             basis = kernel_basis(SymbolPair(lp("z^-1"), lp("z")), band)
-            assert basis.dim == 2 and basis.certified
+            assert basis.dim == 2 == l2_kernel(basis.pair).dim
             for v in basis.basis:
                 assert apply_paired(basis.pair, v).l2_norm() <= 1e-10
         basis = kernel_basis(SymbolPair(lp("z^-1"), lp("1")), 8)
-        assert basis.dim == 1 and basis.certified
+        assert basis.dim == 1 == l2_kernel(basis.pair).dim
         for v in basis.basis:
             assert apply_paired(basis.pair, v).l2_norm() <= 1e-10
         for band in (32, 64):
-            # b vanishes at 1: no index, so the band-limited dimension is not certified
+            # b vanishes at 1: no index, so only the band-limited dimension
             basis = kernel_basis(SymbolPair(lp("1"), lp("1 - z")), band)
-            assert basis.dim == 0 and basis.expected_dim is None and not basis.certified
+            assert basis.dim == 0 and l2_kernel(basis.pair) is None
         assert time.perf_counter() - started < 5.0
 
 

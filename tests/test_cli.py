@@ -100,7 +100,8 @@ def test_kernel_dimensions(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--a", "1", "--b", "1-z", "--N", "16", "--format", "json")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["route"] == "band-limited" and result["dim"] == 0 and result["expected_dim"] is None
+    assert result["route"] == "band-limited" and result["dim"] == 0
+    assert not {"certified", "expected_dim"} & set(result)
 
     # band 8 fell short of the index here (dim 0); the closed form does not depend on N
     answers = []
@@ -404,14 +405,37 @@ def test_subnormal_coefficients_solve_quietly(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(pairedops.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     command = [sys.executable, "-m", "pairedops", *argv, "--format", "json"]
     proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
-    result = json.loads(proc.stdout)["result"]
     if argv[0] == "factor":
-        assert result["circle_roots"] == [[-1.0, 0.0]]
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["circle_roots"] == [[-1.0, 0.0]]
     else:
-        # not invertible on the circle, so no index and the band-limited route
-        assert result["route"] == "band-limited" and result["expected_dim"] is None
+        # no index, so the band-limited route: the band-8 SVD counts all nine
+        # analytic columns null beside b = 1, and none of them is a kernel
+        # element (a*f+ + b*f- = 0 has only the zero solution here)
+        assert proc.returncode == 2 and proc.stderr.startswith("ambiguous:"), proc.stderr
+
+
+_SCALED = [
+    # (z^-2, 1 - z) at three common scales: one kernel, one answer
+    (["kernel", "--a", "z^-2", "--b", "1 - z", "--N", "8"], 2),
+    (["kernel", "--a", "1e12*z^-2", "--b", "1e12*(1 - z)", "--N", "8"], 2),
+    (["kernel", "--a", "1e-12*z^-2", "--b", "1e-12*(1 - z)", "--N", "8"], 2),
+    # the SVD counts the columns of the tiny symbol null; none is a kernel element
+    (["kernel", "--a", "1e-320*z+1e-320", "--b", "1", "--N", "8"], "ambiguous:"),
+    (["kernel", "--a", "1e300*z^-1", "--b", "1e-300*(1 - z)", "--N", "8"], "ambiguous:"),
+    # normalized to a = z^-1, b underflows to 0, which annihilates nothing
+    (["pair-from", "--f", "1e300*z^-1+1e-300*z"], "error:"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _SCALED, ids=[" ".join(argv) for argv, _ in _SCALED])
+def test_extreme_common_scales_give_the_unscaled_answer_or_refuse(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    if isinstance(expected, int):
+        assert code == 0 and json.loads(out)["result"]["dim"] == expected
+    else:
+        assert code == 2 and err.startswith(expected) and out == ""
 
 
 def test_apply_cap_spares_single_term_factors(capsys):

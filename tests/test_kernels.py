@@ -16,10 +16,11 @@ from pairedops import kernels
 from pairedops.kernels import (
     NULL_SPACE_REL_THRESHOLD,
     AmbiguousKernelError,
-    _index_dim,
     _null_count,
     _null_space,
-    _winding,
+    _paired_residual,
+    _residual,
+    _root_split,
     adjoint_inverse_report,
     adjoint_kernel_basis,
     adjoint_kernel_map,
@@ -30,7 +31,6 @@ from pairedops.kernels import (
     kernel_conjugate,
     kernel_element_direct,
     kernel_element_from_inner_factor,
-    kernel_projections,
     l2_kernel,
     multiplier_invariance_test,
     pair_from_function,
@@ -64,6 +64,12 @@ def lp(text: str) -> LaurentPoly:
 
 def pair(a: str, b: str) -> SymbolPair:
     return SymbolPair(lp(a), lp(b))
+
+
+def wind(symbol: LaurentPoly) -> int | None:
+    """Winding number from the certified root split; None where it is refused."""
+    split = _root_split(symbol)
+    return None if split is None else symbol.kmin + len(split[0])
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +108,18 @@ def test_null_space_gap_guard():
 
 def test_kernel_basis_pinned_dimensions():
     k = kernel_basis(pair("z^-1", "z"), 4)
-    assert k.dim == 2 and k.certified and k.expected_dim == 2
+    assert k.dim == 2 == l2_kernel(k.pair).dim
     expected = [lp("1 - z^-2"), lp("z - z^-1")]
     assert subspace_angle(list(k.basis), expected) <= 1e-10
 
     k = kernel_basis(pair("z^-1", "1"), 4)
-    assert k.dim == 1 and k.certified
+    assert k.dim == 1 == l2_kernel(k.pair).dim
     assert subspace_angle(list(k.basis), [lp("1 - z^-1")]) <= 1e-10
 
-    # b vanishes at 1: no index, so nothing to certify against
+    # b vanishes at 1: no index to compare with
     for band in (32, 64):
         k = kernel_basis(pair("1", "1 - z"), band)
-        assert k.dim == 0 and k.expected_dim is None and not k.certified
+        assert k.dim == 0 and l2_kernel(k.pair) is None
 
 
 def _rooted(rng, kmin: int) -> LaurentPoly:
@@ -161,7 +167,7 @@ def test_index_matches_large_band_null_count():
     seen = Counter()
     for _ in range(12):
         p = SymbolPair(_far_rooted(rng, int(rng.integers(-1, 2))), _far_rooted(rng, int(rng.integers(-1, 2))))
-        expected = _index_dim(_winding(p.a), _winding(p.b))
+        expected = l2_kernel(p).dim
         for kind in ("paired", "transposed"):
             assert _full_svd_null_space(exact_action_matrix(p, 96, kind=kind))[0].shape[1] == expected
             seen[expected > 0] += 1
@@ -169,13 +175,11 @@ def test_index_matches_large_band_null_count():
 
 
 def test_winding_unknown_off_the_fredholm_case():
-    assert _winding(lp("z^-2 * (z - 0.5) * (z - 3)")) == -1
-    assert _winding(lp("2*z^3")) == 3
+    assert wind(lp("z^-2 * (z - 0.5) * (z - 3)")) == -1
+    assert wind(lp("2*z^3")) == 3
     for symbol in (LaurentPoly.zero(), lp("1 - z"), lp("z - 1.000000001")):
-        assert _winding(symbol) is None and not invertible_on_circle(symbol)
-    assert _winding(lp("z - 1.001")) == 0 and not invertible_on_circle(lp("z - 1.001"), 1e-2)
-    assert _index_dim(None, 1) is None and _index_dim(2, None) is None
-    assert (_index_dim(0, 2), _index_dim(2, 0)) == (2, 0)
+        assert wind(symbol) is None and not invertible_on_circle(symbol)
+    assert wind(lp("z - 1.001")) == 0 and not invertible_on_circle(lp("z - 1.001"), 1e-2)
 
 
 @st.composite
@@ -205,23 +209,23 @@ def clustered_symbols(draw):
 @settings(max_examples=60, deadline=None)
 @given(clustered_symbols())
 def test_winding_is_right_or_refused(drawn):
-    symbol, wind = drawn
-    assert _winding(symbol) in (None, wind)
+    symbol, expected = drawn
+    assert wind(symbol) in (None, expected)
 
 
 def test_winding_refuses_clusters_whose_disks_reach_the_circle():
     # computed roots alone would read 10, 9 and 4 here
     for root, multiplicity in ((0.9, 16), (0.95, 12), (1.05, 12)):
-        assert _winding(poly_from_roots([root] * multiplicity)) is None
-    assert _winding(poly_from_roots([0.5] * 8)) == 8
-    assert _winding(lp("z - 1.000000001")) is None
+        assert wind(poly_from_roots([root] * multiplicity)) is None
+    assert wind(poly_from_roots([0.5] * 8)) == 8
+    assert wind(lp("z - 1.000000001")) is None
 
 
 @pytest.mark.parametrize(
     "call, solves",
     [
         (lambda p: invertible_on_circle(p.b), 1),
-        (lambda p: kernel_basis(p, 24), 2),
+        (lambda p: kernel_basis(p, 24), 0),
         (lambda p: coburn_check(p, 24), 3),
         (lambda p: l2_kernel(p), 2),
     ],
@@ -240,30 +244,29 @@ def test_failed_root_solve_leaves_the_index_unknown(monkeypatch):
         raise FactorizationError("root residual above tolerance")
 
     monkeypatch.setattr(kernels, "poly_roots", failing)
-    k = kernel_basis(pair("1", "z - 0.3"), 8)
-    assert k.expected_dim is None
-    assert k.dim == 0 and not k.certified
+    p = pair("1", "z - 0.3")
+    assert l2_kernel(p) is None and coburn_check(p, 8).route == "band-limited"
+    # the band-limited route reads no roots
+    assert kernel_basis(p, 8).dim == 0
 
 
 def test_certified_pinned_cases(monkeypatch):
-    k = kernel_basis(pair("1", "z - 0.01"), 2)
-    assert k.dim == 0 and not k.certified
-    k = kernel_basis(pair("1", "z - 0.01"), 8)
-    assert (k.dim, k.certified) == (1, True)
+    # the band-limited dimension against the index dimension of l2_kernel
+    p = pair("1", "z - 0.01")
+    assert (kernel_basis(p, 2).dim, kernel_basis(p, 8).dim, l2_kernel(p).dim) == (0, 1, 1)
     # the known shortfall: dim 0 at band 8, where the index says 1
-    k = kernel_basis(pair("1", "z - 0.3"), 8)
-    assert (k.dim, k.certified, k.expected_dim) == (0, False, 1)
-    assert (k.to_json_dict()["certified"], k.to_json_dict()["expected_dim"]) == (False, 1)
-    assert "stabilized" not in k.to_json_dict()
-    k = kernel_basis(pair("z^-1", "z - 0.05"), 5)
-    assert k.dim == 1 and not k.certified
-    assert kernel_basis(pair("z^-1", "z - 0.05"), 12).certified
+    p = pair("1", "z - 0.3")
+    k = kernel_basis(p, 8)
+    assert (k.dim, l2_kernel(p).dim) == (0, 1)
+    assert not {"stabilized", "certified", "expected_dim"} & set(k.to_json_dict())
+    p = pair("z^-1", "z - 0.05")
+    assert (kernel_basis(p, 5).dim, kernel_basis(p, 12).dim, l2_kernel(p).dim) == (1, 2, 2)
     # one action matrix and one values-only SVD per basis, at band N only
     bands = []
     build = kernels.exact_action_matrix
     monkeypatch.setattr(kernels, "exact_action_matrix", lambda p, n, kind: bands.append(n) or build(p, n, kind=kind))
     k = kernel_basis(pair("1", "z - 0.3"), 11)
-    assert (k.dim, k.certified, bands) == (0, False, [11])
+    assert (k.dim, bands) == (0, [11])
 
 
 def test_svd_counts_per_call(monkeypatch):
@@ -308,29 +311,56 @@ def test_kernel_basis_membership_and_gram():
     assert np.max(np.abs(gram - np.eye(k.dim))) <= 1e-12
 
 
+def test_membership_residual_is_an_exact_cancellation():
+    p = pair("z^-1", "z")
+    assert _residual(p, lp("z - z^-1"), "paired") == 0.0
+    assert _residual(p, LaurentPoly.zero(), "paired") == 0.0
+    # a non-member reads the same at every common scale of a and b
+    outside = lp("1 + 2*z - z^-1")
+    ratios = {_residual(SymbolPair(p.a * c, p.b * c), outside, "paired") for c in (1e-300, 1.0, 1e300)}
+    assert len(ratios) == 1 and ratios.pop() > 1e-2
+    # P+(a v) + P-(b v) for the transposed kind: 1 lies in the transposed kernel of (z^-1, 1)
+    assert _residual(pair("z^-1", "1"), lp("1"), "transposed") == 0.0
+    assert _residual(pair("z^-1", "1"), lp("z"), "transposed") == 1.0
+    # rational parts clear their denominators: f = 1 - 1/(z - 0.3) in ker(1, z - 0.3)
+    minus = RationalSymbol(lp("-1"), lp("z - 0.3"))
+    assert _paired_residual(lp("1"), lp("z - 0.3"), RationalSymbol.one(), minus) == 0.0
+    assert _paired_residual(RationalSymbol(lp("2"), lp("2")), lp("z - 0.3"), lp("1"), minus) == 0.0
+    assert _paired_residual(lp("1"), lp("z - 0.3"), lp("1"), minus * 2.0) == 0.5  # |a f+ - 2 a f+| / |2 a f+|
+
+
+def _dim_or_refused(p: SymbolPair, band: int) -> int | None:
+    try:
+        return kernel_basis(p, band).dim
+    except AmbiguousKernelError:
+        return None
+
+
+def test_kernel_basis_is_scale_invariant_off_the_fredholm_class():
+    # b = (1 - z) q vanishes on the circle, so only the band-limited route
+    # answers; a common factor c changes neither the kernel nor its certificate
+    cases = [(pair("z^-2", "1 - z"), 8)]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        a = _rooted(rng, int(rng.integers(-3, 1)))
+        b = _rooted(rng, int(rng.integers(-1, 2))) * lp("1 - z")
+        cases.append((SymbolPair(a, b), int(rng.integers(6, 13))))
+    seen = Counter()
+    for p, band in cases:
+        assert l2_kernel(p) is None
+        expected = _dim_or_refused(p, band)
+        for c in (1e-12, 1e12):
+            assert _dim_or_refused(SymbolPair(p.a * c, p.b * c), band) == expected, (p, band, c)
+        seen["refused" if expected is None else expected > 0] += 1
+    assert seen[True] >= 3 and seen[False] and seen["refused"]
+    assert _dim_or_refused(*cases[0]) == 2
+
+
 def test_kernel_basis_rejects_degenerate():
     with pytest.raises(DegeneratePairError):
         kernel_basis(pair("1", "1"), 4)
     with pytest.raises(DegeneratePairError):
         kernel_basis(SymbolPair(LaurentPoly.zero(), lp("z")), 4)
-
-
-def test_kernel_projections_pinned():
-    k = kernel_basis(pair("z^-1", "1"), 4)
-    proj = kernel_projections(k)
-    # basis vector is a unit multiple of 1 - zbar
-    scale = proj.plus[0].coeff(0)
-    assert abs(abs(scale) - 1 / math.sqrt(2)) <= 1e-12
-    assert (proj.plus[0] - LaurentPoly({0: scale})).max_abs_coeff() <= 1e-12
-    assert (proj.minus[0] - LaurentPoly({-1: -scale})).max_abs_coeff() <= 1e-12
-    for v, p, m in zip(k.basis, proj.plus, proj.minus):
-        assert p + m == v
-
-
-def test_kernel_projections_empty():
-    k = kernel_basis(pair("1", "1 - z"), 8)
-    proj = kernel_projections(k)
-    assert proj.plus == () and proj.minus == ()
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +725,7 @@ def test_l2_kernel_agrees_with_the_band_limited_kernel(seed):
     for variant in (p, p.swapped(), p.conjugated()):
         closed = l2_kernel(variant)
         svd = kernel_basis(variant, 64)
-        assert closed.dim == svd.dim == svd.expected_dim == max(0, closed.wind_b - closed.wind_a)
+        assert closed.dim == svd.dim == max(0, closed.wind_b - closed.wind_a)
         assert closed.residual <= 1e-10
         assert subspace_angle(svd.basis, _truncations(closed, 64)) <= 1e-9
         dims.append(closed.dim)
@@ -760,7 +790,7 @@ def test_l2_kernel_elements_share_one_residual(seed):
     p = SymbolPair(poly_from_roots(roots(1.5, 3.0), 0.7, -2), poly_from_roots(roots(0.1, 0.8) + roots(1.5, 3.0), 1j, 1))
     k = l2_kernel(p)
     assert k.dim == 5
-    assert {kernels._l2_residual(p.a, p.b, *f) for f in k.basis} == {k.residual}
+    assert {_paired_residual(p.a, p.b, *f) for f in k.basis} == {k.residual}
 
 
 def test_l2_certificate_refuses_a_wrong_element():

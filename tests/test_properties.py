@@ -13,7 +13,7 @@ import pytest
 from numpy.random import default_rng
 
 from pairedops import properties
-from pairedops.kernels import kernel_basis, l2_kernel, subspace_angle
+from pairedops.kernels import l2_kernel, subspace_angle
 from pairedops.operators import SymbolPair, apply_paired
 from pairedops.properties import (
     GeneratorConfig,
@@ -155,6 +155,15 @@ def test_kernels_suite_passes_where_band_limited_kernels_fell_short():
         assert report.verdict == "pass", (seed, report.violations, report.ambiguities)
 
 
+def test_kernel_group_without_a_closed_form_is_an_ambiguity(monkeypatch):
+    # there is no band-limited group check to fall back on
+    monkeypatch.setattr(properties, "l2_kernel", lambda pair: None)
+    report = SUITES["kernels"](GeneratorConfig(seed=0, trials=3))
+    assert report.verdict == "ambiguous" and not report.violations
+    assert [a["context"] for a in report.ambiguities] == ["kernel group"] * 3
+    assert "no closed-form L2 kernel" in report.ambiguities[0]["error"]
+
+
 def test_violations_imply_not_passed():
     report = SUITES["kernels"](SMALL)
     assert report.passed == (not report.violations and not report.ambiguities)
@@ -281,8 +290,6 @@ _FORCING = {
     "_PINNED_NORM_TOL": -1.0,
     "_TRUNCATION_TOL": -1.0,
     "_GRAM_TOL": -1.0,
-    "_DISTINCT_ANGLE": math.inf,
-    "_CONTAINMENT_TOL": math.inf,
     "_MEMBERSHIP_TOL": math.inf,
 }
 
@@ -299,16 +306,6 @@ def test_forced_violations_replay_exactly(name, monkeypatch):
     # the JSON form replays too, as a report consumer would read it
     blob = json.loads(json.dumps(report.violations[0].to_json_dict()))
     assert replay_violation(blob) == report.violations[0].residuals
-
-
-def test_recorded_kernels_violation_replays():
-    # the band-limited kernel misses a rational kernel element: the replay
-    # still finds dim 2 at band 12, where a wider band certifies dim 3
-    record = json.loads(SHORTFALL.read_text(encoding="utf-8"))
-    assert replay_violation(record) == record["residuals"]
-    assert record["residuals"]["dim"] == 2 and record["residuals"]["angle"] > 1e-8
-    base = properties._decode(record["inputs"]["base"])
-    assert kernel_basis(base, 24).dim == 3
 
 
 def test_kernel_dimension_check_reads_the_index_where_it_can():
@@ -334,7 +331,7 @@ def test_l2_kernel_group_on_the_recorded_shortfall():
     inputs["other"] = inputs["base"]
     same = replay_violation({"check": "l2_kernel_group", "inputs": inputs})
     assert same["same_kernel_other"] and max(same["other_on_base"], same["base_on_other"]) <= 1e-15
-    # without a closed form the check says so, and the suite takes the band-limited group
+    # without a closed form the check says so, and the suite records an ambiguity
     inputs["other"] = _pair_input("z^-1", "1 - z")
     assert replay_violation({"check": "l2_kernel_group", "inputs": inputs}) == {"closed_form": False}
 
