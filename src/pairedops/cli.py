@@ -49,7 +49,8 @@ from .symbols import (
 __all__ = ["RunConfig", "main"]
 
 _FORMATS = ("json", "csv", "pretty")
-_TOLERANCES = ("exact", "numeric", "null_threshold")
+# each configurable tolerance and the GeneratorConfig field that carries it
+_TOLERANCE_FIELDS = {"exact": "exact_tol", "numeric": "numeric_tol", "null_threshold": "null_threshold"}
 
 # Bytes of the largest dense complex array `norm`, `kernel` or `coburn` may
 # build: 64 times the 4 MB section of `norm` at N = 256.
@@ -63,7 +64,7 @@ class RunConfig:
     N: int = 32
     grid_points: int = 1024
     tolerances: dict = dataclasses.field(
-        default_factory=lambda: {"exact": 1e-12, "numeric": 1e-8, "null_threshold": 1e-8}
+        default_factory=lambda: {key: getattr(GeneratorConfig, name) for key, name in _TOLERANCE_FIELDS.items()}
     )
     seed: int = 0
     out: str | None = None
@@ -82,10 +83,10 @@ class RunConfig:
             raise ValueError(f"format must be one of {_FORMATS}")
         if not isinstance(self.tolerances, dict):
             raise ValueError(f"tolerances must be an object, not {self.tolerances!r}")
-        unknown = set(self.tolerances) - set(_TOLERANCES)
+        unknown = set(self.tolerances) - set(_TOLERANCE_FIELDS)
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        for key in _TOLERANCES:
+        for key in _TOLERANCE_FIELDS:
             value = self.tolerances.get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
                 raise ValueError(f"tolerance {key!r} must be present, finite and positive, not {value!r}")
@@ -356,13 +357,8 @@ def _cmd_coburn(args, cfg: RunConfig):
 
 
 def _cmd_suite(args, cfg: RunConfig):
-    gen_cfg = GeneratorConfig(
-        seed=cfg.seed,
-        trials=args.trials,
-        exact_tol=cfg.tolerances["exact"],
-        numeric_tol=cfg.tolerances["numeric"],
-        null_threshold=cfg.tolerances["null_threshold"],
-    )
+    tolerances = {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
+    gen_cfg = GeneratorConfig(seed=cfg.seed, trials=args.trials, **tolerances)
     if args.name == "all":
         report = run_all(gen_cfg)
         reports = report.reports

@@ -444,7 +444,7 @@ def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
 
 def _orthonormal(vectors: Sequence[CoeffVector], kmin: int, kmax: int) -> np.ndarray:
     q, r = np.linalg.qr(np.column_stack([v.to_dense(kmin, kmax) for v in vectors]))
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(r))))
+    keep = np.abs(np.diag(r)) > 1e-12 * float(np.max(np.abs(r)))
     return q[:, keep]
 
 
@@ -536,14 +536,15 @@ def _as_rational(symbol) -> RationalSymbol:
     return RationalSymbol(symbol)
 
 
-def same_kernel_test(first, second, tol: float = 1e-12) -> bool:
+def same_kernel_test(first, second) -> bool:
     """Exact cross-multiplication criterion for equality of two paired kernels.
 
     For nondegenerate pairs with a nontrivial kernel, the kernels agree
     exactly when  a1 * b2 = a2 * b1 ; the caller supplies the nontriviality
     evidence.  Accepts :class:`SymbolPair` as well as rational pairs such as
-    :class:`KernelPair`; the products are compared coefficientwise after
-    clearing denominators, relative to the largest coefficient.
+    :class:`KernelPair`.  With denominators cleared, the difference of the
+    two products over the larger of them (:func:`_relative`) must be at most
+    ``_MEMBERSHIP_TOL``, so scaling either pair leaves the answer unchanged.
     """
     for p in (first, second):
         if isinstance(p, SymbolPair):
@@ -552,8 +553,7 @@ def same_kernel_test(first, second, tol: float = 1e-12) -> bool:
     a2, b2 = _as_rational(second.a), _as_rational(second.b)
     lhs = a1.num * b2.num * a2.den * b1.den
     rhs = a2.num * b1.num * a1.den * b2.den
-    scale = max(1.0, lhs.max_abs_coeff(), rhs.max_abs_coeff())
-    return (lhs - rhs).max_abs_coeff() <= tol * scale
+    return _relative(lhs - rhs, lhs, rhs) <= _MEMBERSHIP_TOL
 
 
 def kernel_element_direct(a: LaurentPoly, b: LaurentPoly) -> CoeffVector:
@@ -678,13 +678,14 @@ def pair_from_function(phi: CoeffVector) -> KernelPair:
 
     a = io_plus.inner.conj_reflect() * io_refl.outer.conj_reflect()
     b = -(io_refl.inner * io_plus.outer)
-    # the pair is only determined up to a common nonzero factor; normalize it
-    # to a largest numerator coefficient of 1 (a symbol that underflows to
+    # the pair is only determined up to a common nonzero factor; scale it by
+    # the power of two that brings its largest numerator coefficient into
+    # [1, 2), which is exact and cannot overflow (a symbol that underflows to
     # zero then fails the certificate)
     size = max(a.num.max_abs_coeff(), b.num.max_abs_coeff())
     if size > 0:
-        a = a * (1.0 / size)
-        b = b * (1.0 / size)
+        e = 1 - math.frexp(size)[1]
+        a, b = (RationalSymbol._from_poles(s.num.ldexp(e), s.den, s.poles) for s in (a, b))
     residual = _certify(_paired_residual(a, b, plus, minus), "the source function", ArithmeticError)
     return KernelPair(a=a, b=b, convention="generic", source=phi, residual=residual)
 
@@ -937,7 +938,7 @@ def coburn_check(
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Both sides of the multiplier-invariance equivalence for one input."""
+    """Both sides of the multiplier-invariance equivalence for one input, with their relative residuals."""
 
     multiplier_keeps_kernel: bool
     hankel_parts_vanish: bool
@@ -950,24 +951,25 @@ class InvarianceReport:
         return self.multiplier_keeps_kernel == self.hankel_parts_vanish
 
 
-def multiplier_invariance_test(
-    pair: SymbolPair, eta: LaurentPoly, f: CoeffVector, tol: float = 1e-12
-) -> InvarianceReport:
+def multiplier_invariance_test(pair: SymbolPair, eta: LaurentPoly, f: CoeffVector) -> InvarianceReport:
     """Test  eta*f in kernel  <=>  both Hankel parts of f under eta vanish.
 
     ``f`` must already be a kernel element (residual-checked).  Both sides of
-    the equivalence are evaluated exactly; a contradiction between them would
-    indicate numerical trouble and raises :class:`ArithmeticError`.
+    the equivalence are evaluated exactly, each as a relative residual
+    (:func:`_relative`) against ``_MEMBERSHIP_TOL``: a P+(eta f) + b P-(eta f)
+    over the larger of its terms, P-(eta f+) over eta f+ and P+(eta f-) over
+    eta f-.  A contradiction between them would indicate numerical trouble
+    and raises :class:`ArithmeticError`.
     """
     pair.require_nondegenerate()
     _check_membership(pair, f, "paired")
-    scale = max(1.0, f.l2_norm() * max(1.0, eta.max_abs_coeff()))
-    image_residual = apply_paired(pair, eta * f).l2_norm()
-    h_minus = riesz_minus(eta * riesz_plus(f)).l2_norm()
-    h_plus = riesz_plus(eta * riesz_minus(f)).l2_norm()
+    eta_f, eta_plus, eta_minus = eta * f, eta * riesz_plus(f), eta * riesz_minus(f)
+    image_residual = _relative(apply_paired(pair, eta_f), pair.a * riesz_plus(eta_f), pair.b * riesz_minus(eta_f))
+    h_minus = _relative(riesz_minus(eta_plus), eta_plus)
+    h_plus = _relative(riesz_plus(eta_minus), eta_minus)
     report = InvarianceReport(
-        multiplier_keeps_kernel=image_residual <= tol * scale,
-        hankel_parts_vanish=max(h_minus, h_plus) <= tol * scale,
+        multiplier_keeps_kernel=image_residual <= _MEMBERSHIP_TOL,
+        hankel_parts_vanish=max(h_minus, h_plus) <= _MEMBERSHIP_TOL,
         image_residual=float(image_residual),
         hankel_minus_residual=float(h_minus),
         hankel_plus_residual=float(h_plus),

@@ -362,8 +362,13 @@ class LaurentPoly:
             total = math.inf
         if _L2_UNSCALED_MIN <= total < math.inf or not values:
             return math.sqrt(total)
-        scaled, e = _unit_scaled(self._coeffs)
-        return _scaled_back(math.sqrt(sum(abs(v) ** 2 for v in scaled.values())), e, "l2 norm")
+        scaled, e = _unit_scaled(self)
+        return _scaled_back(math.sqrt(sum(abs(v) ** 2 for v in scaled._coeffs.values())), e, "l2 norm")
+
+    def ldexp(self, e: int) -> "LaurentPoly":
+        """self * 2^e, exact except where a part falls into the subnormal range; entries that vanish are dropped."""
+        scaled = ((k, complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))) for k, v in self._coeffs.items())
+        return LaurentPoly._trusted({k: v for k, v in scaled if v})
 
     def l1_norm(self) -> float:
         """Sum of coefficient magnitudes (an upper bound for the sup norm)."""
@@ -411,8 +416,8 @@ class LaurentPoly:
         except OverflowError:
             total = math.inf
         if not total <= _HORNER_UNSCALED_MAX:
-            scaled, e = _unit_scaled(self._coeffs)
-            return _scaled_back(LaurentPoly._trusted(scaled).sup_norm(n), e, "sup norm")
+            scaled, e = _unit_scaled(self)
+            return _scaled_back(scaled.sup_norm(n), e, "sup norm")
         terms = self._horner_terms()
         grid = unit_grid(n)
         values = _cabs(_horner_array(terms, grid))
@@ -463,15 +468,10 @@ def _lift(value) -> "LaurentPoly":
     return NotImplemented
 
 
-def _unit_scaled(table: Mapping[int, complex]) -> tuple[dict[int, complex], int]:
-    """(table / 2^e, e) for the e that brings the largest real or imaginary part into [1/2, 1).
-
-    Dividing by a power of two is exact except where a part falls into the
-    subnormal range; entries that vanish there are dropped.
-    """
-    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in table.values()))[1]
-    scaled = ((k, complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))) for k, v in table.items())
-    return {k: v for k, v in scaled if v}, e
+def _unit_scaled(p: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """(p / 2^e, e) for the e that brings the largest real or imaginary part of nonzero p into [1/2, 1)."""
+    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in p._coeffs.values()))[1]
+    return p.ldexp(-e), e
 
 
 def _scaled_back(value: float, e: int, what: str) -> float:
@@ -828,7 +828,7 @@ class RationalSymbol:
             raise ValueError("denominator must not vanish at the origin")
         self._adopt(num, den, rr.roots)
         grid_vals = np.abs(den(unit_grid(512)))
-        if grid_vals.min() <= 1e-9 * max(1.0, grid_vals.max()):
+        if grid_vals.min() <= 1e-9 * grid_vals.max():
             raise ConditioningError("denominator nearly vanishes on the circle")
 
     @classmethod
@@ -982,7 +982,9 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
     """Factor a nonzero analytic polynomial into inner and outer parts.
 
     Verifies its own output: the inner factor must be unimodular on a grid and
-    the product must reproduce the input, both within 1e-8 relative.
+    the product must reproduce the input, both within 1e-8 relative.  The
+    second check runs on p and the outer factor divided by one power of two
+    (:func:`_unit_scaled`), so values of p that overflow cannot break it.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -1023,9 +1025,9 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
     # written as `not x <= tol` so that a NaN from overflowing values refuses
     if not np.max(np.abs(np.abs(inner_vals) - 1.0)) <= 1e-8:
         raise FactorizationError("inner factor is not unimodular on the circle")
-    p_vals = p(grid)
-    scale = max(1.0, float(np.max(np.abs(p_vals))))
-    if not np.max(np.abs(inner_vals * outer(grid) - p_vals)) <= 1e-8 * scale:
+    unit_p, e = _unit_scaled(p)
+    p_vals = unit_p(grid)
+    if not np.max(np.abs(inner_vals * outer_poly.ldexp(-e)(grid) - p_vals)) <= 1e-8 * np.max(np.abs(p_vals)):
         raise FactorizationError("inner * outer does not reproduce the input")
     return InnerOuterFactorization(
         inner=inner,
@@ -1129,14 +1131,14 @@ def rational_to_coeffs_auto(
 
     The target is relative to the function magnitude (bounded through the l1
     norm of the coefficients), since the attainable floor of the grid error
-    scales with the largest values the symbol takes on the circle.
+    scales with the largest values the symbol takes on the circle; so the
+    band does not depend on a common scale of the symbol.
     """
     band = start_band
     last: RationalTruncation | None = None
     while band <= max_band:
         last = rational_to_coeffs(r, band, min_root_distance=min_root_distance)
-        scale = max(1.0, last.coeffs.l1_norm())
-        if last.grid_error <= tol * scale:
+        if last.grid_error <= tol * last.coeffs.l1_norm():
             return last
         band *= 2
     raise ConditioningError(

@@ -14,6 +14,8 @@ import pytest
 import pairedops
 from pairedops import kernels, properties
 from pairedops.cli import RunConfig, main
+from pairedops.operators import SymbolPair
+from pairedops.symbols import LaurentPoly
 
 
 def run_cli(capsys, *argv: str):
@@ -247,12 +249,12 @@ def test_suite_all_deterministic_output(capsys):
 
 
 def test_suite_exit_code_follows_violations(capsys, monkeypatch):
-    # exit 1 exactly when the report holds violations: a negative rounding
+    # exit 1 exactly when the report holds violations: a negative pinned-norm
     # tolerance makes the pinned norm checks fail by construction
     argv = ("suite", "norm_bounds", "--seed", "0", "--trials", "1", "--format", "json")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and not json.loads(out)["result"]["violations"]
-    monkeypatch.setattr(properties, "_ROUNDING_TOL", -1.0)
+    monkeypatch.setattr(properties, "_PINNED_NORM_TOL", -1.0)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1 and json.loads(out)["result"]["violations"]
 
@@ -436,6 +438,32 @@ def test_extreme_common_scales_give_the_unscaled_answer_or_refuse(capsys, argv, 
         assert code == 0 and json.loads(out)["result"]["dim"] == expected
     else:
         assert code == 2 and err.startswith(expected) and out == ""
+
+
+@pytest.mark.parametrize(
+    "scaled, unscaled",
+    [
+        # |p| reaches 2e308 on the circle: the self-checks run on p over a power of two
+        (["factor", "--p", "1e308*z+1e308*i"], ["factor", "--p", "z+i"]),
+        # the normalizing power of two is applied entrywise: 1/size would overflow
+        (["pair-from", "--f", "3e-309*z^-1+3e-309*i*z"], ["pair-from", "--f", "z^-1+i*z"]),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_extreme_scales_answer_as_at_scale_one(capsys, scaled, unscaled):
+    code, out, err = run_cli(capsys, *scaled, "--format", "json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    code, out, _ = run_cli(capsys, *unscaled, "--format", "json")
+    expected = json.loads(out)["result"]
+    if scaled[0] == "factor":
+        keys = ("inner", "circle_roots", "interior_roots", "exterior_roots", "unimodular_constant")
+        assert {k: result[k] for k in keys} == {k: expected[k] for k in keys}
+    else:
+        # one polynomial pair up to a common factor: one kernel
+        assert result["convention"] == "generic" and result["residual"] <= 1e-10
+        pairs = [SymbolPair(*(LaurentPoly.from_json_dict(r[k]["num"]) for k in "ab")) for r in (result, expected)]
+        assert kernels.same_kernel_test(*pairs)
 
 
 def test_apply_cap_spares_single_term_factors(capsys):

@@ -368,6 +368,13 @@ def test_kernel_basis_rejects_degenerate():
 # ---------------------------------------------------------------------------
 
 
+def test_subspace_angle_ignores_a_common_scale():
+    # sin of the angle between span(1 + z) and span(1 + z + 1e-3 z^2) is 1e-3/sqrt(2) to first order
+    angles = [subspace_angle([lp("1 + z") * s], [lp("1 + z + 0.001*z^2") * s]) for s in (1.0, 1e-13, 1e13)]
+    assert abs(angles[0] - 7.07e-4) <= 1e-6
+    assert angles[1:] == pytest.approx([angles[0]] * 2, rel=1e-9)
+
+
 def test_bridge_pinned():
     r = toeplitz_kernel_bridge(lp("z^-1"), 8)
     assert r.dim_toeplitz == 1 and r.dim_projected == 1
@@ -423,6 +430,15 @@ def test_same_kernel_negative_case():
 
 def test_same_kernel_scalar_multiple():
     assert same_kernel_test(pair("1", "z"), pair("2", "2*z"))
+
+
+def test_same_kernel_ignores_a_common_scale():
+    # the cross products differ by 0.5 z^-1 against 1 at every scale
+    for scale in (1.0, 1e-7, 1e7):
+        first = SymbolPair(lp("z^-1") * scale, lp("z") * scale)
+        second = SymbolPair(lp("z^-1") * scale, lp("z + 0.5") * scale)
+        assert not same_kernel_test(first, second)
+        assert same_kernel_test(first, SymbolPair(lp("z^-1"), lp("z")))
 
 
 def test_same_kernel_requires_nondegenerate():
@@ -843,6 +859,16 @@ def test_invariance_fails_consistently():
     p = pair("z^-1", "1")
     report = multiplier_invariance_test(p, lp("z"), lp("1 - z^-1"))
     assert not report.multiplier_keeps_kernel and not report.hankel_parts_vanish
+
+
+def test_invariance_ignores_a_common_scale():
+    # eta*f leaves the kernel and f- under z has a nonzero Hankel part, at every scale
+    f = lp("1 - z^-1")
+    for scale in (1e-12, 1.0, 1e12):
+        report = multiplier_invariance_test(SymbolPair(lp("z^-1") * scale, lp("1") * scale), lp("z"), f)
+        assert (report.multiplier_keeps_kernel, report.hankel_parts_vanish) == (False, False)
+        report = multiplier_invariance_test(pair("z^-1", "1"), lp("z"), f * scale)
+        assert (report.multiplier_keeps_kernel, report.hankel_parts_vanish) == (False, False)
 
 
 def test_invariance_member_case():
