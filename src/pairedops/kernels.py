@@ -69,6 +69,7 @@ from .symbols import (
     ConditioningError,
     LaurentPoly,
     RationalSymbol,
+    _unit_exponent,
     in_conj_hardy,
     in_conj_hardy_vanishing,
     in_hardy,
@@ -679,12 +680,12 @@ def pair_from_function(phi: CoeffVector) -> KernelPair:
     a = io_plus.inner.conj_reflect() * io_refl.outer.conj_reflect()
     b = -(io_refl.inner * io_plus.outer)
     # the pair is only determined up to a common nonzero factor; scale it by
-    # the power of two that brings its largest numerator coefficient into
-    # [1, 2), which is exact and cannot overflow (a symbol that underflows to
-    # zero then fails the certificate)
-    size = max(a.num.max_abs_coeff(), b.num.max_abs_coeff())
-    if size > 0:
-        e = 1 - math.frexp(size)[1]
+    # the power of two that brings its largest numerator part into [1, 2),
+    # which is exact and cannot overflow (a symbol that underflows to zero
+    # then fails the certificate); [1, 2) rather than _unit_exponent's
+    # [1/2, 1) leaves a pair whose largest coefficient is 1 as it prints
+    if not (a.num.is_zero and b.num.is_zero):
+        e = 1 - _unit_exponent(a.num, b.num)
         a, b = (RationalSymbol._from_poles(s.num.ldexp(e), s.den, s.poles) for s in (a, b))
     residual = _certify(_paired_residual(a, b, plus, minus), "the source function", ArithmeticError)
     return KernelPair(a=a, b=b, convention="generic", source=phi, residual=residual)

@@ -407,9 +407,9 @@ def check_norm_bounds(a: LaurentPoly, b: LaurentPoly) -> dict:
     top = norms[-1]
     return {
         "norm": top,
-        "monotonicity_violation": max(max(0.0, lo - hi) for lo, hi in zip(norms, norms[1:])) / m,
-        "lower_violation": max(0.0, 0.95 * m - top) / m,
-        "upper_violation": max(0.0, top - min(math.sqrt(2.0) * m, sup_a + sup_b)) / m,
+        "monotonicity_violation": _over(max(max(0.0, lo - hi) for lo, hi in zip(norms, norms[1:])), m),
+        "lower_violation": _over(max(0.0, 0.95 * m - top), m),
+        "upper_violation": _over(max(0.0, top - min(math.sqrt(2.0) * m, sup_a + sup_b)), m),
         "gap": (sup_a + sup_b) - top,
     }
 
@@ -418,13 +418,18 @@ def check_norm_bounds(a: LaurentPoly, b: LaurentPoly) -> dict:
 def check_pinned_norm(a: LaurentPoly, b: LaurentPoly, band: int, expected: float) -> dict:
     """Section norm of a pair against its closed-form value, relative to the larger of the two."""
     norm = op_norm(SymbolPair(a, b), band)
-    size = max(norm, expected)
-    return {"norm": norm, "expected": expected, "error": abs(norm - expected) / size if size else 0.0}
+    return {"norm": norm, "expected": expected, "error": _over(abs(norm - expected), max(norm, expected))}
 
 
-def _size(pair: SymbolPair) -> float:
-    """Largest coefficient of a or b."""
-    return max(pair.a.max_abs_coeff(), pair.b.max_abs_coeff())
+def _over(value: float, size: float) -> float:
+    """value / size; 0 when size is 0, where every term, and so value, vanishes."""
+    return value / size if size else 0.0
+
+
+def _over_sizes(report, first: SymbolPair, second: SymbolPair, *fields: str) -> dict:
+    """The ``fields`` of ``report`` over the product of the two pairs' sizes, each its largest coefficient."""
+    size = math.prod(max(pair.a.max_abs_coeff(), pair.b.max_abs_coeff()) for pair in (first, second))
+    return {name: _over(getattr(report, name), size) for name in fields}
 
 
 @_register("composition")
@@ -433,23 +438,14 @@ def check_composition(
 ) -> dict:
     """:func:`composition_residual`'s column norms over the product of the two pairs' sizes."""
     report = composition_residual(first, second, band, kind=kind)
-    size = _size(first) * _size(second)
-    return {
-        "residual": report.residual / size,
-        "formula_residual": report.formula_residual / size,
-        "discrepancy": report.discrepancy / size,
-    }
+    return _over_sizes(report, first, second, "residual", "formula_residual", "discrepancy")
 
 
 @_register("commutator")
 def check_commutator(first: SymbolPair, second: SymbolPair, band: int) -> dict:
     """:func:`commutator_residual`'s column norms over the product of the two pairs' sizes."""
     report = commutator_residual(first, second, band)
-    size = _size(first) * _size(second)
-    return {
-        "commutator_norm": report.commutator_norm / size,
-        "identity_discrepancy": report.identity_discrepancy / size,
-    }
+    return _over_sizes(report, first, second, "commutator_norm", "identity_discrepancy")
 
 
 @_register("pointwise_commutation")
@@ -581,7 +577,7 @@ def check_adjoint_round_trip(pair: SymbolPair, psi: LaurentPoly) -> dict:
     inverses = adjoint_inverse_report(adjoint_kernel_map(psi, pair), pair)
     errors = [(back - psi).l2_norm() for back in inverses.results.values()]
     size = psi.l2_norm()
-    return {"discrepancy": inverses.max_discrepancy / size, "round_trip": max(errors, default=0.0) / size}
+    return {"discrepancy": _over(inverses.max_discrepancy, size), "round_trip": _over(max(errors, default=0.0), size)}
 
 
 # ---------------------------------------------------------------------------
@@ -801,12 +797,11 @@ def suite_pointwise_commutation(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     def classify(trial: int, pair: SymbolPair, eta: LaurentPoly, f: LaurentPoly):
         """The check's output and the set of truth values of the four statements."""
         result = run.check(trial, "pointwise_commutation", {"pair": pair, "eta": eta, "f": f})
-        tol = cfg.exact_tol
         flags = {
-            result["commute"] <= tol,
-            max(result["hankel_minus"], result["hankel_plus"]) <= tol,
-            result["projection_plus"] <= tol,
-            result["projection_minus"] <= tol,
+            result["commute"] <= cfg.exact_tol,
+            max(result["hankel_minus"], result["hankel_plus"]) <= cfg.exact_tol,
+            result["projection_plus"] <= cfg.exact_tol,
+            result["projection_minus"] <= cfg.exact_tol,
         }
         return result, flags
 

@@ -468,9 +468,14 @@ def _lift(value) -> "LaurentPoly":
     return NotImplemented
 
 
+def _unit_exponent(*polys: LaurentPoly) -> int:
+    """The e for which 2^-e brings the largest real or imaginary part of the polys, not all zero, into [1/2, 1)."""
+    return math.frexp(max(max(abs(v.real), abs(v.imag)) for p in polys for v in p._coeffs.values()))[1]
+
+
 def _unit_scaled(p: LaurentPoly) -> tuple[LaurentPoly, int]:
-    """(p / 2^e, e) for the e that brings the largest real or imaginary part of nonzero p into [1/2, 1)."""
-    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in p._coeffs.values()))[1]
+    """(p / 2^e, e) for e = :func:`_unit_exponent` of nonzero p."""
+    e = _unit_exponent(p)
     return p.ldexp(-e), e
 
 

@@ -28,6 +28,7 @@ from pairedops.properties import (
 )
 from pairedops.symbols import (
     AnalyticityClass,
+    LaurentPoly,
     RationalSymbol,
     parse_symbol,
     poly_roots,
@@ -284,6 +285,24 @@ def test_replay_composition_check():
     out = replay_violation(record)
     assert out["residual"] > 1e-8
     assert out["discrepancy"] <= 1e-12
+
+
+def test_replay_of_a_zero_pair_reads_zero_residuals():
+    # every relative residual of the zero pair is 0 over a zero size, so the
+    # suites still see a violation (no strictness gap, no witness), not an error
+    zero = SymbolPair(LaurentPoly.zero(), LaurentPoly.zero())
+    second = SymbolPair(parse_symbol("z^-1"), parse_symbol("z^-1"))
+    pair_json = {"__pair__": zero.to_json_dict()}
+    poly_json = {"__laurent__": LaurentPoly.zero().to_json_dict()}
+    bounds = replay_violation({"check": "norm_bounds", "inputs": {"a": poly_json, "b": poly_json}})
+    assert bounds == {
+        "norm": 0.0, "monotonicity_violation": 0.0, "lower_violation": 0.0, "upper_violation": 0.0, "gap": 0.0
+    }
+    inputs = {"first": pair_json, "second": {"__pair__": second.to_json_dict()}, "band": 6}
+    composed = replay_violation({"check": "composition", "inputs": {**inputs, "kind": "paired"}})
+    assert composed == {"residual": 0.0, "formula_residual": 0.0, "discrepancy": 0.0}
+    commuted = replay_violation({"check": "commutator", "inputs": inputs})
+    assert commuted == {"commutator_norm": 0.0, "identity_discrepancy": 0.0}
 
 
 def test_replay_unknown_check_rejected():

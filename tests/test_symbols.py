@@ -860,14 +860,8 @@ def _normalized_sup_norm_oracle(p: LaurentPoly, grid_points: int | None) -> floa
 
 
 def _horner_tol(p: LaurentPoly) -> float:
-    """Rounding allowance of Horner against the power sum on |z| = 1: 4 (w + 1) eps sum |c_k|.
-
-    Below the normal range a product rounds to a multiple of the smallest
-    subnormal u, not to a relative error; each complex product of either
-    route can then err by up to 2 sqrt(2) u, so 8 (w + 1) u is added.
-    """
-    width = p.kmax - p.kmin + 1
-    return 4 * width * _EPS * p.l1_norm() + 8 * width * math.ulp(0.0)
+    """Rounding allowance of Horner against the power sum on |z| = 1: 4 (w + 1) eps sum |c_k|."""
+    return 4 * (p.kmax - p.kmin + 1) * _EPS * p.l1_norm()
 
 
 _EVAL_CASES = [
