@@ -299,26 +299,27 @@ def op_norm(pair: SymbolPair, band: int) -> float:
     """Largest singular value of the paired finite section.
 
     The section M of symbols of band radius d is banded, so G = M^H M has
-    half-bandwidth 2d.  Plain Lanczos on G from a fixed start vector gives a
-    top Ritz value theta <= lambda_max(G); once theta stops moving it is
+    half-bandwidth 2d and is built from the symbols' coefficients alone
+    (:func:`_gram_band`).  Plain Lanczos on G from a fixed start vector gives
+    a top Ritz value theta <= lambda_max(G); once theta stops moving it is
     accepted only if a Cholesky factorization shows mu I - G positive
     definite for mu = theta (1 + 1e-13), which certifies lambda_max within
     1e-13 relative of theta, and sqrt(theta) is returned.  A section of
     n = 2N + 1 rows too small or too wide for the band to pay (see
     :func:`_band_path_pays`), or one not certified within 2n steps, takes
-    the dense values-only SVD.
+    the dense values-only SVD, the only place the dense section is built.
 
     Nondecreasing in the band up to that certified tolerance (sections are
     nested principal submatrices) and converges to the operator norm from
     below.
     """
-    matrix = finite_section(pair, "paired", band).matrix
-    d = pair.band_radius()
-    if _band_path_pays(len(matrix), d):
-        gram, exponent = _gram_band(matrix, d)
-        sigma = _lanczos_sigma(gram, _start_vector(len(matrix)))
+    n = 2 * band + 1
+    if _band_path_pays(n, pair.band_radius()):
+        gram, exponent = _gram_band(pair, band)
+        sigma = _lanczos_sigma(gram, _start_vector(n))
         if sigma is not None:
             return math.ldexp(sigma, exponent)
+    matrix = finite_section(pair, "paired", band).matrix
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
@@ -343,24 +344,29 @@ def _start_vector(n: int) -> np.ndarray:
     return parts[0] + 1j * parts[1]
 
 
-def _gram_band(matrix: np.ndarray, d: int) -> tuple[np.ndarray, int]:
-    """The band of G = M^H M for M = 2^-e ``matrix``, and e.
+def _gram_band(pair: SymbolPair, band: int) -> tuple[np.ndarray, int]:
+    """The band of G = M^H M for M = 2^-e times the paired section, and e.
 
-    Row j, column s of the band is G[j, j - 2d + s].  2^e is the power of
-    two next above the largest entry, so G neither overflows nor
-    underflows and sigma scales back exactly.  Only the band |i - j| <= d
-    of ``matrix`` is read.  Row i of M, supported on columns i-d..i+d,
-    adds conj(M[i, k]) M[i, :] to Gram row k; with the band rows laid out
-    at stride 4d+1 in a zero-padded buffer that is one strided view and
-    one batched matmul.
+    Row j, column s of the band is G[j, j - 2d + s], d the pair's band
+    radius.  Row i of the section is read from the coefficients of a and b
+    on -d..d alone: entry t is M[i, i - d + t], the coefficient at exponent
+    d - t of b for columns of negative exponent and of a for the others,
+    and zero off the section, so no dense section is built.  2^e is the
+    power of two next above the largest entry, so G neither overflows nor
+    underflows and sigma scales back exactly.  Row i of M, supported on
+    columns i-d..i+d, adds conj(M[i, k]) M[i, :] to Gram row k; with the
+    band rows laid out at stride 4d+1 in a zero-padded buffer that is one
+    strided view and one batched matmul.
     """
-    n, width = len(matrix), 4 * d + 1
-    rows = np.arange(n)[:, None]
-    cols = rows + np.arange(-d, d + 1)
-    band = np.where((cols >= 0) & (cols < n), matrix[rows, cols.clip(0, n - 1)], 0)
-    exponent = math.frexp(float(np.abs(band).max()))[1]
+    d = pair.band_radius()
+    n, width = 2 * band + 1, 4 * d + 1
+    cols = np.arange(n)[:, None] + np.arange(-d, d + 1)
+    # flipped so that entry t holds the coefficient at exponent d - t
+    coeffs = np.where(cols < band, pair.b.to_dense(-d, d)[::-1], pair.a.to_dense(-d, d)[::-1])
+    entries = np.where((cols >= 0) & (cols < n), coeffs, 0)
+    exponent = math.frexp(float(np.abs(entries).max()))[1]
     padded = np.zeros((n + 2 * d, width), dtype=complex)
-    padded[d : n + d, : 2 * d + 1] = band * 2.0**-exponent
+    padded[d : n + d, : 2 * d + 1] = entries * 2.0**-exponent
     flat = padded.reshape(-1)
     step = flat.strides[0]
     # shifted[j, p, s] = M[j - d + p, j - 2d + s]; column[j, p] = M[j - d + p, j]
@@ -376,14 +382,17 @@ def _gram_band(matrix: np.ndarray, d: int) -> tuple[np.ndarray, int]:
 def _lanczos_sigma(gram: np.ndarray, start: np.ndarray) -> float | None:
     """Certified sqrt(lambda_max) of the Hermitian band ``gram``, or None.
 
-    Three-term Lanczos without reorthogonalization; the top Ritz value of
-    the real tridiagonal is taken every ``_RITZ_EVERY`` steps (less often
-    past 64) and, once it moves by at most ``_RITZ_STALL`` relative,
-    certified by :func:`_dominates`; if the certificate fails, iteration
-    goes on.  None after ``2n`` steps, or at an invariant subspace whose
-    Ritz value fails the certificate.  A section whose top singular values
-    cluster within O(1/n^2), such as that of (1 - z, 1 - z), needs about
-    n steps; random bands need at most about 0.6 n.
+    Three-term Lanczos without reorthogonalization.  The coefficients are
+    kept as Python floats, and the top eigenvalue theta of the real
+    tridiagonal T_k is found every ``_RITZ_EVERY`` steps (less often past
+    64) by :func:`_tridiagonal_top` in O(k), bracketed below by the
+    previous check's theta (eigenvalues of T_k interlace those of T_k+1).
+    Once theta moves by at most ``_RITZ_STALL`` relative it is certified by
+    :func:`_dominates`; if the certificate fails, iteration goes on.  None
+    after ``2n`` steps, or at an invariant subspace whose Ritz value fails
+    the certificate.  A section whose top singular values cluster within
+    O(1/n^2), such as that of (1 - z, 1 - z), needs about n steps; random
+    bands need at most about 0.6 n.
     """
     if not gram.any():
         return 0.0
@@ -394,30 +403,96 @@ def _lanczos_sigma(gram: np.ndarray, start: np.ndarray) -> float | None:
     step = padded.strides[0]
     window = np.lib.stride_tricks.as_strided(padded, (n, 2 * w + 1), (step, step), writeable=False)
     q, q_prev = start / np.linalg.norm(start), np.zeros(n, dtype=complex)
-    alphas, betas, beta, theta_prev, check = [], [], 0.0, None, _RITZ_EVERY
+    # beta2s[j] couples row j of T to row j - 1; the leading 0.0 stands for row 0
+    alphas, beta2s, beta, theta_prev, rise, check = [], [0.0], 0.0, None, 0.0, _RITZ_EVERY
     for k in range(1, 2 * n + 1):
         padded[w : n + w] = q
         v = np.einsum("js,js->j", gram, window)
         v -= beta * q_prev
-        alpha = np.vdot(q, v).real
+        alpha = float(np.vdot(q, v).real)
         v -= alpha * q
         beta = float(np.vdot(v, v).real) ** 0.5
         alphas.append(alpha)
         invariant = beta <= tiny
         if invariant or k == check:
-            # eigvalsh costs O(k^3): past 64 steps, look every k/8 steps
             check += max(_RITZ_EVERY, k // 8)
-            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            theta = float(np.linalg.eigvalsh(tri)[-1])
+            lower = max(alphas) if theta_prev is None else theta_prev
+            theta = _tridiagonal_top(alphas, beta2s, lower, rise)
             stalled = theta_prev is not None and abs(theta - theta_prev) <= _RITZ_STALL * theta
             if (invariant or stalled) and _dominates(gram, theta * (1 + _CERTIFY_SLACK)):
                 return theta**0.5
             if invariant:
                 return None
-            theta_prev = theta
-        betas.append(beta)
+            rise, theta_prev = theta - lower, theta
+        beta2s.append(beta * beta)
         q_prev, q = q, v / beta
     return None
+
+
+def _sturm(alphas: list[float], beta2s: list[float], x: float) -> tuple[int, float]:
+    """Eigenvalues of T above x, and f'/f at x for f(x) = det(x I - T).
+
+    T is the real symmetric tridiagonal with diagonal ``alphas`` and squared
+    off-diagonal ``beta2s[1:]`` (``beta2s[0]`` is 0.0).  The LDL^T pivots of
+    x I - T are p_1 = x - alpha_1 and p_j = x - alpha_j - beta2_j / p_(j-1);
+    the number of negative pivots is the count (Sylvester's law of
+    inertia), and f'/f is the sum of p_j' / p_j.  An exactly zero pivot
+    means x is an eigenvalue of a leading block: it is read at x plus an
+    infinitesimal, as the smallest positive float, so the next pivot is
+    very negative or -inf and f'/f turns infinite or NaN.
+    """
+    p, r, count, ratio = 1.0, 0.0, 0, 0.0
+    for a, b2 in zip(alphas, beta2s):
+        dp = 1.0 + b2 * r / p
+        p = x - a - b2 / p
+        if not p:
+            p = math.ulp(0.0)
+        r = dp / p
+        ratio += r
+        count += p < 0
+    return count, ratio
+
+
+def _tridiagonal_top(alphas: list[float], beta2s: list[float], lower: float, rise: float) -> float:
+    """Largest eigenvalue of the tridiagonal T of :func:`_sturm`, in O(k).
+
+    ``lower`` is at most that eigenvalue (up to rounding), and ``rise`` the
+    amount the last estimate rose by.  An upper bracket is tried at
+    lower + 2 |rise| (at the Gershgorin cap max alpha + 2 max beta when
+    ``rise`` is 0) and widened 4x until no eigenvalue lies above it; each
+    failed try raises the lower end.  Newton on det(x I - T) then descends
+    monotonically from there, since the determinant is convex right of its
+    largest root.  A point that lands below it by rounding, with exactly
+    one eigenvalue above and f'/f < 0, steps up by Newton as well; a step
+    from anywhere else, or one that leaves the bracket, is replaced by
+    bisection.  The search stops at one ulp or when Newton makes no
+    progress.
+    """
+    cap = max(alphas) + 2.0 * max(beta2s) ** 0.5
+    lo, gap = lower, 2.0 * abs(rise) if rise else max(cap - lower, 0.0)
+    while True:
+        hi = min(lo + gap, cap)
+        count, ratio = _sturm(alphas, beta2s, hi)
+        if not count or hi == cap:
+            break
+        lo, gap = hi, 4.0 * gap
+    x = hi
+    while True:
+        y = x - 1.0 / ratio if ratio else math.nan
+        if y == x:
+            return x
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+            if not lo < y < hi:
+                return hi
+        count, ratio = _sturm(alphas, beta2s, y)
+        if count:
+            lo = y
+            if count > 1 or ratio > 0:
+                ratio = math.nan
+        else:
+            hi = y
+        x = y
 
 
 def _dominates(gram: np.ndarray, mu: float) -> bool:

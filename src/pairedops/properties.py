@@ -310,7 +310,7 @@ class _SuiteRun:
         self.observe(*(result[key] for key in observe))
         return _Checked(self, trial, name, inputs, result)
 
-    def ambiguity(self, trial: int, error: AmbiguousKernelError | ConditioningError, context: str):
+    def ambiguity(self, trial: int, error: ArithmeticError, context: str):
         record = {"trial": trial, "context": context, "error": str(error)}
         if isinstance(error, AmbiguousKernelError):
             record["singular_values"] = list(error.singular_values)
@@ -934,10 +934,14 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         rng = run.stream(trial, "inner_factor")
         a_ii = gen_symbol(cfg, rng, "coanalytic")
         b_ii = _rooted_analytic(rng, interior=int(rng.integers(1, 3)), exterior=int(rng.integers(0, 2)))
-        f_ii = kernel_element_from_inner_factor(a_ii, b_ii)
-        inputs = {"pair": SymbolPair(a_ii, b_ii), "f": f_ii}
-        res_ii = run.check(trial, "kernel_annihilation", inputs, ("residual",))
-        res_ii.fail_if(res_ii["residual"] > _TRUNCATION_TOL or f_ii.is_zero, "inner-factor kernel element failed")
+        try:
+            f_ii = kernel_element_from_inner_factor(a_ii, b_ii)
+        except ArithmeticError as err:
+            run.ambiguity(trial, err, "inner-factor kernel element")
+        else:
+            inputs = {"pair": SymbolPair(a_ii, b_ii), "f": f_ii}
+            res_ii = run.check(trial, "kernel_annihilation", inputs, ("residual",))
+            res_ii.fail_if(res_ii["residual"] > _TRUNCATION_TOL or f_ii.is_zero, "inner-factor kernel element failed")
 
         # strictly co-analytic against analytic: direct element and containment
         base = _draw_pair(cfg, run, trial, "base", "coanalytic_vanishing", "analytic")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -463,7 +464,7 @@ def test_gram_band_is_the_band_of_the_dense_gram():
         p = SymbolPair(_banded_poly(rng, d), _banded_poly(rng, d))
         matrix = finite_section(p, "paired", band).matrix
         dense = matrix.conj().T @ matrix
-        gram, exponent = operators._gram_band(matrix, d)
+        gram, exponent = operators._gram_band(p, band)
         gram *= 4.0**exponent
         n, w = len(matrix), 2 * d
         for s in range(2 * w + 1):
@@ -477,7 +478,7 @@ def test_certificate_brackets_the_top_eigenvalue():
     rng = np.random.default_rng(53)
     for d, band in ((1, 64), (2, 100), (4, 128), (4, 256)):
         p = SymbolPair(_banded_poly(rng, d), _banded_poly(rng, d))
-        gram, exponent = operators._gram_band(finite_section(p, "paired", band).matrix, d)
+        gram, exponent = operators._gram_band(p, band)
         top = (_svd_sigma(p, band) * 2.0**-exponent) ** 2
         assert operators._dominates(gram, top * (1 + 1e-13))
         assert operators._dominates(gram, top * (1 + 1e-10))
@@ -495,7 +496,7 @@ def test_start_vector_orthogonal_to_the_top_singular_vector(monkeypatch):
     n = 2 * band + 1
     start = np.zeros(n, dtype=complex)
     start[:band] = operators._start_vector(band)
-    gram, _ = operators._gram_band(finite_section(p, "paired", band).matrix, 1)
+    gram, _ = operators._gram_band(p, band)
     assert operators._lanczos_sigma(gram, start) is None
 
     monkeypatch.setattr(operators, "_start_vector", lambda size: start)
@@ -503,6 +504,130 @@ def test_start_vector_orthogonal_to_the_top_singular_vector(monkeypatch):
     assert shapes == [(n, n)]
     assert got == _svd_sigma(p, band)
     assert abs(got - 2.0) <= 1e-13 * 2.0
+
+
+_EPS = np.finfo(float).eps
+
+
+def _exact_count_above(alphas, beta2s, x: float) -> int:
+    """Eigenvalues of T above x: sign changes of the Sturm sequence
+    f_j = (x - alpha_j) f_(j-1) - beta2_j f_(j-2), in exact integers.
+
+    Every float is an integer over a power of two, so with S the largest of
+    those denominators F_j = S^j f_j obeys F_j = U_j F_(j-1) - V_j F_(j-2)
+    for the integers U_j = (x - alpha_j) S and V_j = beta2_j S^2.
+    """
+    scale = max(Fraction(v).denominator for v in [x, *alphas, *beta2s])
+    f_prev, f, changes = 1, 1, 0
+    for a, b2 in zip(alphas, beta2s):
+        u, v = (Fraction(x) - Fraction(a)) * scale, Fraction(b2) * scale * scale
+        f_prev, f = f, int(u) * f - int(v) * f_prev
+        assert f, "an exact zero of the sequence: pick another x"
+        changes += (f < 0) != (f_prev < 0)
+    return changes
+
+
+def _random_tridiagonal(rng, k: int) -> tuple[list, list]:
+    """T = L L^T for a random lower bidiagonal L: positive semidefinite, as
+    the Lanczos tridiagonals of a Gram matrix are."""
+    diag, sub = rng.standard_normal(k), rng.standard_normal(k)
+    alphas = diag**2 + np.concatenate([[0.0], sub[:-1] ** 2])
+    betas = diag[1:] * sub[:-1]
+    return [float(a) for a in alphas], [0.0] + [float(b * b) for b in betas]
+
+
+def _assert_top(alphas, beta2s, lower: float | None = None, rise: float = 0.0) -> float:
+    """The routine's top eigenvalue against eigvalsh and against the exact count."""
+    lower = max(alphas) if lower is None else lower
+    got = operators._tridiagonal_top(alphas, beta2s, lower, rise)
+    betas = np.sqrt(beta2s[1:])
+    want = float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))[-1])
+    # eigvalsh errs by up to p(k) eps ||T|| for a slowly growing p (LAPACK
+    # Users' Guide, section 4.7): on random tridiagonals with k >= 64 it sits
+    # up to 16 eps from the exact top, so it is held to 4 sqrt(k) eps, and
+    # the routine's own 4 eps to exact Sturm counts on either side
+    assert abs(got - want) <= 4 * len(alphas) ** 0.5 * _EPS * want, (got, want)
+    assert _exact_count_above(alphas, beta2s, got * (1 + 4 * _EPS)) == 0
+    assert _exact_count_above(alphas, beta2s, got * (1 - 4 * _EPS)) >= 1
+    return got
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64, 300])
+def test_tridiagonal_top_matches_eigvalsh(k):
+    rng = np.random.default_rng(61 + k)
+    for _ in range(3 if k == 300 else 10):
+        alphas, beta2s = _random_tridiagonal(rng, k)
+        top = _assert_top(alphas, beta2s)
+        # a lower bound from a shorter leading block and a rise, as Lanczos passes them
+        if k > 1:
+            inner = operators._tridiagonal_top(alphas[: k // 2], beta2s[: k // 2], max(alphas[: k // 2]), 0.0)
+            _assert_top(alphas, beta2s, inner, 0.1 * (top - inner) + 1e-3)
+
+
+def test_tridiagonal_top_near_double_and_at_a_zero_pivot():
+    # two copies of one block joined by beta = 1e-12: the top pair splits by
+    # at most 2e-12, and Newton from above meets an almost double root
+    alphas, beta2s = _random_tridiagonal(np.random.default_rng(67), 8)
+    doubled = _assert_top(alphas + alphas, beta2s + [1e-24] + beta2s[1:])
+    assert doubled == pytest.approx(_assert_top(alphas, beta2s), rel=1e-11)
+    # T = [[1, 1], [1, 1]] has eigenvalues 0 and 2.  The first try at
+    # 1 + 2 * 0.5 = 2 makes the last pivot exactly zero; the try at
+    # 0.5 + 2 * 0.25 = 1 makes the first pivot zero and the next -inf
+    ones, coupling = [1.0, 1.0], [0.0, 1.0]
+    assert operators._sturm(ones, coupling, 2.0)[0] == 0
+    assert operators._sturm(ones, coupling, 1.0)[0] == 1
+    assert operators._tridiagonal_top(ones, coupling, 1.0, 0.5) == 2.0
+    assert operators._tridiagonal_top(ones, coupling, 0.5, 0.25) == 2.0
+    # eigenvalues 1 - sqrt 2, 1 and 1 + sqrt 2: at x = 1 the first and last
+    # pivots are zero, and only 1 + sqrt 2 lies above
+    assert operators._sturm([1.0, 1.0, 1.0], [0.0, 1.0, 1.0], 1.0)[0] == 1
+    assert operators._tridiagonal_top([1.0, 1.0, 1.0], [0.0, 1.0, 1.0], 1.0, 0.0) == pytest.approx(
+        1 + np.sqrt(2), rel=4 * _EPS
+    )
+
+
+def test_ritz_values_of_a_clustered_section_match_eigvalsh():
+    # (1 - z, 1 - z) at band 256: singular values clustered within O(1/n^2),
+    # about n Lanczos steps; every check's tridiagonal is compared
+    seen, real = [], operators._tridiagonal_top
+
+    def recording(alphas, beta2s, lower, rise):
+        seen.append((list(alphas), list(beta2s), lower, rise))
+        return real(alphas, beta2s, lower, rise)
+
+    p, band = pair("1 - z", "1 - z"), 256
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_tridiagonal_top", recording)
+        got = op_norm(p, band)
+    assert abs(got - _svd_sigma(p, band)) <= 1e-13 * got
+    assert len(seen) >= 20 and len(seen[-1][0]) >= 256
+    for alphas, beta2s, lower, rise in seen:
+        _assert_top(alphas, beta2s, lower, rise)
+
+
+def _band_path_calls(name: str, owner) -> int:
+    """Calls op_norm makes to ``owner.name`` over the band-path oracle cases."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    cases = [(p, band) for p, band in _oracle_cases() if operators._band_path_pays(2 * band + 1, p.band_radius())]
+    assert len(cases) > 20
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, name, counting)
+        for p, band in cases:
+            op_norm(p, band)
+    return len(calls)
+
+
+def test_op_norm_band_path_calls_no_eigvalsh():
+    assert _band_path_calls("eigvalsh", np.linalg) == 0
+
+
+def test_op_norm_band_path_builds_no_dense_section():
+    assert _band_path_calls("finite_section", operators) == 0
 
 
 def test_op_norm_is_bitwise_repeatable():

@@ -165,6 +165,22 @@ def test_kernel_group_without_a_closed_form_is_an_ambiguity(monkeypatch):
     assert "no closed-form L2 kernel" in report.ambiguities[0]["error"]
 
 
+def test_refused_inner_factor_element_is_an_ambiguity(monkeypatch):
+    # a refused membership certificate is recorded, and the trial goes on
+    def refuse(a, b):
+        raise ArithmeticError("inner-factor kernel element has membership residual 2.226e-09, above 1e-10")
+
+    monkeypatch.setattr(properties, "kernel_element_from_inner_factor", refuse)
+    report = SUITES["kernels"](GeneratorConfig(seed=0, trials=3))
+    assert report.verdict == "ambiguous" and not report.violations and report.trials_run == 3
+    refused = [a for a in report.ambiguities if a["context"] == "inner-factor kernel element"]
+    assert [a["trial"] for a in refused] == [0, 1, 2]
+    assert "membership residual" in refused[0]["error"]
+    agg = run_all(GeneratorConfig(seed=0, trials=2))
+    assert sorted(agg.reports) == sorted(SUITES) and len(SUITES) == 7
+    assert agg.reports["kernels"].verdict == "ambiguous" and agg.verdict == "ambiguous"
+
+
 def test_violations_imply_not_passed():
     report = SUITES["kernels"](SMALL)
     assert report.passed == (not report.violations and not report.ambiguities)

@@ -860,8 +860,14 @@ def _normalized_sup_norm_oracle(p: LaurentPoly, grid_points: int | None) -> floa
 
 
 def _horner_tol(p: LaurentPoly) -> float:
-    """Rounding allowance of Horner against the power sum on |z| = 1: 4 (w + 1) eps sum |c_k|."""
-    return 4 * (p.kmax - p.kmin + 1) * _EPS * p.l1_norm()
+    """Rounding allowance of Horner against the power sum on |z| = 1.
+
+    4 (w + 1) eps sum |c_k| for normal-range values, and at least
+    8 (w + 1) times the smallest subnormal 2^-1074: below the normal range
+    rounding is absolute, and each complex product errs by up to 2 sqrt(2)
+    of that spacing, which the relative bound underflows to 0 there.
+    """
+    return 4 * (p.kmax - p.kmin + 1) * _EPS * p.l1_norm() + 8 * (p.kmax - p.kmin + 1) * math.ulp(0.0)
 
 
 _EVAL_CASES = [
@@ -904,6 +910,8 @@ def test_horner_matches_power_sum_oracle(p):
     laurent_polys(kmin=-12, kmax=12),
     st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=6),
 )
+# subnormal coefficients: Horner and the power sum differ by one 5e-324 step
+@example(LaurentPoly({1: 2.2e-313, 2: 2.2e-313}), [0.0031415926535897933, 1.0, 2.5])
 def test_horner_matches_power_sum_oracle_drawn(p, angles):
     zs = np.exp(1j * np.array(angles))
     _assert_close_to_oracle(p, zs)
