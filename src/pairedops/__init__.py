@@ -48,7 +48,6 @@ from .operators import (
     hankel_minus,
     hankel_plus,
     inner_product,
-    mul_apply,
     op_norm,
     riesz_minus,
     riesz_plus,

@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import io
 import json
-import math
 import sys
 
 from .kernels import (
@@ -49,8 +48,6 @@ from .symbols import (
 __all__ = ["RunConfig", "main"]
 
 _FORMATS = ("json", "csv", "pretty")
-# each configurable tolerance and the GeneratorConfig field that carries it
-_TOLERANCE_FIELDS = {"exact": "exact_tol", "numeric": "numeric_tol", "null_threshold": "null_threshold"}
 
 # Bytes of the largest dense complex array `norm`, `kernel` or `coburn` may
 # build: 64 times the 4 MB section of `norm` at N = 256.
@@ -63,9 +60,6 @@ class RunConfig:
 
     N: int = 32
     grid_points: int = 1024
-    tolerances: dict = dataclasses.field(
-        default_factory=lambda: {key: getattr(GeneratorConfig, name) for key, name in _TOLERANCE_FIELDS.items()}
-    )
     seed: int = 0
     out: str | None = None
     format: str = "pretty"
@@ -81,21 +75,11 @@ class RunConfig:
             raise ValueError(f"out must be a path or null, not {self.out!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
-        if not isinstance(self.tolerances, dict):
-            raise ValueError(f"tolerances must be an object, not {self.tolerances!r}")
-        unknown = set(self.tolerances) - set(_TOLERANCE_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        for key in _TOLERANCE_FIELDS:
-            value = self.tolerances.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-                raise ValueError(f"tolerance {key!r} must be present, finite and positive, not {value!r}")
 
     def to_json_dict(self) -> dict:
         return {
             "N": self.N,
             "grid_points": self.grid_points,
-            "tolerances": dict(self.tolerances),
             "seed": self.seed,
             "out": self.out,
             "format": self.format,
@@ -262,7 +246,7 @@ def _cmd_kernel(args, cfg: RunConfig):
 
 
 def _band_limited_kernel(args, cfg: RunConfig, pair: SymbolPair, band: int):
-    basis = kernel_basis(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
+    basis = kernel_basis(pair, band)
     result = {"route": "band-limited", **basis.to_json_dict()}
     pretty = [
         f"kernel of ({args.a}, {args.b}) at band {band}, band-limited route",
@@ -333,7 +317,7 @@ def _cmd_coburn(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
     _check_size(pair, [band], cfg)
-    report = coburn_check(pair, band, rel_threshold=cfg.tolerances["null_threshold"])
+    report = coburn_check(pair, band)
     result = report.to_json_dict()
     pretty = [
         f"route = {report.route}",
@@ -357,8 +341,7 @@ def _cmd_coburn(args, cfg: RunConfig):
 
 
 def _cmd_suite(args, cfg: RunConfig):
-    tolerances = {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
-    gen_cfg = GeneratorConfig(seed=cfg.seed, trials=args.trials, **tolerances)
+    gen_cfg = GeneratorConfig(seed=cfg.seed, trials=args.trials)
     if args.name == "all":
         report = run_all(gen_cfg)
         reports = report.reports

@@ -37,15 +37,17 @@ leaves the symbol not invertible and its winding number unknown.
 
 On the band-limited route the dimension comes from a values-only SVD of the
 band-N action matrix; a full SVD runs only when that count is positive, and
-its null vectors become the basis.  Singular values below 1e-8 of the
-largest one count as null; any singular value landing in the gray zone just
-above the threshold, or a null vector that fails the membership rule,
-raises :class:`AmbiguousKernelError` instead of silently committing to a
-dimension.
+its null vectors become the basis.  Singular values at most
+``NULL_SPACE_REL_THRESHOLD`` (1e-8) of the largest one count as null; any
+singular value landing in the gray zone just above it, or a null vector that
+fails the membership rule, raises :class:`AmbiguousKernelError` instead of
+silently committing to a dimension.  The thresholds named here are module
+constants; only :func:`invertible_on_circle` takes its margin as a parameter.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -109,9 +111,9 @@ __all__ = [
     "toeplitz_kernel_bridge",
 ]
 
-NULL_SPACE_REL_THRESHOLD = 1e-8
-_NULL_GAP_FACTOR = 10.0
-_MEMBERSHIP_TOL = 1e-10  # of every membership residual, which is relative
+NULL_SPACE_REL_THRESHOLD = 1e-8  # share of the largest singular value: a null direction reads ~n eps
+_NULL_GAP_FACTOR = 10.0  # values within this factor above the null threshold are refused as ambiguous
+_MEMBERSHIP_TOL = 1e-10  # relative residual: rounding, plus the truncating maps' conversion tolerances below
 _EPS = float(np.finfo(float).eps)
 # error bounds of the rational expansions behind the two maps that still truncate
 _INNER_FACTOR_CONVERSION_TOL = 1e-13
@@ -126,18 +128,18 @@ class AmbiguousKernelError(ArithmeticError):
         self.singular_values = tuple(float(s) for s in singular_values)
 
 
-def _null_count(svals: np.ndarray, width: int, rel_threshold: float) -> int:
+def _null_count(svals: np.ndarray, width: int) -> int:
     """Number of null directions of a matrix with ``width`` columns.
 
     ``svals`` are its singular values in descending order; values at most
-    ``rel_threshold`` times the largest count as null, and a zero matrix is
+    ``NULL_SPACE_REL_THRESHOLD`` times the largest count as null, and a zero matrix is
     null in every column.  Raises :class:`AmbiguousKernelError` when a
     singular value lands between the threshold and ten times the threshold.
     """
     smax = float(svals[0])
     if smax == 0.0:
         return width
-    threshold = rel_threshold * smax
+    threshold = NULL_SPACE_REL_THRESHOLD * smax
     gray = [float(s) for s in svals if threshold < s < _NULL_GAP_FACTOR * threshold]
     if gray:
         raise AmbiguousKernelError(
@@ -148,7 +150,7 @@ def _null_count(svals: np.ndarray, width: int, rel_threshold: float) -> int:
     return int(np.count_nonzero(svals <= threshold))
 
 
-def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESHOLD):
+def _null_space(matrix: np.ndarray):
     """Orthonormal null basis of a tall matrix with gap-checked thresholding.
 
     Returns (columns, singular_values_ascending).  The null count, the
@@ -159,7 +161,7 @@ def _null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESH
     if matrix.size == 0:
         raise ValueError("empty matrix")
     svals = np.linalg.svd(matrix, compute_uv=False)
-    count = _null_count(svals, matrix.shape[1], rel_threshold)
+    count = _null_count(svals, matrix.shape[1])
     if count and svals[0]:
         columns = np.linalg.svd(matrix, full_matrices=False)[2][len(svals) - count :].conj().T
     else:
@@ -217,14 +219,14 @@ def _certify(residual: float, what: str, error: Callable[[str], Exception]) -> f
 
 
 def _certified_null_space(
-    matrix: np.ndarray, kmin: int, pair: SymbolPair, kind: str, what: str, rel_threshold: float
+    matrix: np.ndarray, kmin: int, pair: SymbolPair, kind: str, what: str
 ) -> tuple[list[LaurentPoly], list[float]]:
     """:func:`_null_space` as vectors from exponent ``kmin``, each in the ``kind`` kernel of ``pair``.
 
     A vector that fails :func:`_certify` raises :class:`AmbiguousKernelError`,
     which names it by ``what``.
     """
-    columns, svals = _null_space(matrix, rel_threshold)
+    columns, svals = _null_space(matrix)
     refuse = partial(AmbiguousKernelError, singular_values=svals)
     vectors = [LaurentPoly.from_dense(columns[:, j], kmin) for j in range(columns.shape[1])]
     for v in vectors:
@@ -299,13 +301,7 @@ def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> _Split | 
     return tuple(r for r in roots if abs(r) < 1.0), tuple(r for r in roots if abs(r) > 1.0)
 
 
-def kernel_basis(
-    pair: SymbolPair,
-    band: int,
-    *,
-    kind: str = "paired",
-    rel_threshold: float = NULL_SPACE_REL_THRESHOLD,
-) -> KernelBasis:
+def kernel_basis(pair: SymbolPair, band: int, *, kind: str = "paired") -> KernelBasis:
     """Orthonormal basis of {v with band in [-N, N] : Op v = 0}, exact action.
 
     The dimension and the reported singular values come from a values-only
@@ -319,7 +315,7 @@ def kernel_basis(
     if band < 1:
         raise ValueError("band must be at least 1")
     matrix = exact_action_matrix(pair, band, kind=kind)
-    vectors, svals = _certified_null_space(matrix, -band, pair, kind, "null candidate", rel_threshold)
+    vectors, svals = _certified_null_space(matrix, -band, pair, kind, "null candidate")
     return KernelBasis(
         pair=pair,
         band=band,
@@ -329,16 +325,14 @@ def kernel_basis(
     )
 
 
-def adjoint_kernel_basis(
-    pair: SymbolPair, band: int, *, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
-) -> KernelBasis:
+def adjoint_kernel_basis(pair: SymbolPair, band: int) -> KernelBasis:
     """Kernel of the adjoint of the paired operator of ``pair``.
 
     Realized as the exact kernel of the transposed operator of the
     conjugated pair, so membership is exact rather than a matrix adjoint of
     a truncation.
     """
-    return kernel_basis(pair.conjugated(), band, kind="transposed", rel_threshold=rel_threshold)
+    return kernel_basis(pair.conjugated(), band, kind="transposed")
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +398,24 @@ def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
     Element j is z^j times element 0, and shifts are exact, so all elements
     have one residual: certifying the first and the last element (the lowest
     analytic mode and the highest coanalytic one) certifies every element.
+
+    A trivial kernel builds no factors.  Where -c_a/c_b is zero or not
+    finite, every element is scaled by a power of two (:func:`_split_ratio`).
+    A root that is not finite raises :class:`AmbiguousKernelError`.
     """
     a, b = pair.a, pair.b
     (alpha_in, alpha_out), (beta_in, beta_out) = split_a, split_b
     wind_a, wind_b = a.kmin + len(alpha_in), b.kmin + len(beta_in)
+    if wind_b <= wind_a:
+        return L2Kernel(pair=pair, wind_a=wind_a, wind_b=wind_b, basis=(), residual=0.0)
+    if not all(map(cmath.isfinite, alpha_in + alpha_out + beta_in + beta_out)):
+        raise AmbiguousKernelError("a root of the symbols' split is not finite, as 1/conj(r) of a subnormal root r")
     num_plus, den_plus = poly_from_roots(beta_out), poly_from_roots(alpha_out)
-    num_minus = poly_from_roots(alpha_in, -a.coeff(a.kmax) / b.coeff(b.kmax), a.kmin - b.kmin)
+    ratio = -a.coeff(a.kmax) / b.coeff(b.kmax)
+    if ratio == 0 or not cmath.isfinite(ratio):
+        ratio, e = _split_ratio(a.coeff(a.kmax), b.coeff(b.kmax))
+        num_plus = num_plus.ldexp(-e)
+    num_minus = poly_from_roots(alpha_in, ratio, a.kmin - b.kmin)
     den_minus = poly_from_roots(beta_in)
     basis = tuple(
         (
@@ -420,6 +426,15 @@ def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
     )
     residual = max((_certify_l2_element(a, b, *f) for f in basis[:1] + basis[1:][-1:]), default=0.0)
     return L2Kernel(pair=pair, wind_a=wind_a, wind_b=wind_b, basis=basis, residual=residual)
+
+
+def _split_ratio(c_a: complex, c_b: complex) -> tuple[complex, int]:
+    """(r, e) with -c_a/c_b = r * 2^e: the exponent is split evenly, so r and 2^-e are normal floats."""
+    k_a, k_b = (math.frexp(max(abs(c.real), abs(c.imag)))[1] for c in (c_a, c_b))
+    m_a, m_b = (complex(math.ldexp(c.real, -k), math.ldexp(c.imag, -k)) for c, k in ((c_a, k_a), (c_b, k_b)))
+    e = (k_a - k_b) // 2
+    r = -m_a / m_b
+    return complex(math.ldexp(r.real, k_a - k_b - e), math.ldexp(r.imag, k_a - k_b - e)), e
 
 
 def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
@@ -511,9 +526,7 @@ def toeplitz_kernel_bridge(symbol: LaurentPoly, band: int) -> BridgeReport:
     top = band + max(0, symbol.kmax)
     window = toeplitz_window(symbol, range(top + 1), range(band + 1))
     pair = SymbolPair(symbol, LaurentPoly.one())
-    toeplitz_null, _ = _certified_null_space(
-        window, 0, pair, "transposed", "Toeplitz null candidate", NULL_SPACE_REL_THRESHOLD
-    )
+    toeplitz_null, _ = _certified_null_space(window, 0, pair, "transposed", "Toeplitz null candidate")
     kernel = kernel_basis(pair, band)
     projected = [riesz_plus(v) for v in kernel.basis]
     angle = subspace_angle(toeplitz_null, projected)
@@ -866,9 +879,7 @@ class CoburnReport:
         }
 
 
-def coburn_check(
-    pair: SymbolPair, band: int, *, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
-) -> CoburnReport:
+def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
     """Kernel dimensions of the pair, its swap, its conjugate and its adjoint, and the dichotomy.
 
     Solves the roots of a, b and a - b once each.  The report states that
@@ -884,7 +895,7 @@ def coburn_check(
     (g = f+/conj b, with inverse f = conj b * g - conj a * g), so its
     dimension is that kernel's; ``band`` is only reported.  Otherwise (route
     "band-limited") the four dimensions are band-N null counts of
-    :func:`kernel_basis` under ``rel_threshold``.
+    :func:`kernel_basis`.
     """
     if pair.a.is_zero or pair.b.is_zero:
         raise DegeneratePairError(is_nondegenerate(pair.a, pair.b))
@@ -914,7 +925,7 @@ def coburn_check(
     else:
         conj = pair.conjugated()
         variants = ((pair, "paired"), (pair.swapped(), "paired"), (conj, "paired"), (conj, "transposed"))
-        dims = [kernel_basis(p, band, kind=kind, rel_threshold=rel_threshold).dim for p, kind in variants]
+        dims = [kernel_basis(p, band, kind=kind).dim for p, kind in variants]
     dim_kernel, dim_swapped, dim_conjugated, dim_adjoint = dims
     return CoburnReport(
         pair=pair,

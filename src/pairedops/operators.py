@@ -43,7 +43,6 @@ __all__ = [
     "hankel_minus",
     "hankel_plus",
     "inner_product",
-    "mul_apply",
     "op_norm",
     "riesz_minus",
     "riesz_plus",
@@ -129,11 +128,6 @@ def riesz_plus(v: CoeffVector) -> CoeffVector:
 def riesz_minus(v: CoeffVector) -> CoeffVector:
     """Keep the strictly negative Fourier modes."""
     return LaurentPoly._trusted({k: c for k, c in v._coeffs.items() if k <= -1})
-
-
-def mul_apply(symbol: LaurentPoly, v: CoeffVector) -> CoeffVector:
-    """Exact band-growing multiplication operator."""
-    return symbol * v
 
 
 def apply_paired(pair: SymbolPair, v: CoeffVector) -> CoeffVector:

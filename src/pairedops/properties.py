@@ -35,7 +35,6 @@ import numpy as np
 
 from .kernels import (
     _MEMBERSHIP_TOL,
-    NULL_SPACE_REL_THRESHOLD,
     AmbiguousKernelError,
     _paired_residual,
     _relative,
@@ -101,10 +100,10 @@ _FAMILIES = (
 
 # Every check reports relative residuals: a residual over the size of the
 # terms that should cancel, so a common scale of the symbols changes no
-# decision.  GeneratorConfig carries the three tolerances a run configures:
-# exact_tol for identities that hold to rounding, numeric_tol for witness
-# floors and the truncated model-space identity, null_threshold for
-# band-limited kernels.
+# decision, and each threshold below is a constant.
+_EXACT_TOL = 1e-12  # identities that hold to rounding: products of degree-4 symbols leave ~1e-15
+_WITNESS_FLOOR = 1e-8  # a witness of a broken identity: its defect is of order one (0.5 x the scale)
+_MODEL_SPACE_TOL = 1e-8  # the identity on rationals cut at band 192: poles within 0.8 leave 0.8^192 < 1e-18
 _PINNED_NORM_TOL = 1e-9  # section norms of (1, z) and (3, 0) against sqrt(2) and 3
 _TRUNCATION_TOL = 1e-9  # the inner-factor element and the adjoint round trip, both truncated
 _DRAW_ATTEMPTS = 50  # candidates an accept loop draws before it gives up
@@ -112,15 +111,12 @@ _DRAW_ATTEMPTS = 50  # candidates an accept loop draws before it gives up
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Seed, symbol degrees and scale, trial count and the configurable suite tolerances."""
+    """Seed, symbol degrees and scale, and trial count: what a run draws."""
 
     seed: int = 0
     degree_range: tuple[int, int] = (1, 4)
     coefficient_scale: float = 1.0
     trials: int = 100
-    exact_tol: float = 1e-12
-    numeric_tol: float = 1e-8
-    null_threshold: float = NULL_SPACE_REL_THRESHOLD  # of every kernel_basis call
 
     def __post_init__(self):
         lo, hi = self.degree_range
@@ -130,8 +126,6 @@ class GeneratorConfig:
             raise ValueError("trials must be nonnegative")
         if self.coefficient_scale <= 0:
             raise ValueError("coefficient_scale must be positive")
-        if not self.null_threshold > 0:
-            raise ValueError("null_threshold must be positive")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -151,6 +145,13 @@ def _gauss_coeffs(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (scale / math.sqrt(2.0))
 
 
+def _disk_points(rng: np.random.Generator, count: int) -> list[complex]:
+    """``count`` points uniform in the disk of radius 0.8: all radii, then all angles."""
+    radii = 0.8 * np.sqrt(rng.uniform(0, 1, count))
+    angles = rng.uniform(0, 2 * np.pi, count)
+    return [complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, angles)]
+
+
 def gen_symbol(cfg: GeneratorConfig, rng: np.random.Generator, family: str = "general"):
     """Draw a symbol of ``family`` from ``rng``.
 
@@ -166,10 +167,7 @@ def gen_symbol(cfg: GeneratorConfig, rng: np.random.Generator, family: str = "ge
     lo, hi = cfg.degree_range
     degree = int(rng.integers(lo, hi + 1))
     if family == "blaschke":
-        count = max(1, degree)
-        radii = 0.8 * np.sqrt(rng.uniform(0, 1, count))
-        angles = rng.uniform(0, 2 * np.pi, count)
-        return blaschke([complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, angles)])
+        return blaschke(_disk_points(rng, max(1, degree)))
     for _ in range(100):
         if family == "analytic":
             kmin, kmax = 0, degree
@@ -491,14 +489,12 @@ def check_kernel_annihilation(pair: SymbolPair, f: LaurentPoly) -> dict:
 
 
 @_register("kernel_dimension")
-def check_kernel_dimension(
-    pair: SymbolPair, band: int, rel_threshold: float = NULL_SPACE_REL_THRESHOLD
-) -> dict:
+def check_kernel_dimension(pair: SymbolPair, band: int) -> dict:
     """The L2 kernel dimension from the index; the band-``band`` one where there is no closed form."""
     closed = l2_kernel(pair)
     if closed is not None:
         return {"dim": closed.dim, "route": "index"}
-    return {"dim": kernel_basis(pair, band, rel_threshold=rel_threshold).dim, "route": "band-limited"}
+    return {"dim": kernel_basis(pair, band).dim, "route": "band-limited"}
 
 
 @_register("same_kernel")
@@ -543,8 +539,8 @@ def check_pair_from_function(phi: LaurentPoly, pair: SymbolPair) -> dict:
 
 
 @_register("coburn")
-def check_coburn(pair: SymbolPair, band: int, rel_threshold: float = NULL_SPACE_REL_THRESHOLD) -> dict:
-    report = coburn_check(pair, band, rel_threshold=rel_threshold)
+def check_coburn(pair: SymbolPair, band: int) -> dict:
+    report = coburn_check(pair, band)
     return {
         "dim_kernel": report.dim_kernel,
         "dim_swapped": report.dim_swapped,
@@ -668,9 +664,9 @@ def suite_norm_bounds(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     """Norm sandwich, monotonicity, zero characterization, strictness gap."""
     pinned = [
         ("1+0*z", LaurentPoly.one(), LaurentPoly.monomial(1), math.sqrt(2.0), _PINNED_NORM_TOL),
-        ("identity", LaurentPoly.one(), LaurentPoly.one(), 1.0, cfg.exact_tol),
+        ("identity", LaurentPoly.one(), LaurentPoly.one(), 1.0, _EXACT_TOL),
         ("halfspace", LaurentPoly({0: 3.0}), LaurentPoly.zero(), 3.0, _PINNED_NORM_TOL),
-        ("zero", LaurentPoly.zero(), LaurentPoly.zero(), 0.0, cfg.exact_tol),
+        ("zero", LaurentPoly.zero(), LaurentPoly.zero(), 0.0, _EXACT_TOL),
     ]
     for name, a, b, expected, tol in pinned:
         inputs = {"a": a, "b": b, "band": 8, "expected": expected}
@@ -684,9 +680,9 @@ def suite_norm_bounds(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         result = run.check(trial, "norm_bounds", {"a": pair.a, "b": pair.b}, observed)
         gaps.append(result["gap"])
         bad = (
-            result["monotonicity_violation"] > cfg.exact_tol
+            result["monotonicity_violation"] > _EXACT_TOL
             or result["lower_violation"] > 0
-            or result["upper_violation"] > cfg.exact_tol
+            or result["upper_violation"] > _EXACT_TOL
             or result["gap"] <= 0
         )
         result.fail_if(bad, "norm bound check failed")
@@ -704,18 +700,18 @@ def suite_brown_halmos(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         return run.check(trial, "composition", inputs, observe)
 
     def vanish_failed(result):
-        return result["residual"] > cfg.exact_tol or result["discrepancy"] > cfg.exact_tol
+        return result["residual"] > _EXACT_TOL or result["discrepancy"] > _EXACT_TOL
 
     def witness_failed(result):
-        return result["residual"] < cfg.numeric_tol or result["discrepancy"] > cfg.exact_tol
+        return result["residual"] < _WITNESS_FLOOR or result["discrepancy"] > _EXACT_TOL
 
     pinned_first = SymbolPair(parse_symbol("1"), parse_symbol("z"))
     pinned = compose(-1, pinned_first, SymbolPair(parse_symbol("z"), parse_symbol("z^-1")), "paired")
-    pinned.fail_if(pinned["residual"] > cfg.exact_tol, "pinned conforming composition not exact")
+    pinned.fail_if(pinned["residual"] > _EXACT_TOL, "pinned conforming composition not exact")
     nonconforming = SymbolPair(parse_symbol("z^-1"), parse_symbol("z^-1"))
     witness = compose(-1, pinned_first, nonconforming, "paired", observe=())
     message = "pinned nonconforming composition unexpectedly small"
-    witness.fail_if(witness["residual"] < cfg.numeric_tol, message)
+    witness.fail_if(witness["residual"] < _WITNESS_FLOOR, message)
 
     for trial in range(cfg.trials):
         first = _draw_pair(cfg, run, trial, "first")
@@ -762,10 +758,10 @@ def suite_commutant(cfg: GeneratorConfig, run: _SuiteRun) -> None:
 
     base = SymbolPair(parse_symbol("1"), parse_symbol("z"))
     pinned = commutator(-1, base, SymbolPair(parse_symbol("z"), parse_symbol("z")))
-    pinned.fail_if(pinned["commutator_norm"] < cfg.numeric_tol, "pinned shift commutator vanished")
+    pinned.fail_if(pinned["commutator_norm"] < _WITNESS_FLOOR, "pinned shift commutator vanished")
     const = SymbolPair(LaurentPoly({0: 2.0}), LaurentPoly({0: 2.0}))
     pinned = commutator(-1, base, const)
-    pinned.fail_if(pinned["commutator_norm"] > cfg.exact_tol, "pinned constant failed to commute")
+    pinned.fail_if(pinned["commutator_norm"] > _EXACT_TOL, "pinned constant failed to commute")
 
     for trial in range(cfg.trials):
         pair = _draw_pair(cfg, run, trial, "pair")
@@ -774,18 +770,18 @@ def suite_commutant(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         value = complex(*rng.standard_normal(2))
         constant = SymbolPair(LaurentPoly({0: value}), LaurentPoly({0: value}))
         result = commutator(trial, pair, constant, ("commutator_norm", "identity_discrepancy"))
-        result.fail_if(result["commutator_norm"] > cfg.exact_tol, "constant multiplier failed to commute")
+        result.fail_if(result["commutator_norm"] > _EXACT_TOL, "constant multiplier failed to commute")
 
         eta = gen_symbol(cfg, rng)
         offender = int(rng.integers(1, 3)) * (1 if rng.uniform() < 0.5 else -1)
         eta = eta + LaurentPoly({offender: (0.5 + 0.5j) * cfg.coefficient_scale})
         result = commutator(trial, pair, SymbolPair(eta, eta), ("identity_discrepancy",))
         result.fail_if(
-            result["commutator_norm"] < cfg.numeric_tol,
+            result["commutator_norm"] < _WITNESS_FLOOR,
             "nonconstant multiplier commuted with a nondegenerate pair",
         )
         result.fail_if(
-            result["identity_discrepancy"] > cfg.exact_tol,
+            result["identity_discrepancy"] > _EXACT_TOL,
             "commutator closed form disagreed with the direct evaluation",
         )
 
@@ -798,10 +794,10 @@ def suite_pointwise_commutation(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         """The check's output and the set of truth values of the four statements."""
         result = run.check(trial, "pointwise_commutation", {"pair": pair, "eta": eta, "f": f})
         flags = {
-            result["commute"] <= cfg.exact_tol,
-            max(result["hankel_minus"], result["hankel_plus"]) <= cfg.exact_tol,
-            result["projection_plus"] <= cfg.exact_tol,
-            result["projection_minus"] <= cfg.exact_tol,
+            result["commute"] <= _EXACT_TOL,
+            max(result["hankel_minus"], result["hankel_plus"]) <= _EXACT_TOL,
+            result["projection_plus"] <= _EXACT_TOL,
+            result["projection_minus"] <= _EXACT_TOL,
         }
         return result, flags
 
@@ -862,21 +858,16 @@ def suite_model_space(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         (LaurentPoly.monomial(-2), LaurentPoly.monomial(-1)),
     ):
         result = run.check(-1, "model_space_identity", {"eta_coeffs": eta, "f_coeffs": f})
-        result.fail_if(max(result.result.values()) > cfg.exact_tol, "monomial model-space identity failed")
-
-    def disk_points(rng, count):
-        radii = 0.8 * np.sqrt(rng.uniform(0, 1, count))
-        angles = rng.uniform(0, 2 * np.pi, count)
-        return [complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, angles)]
+        result.fail_if(max(result.result.values()) > _EXACT_TOL, "monomial model-space identity failed")
 
     for trial in range(cfg.trials):
         rng = run.stream(trial, "multiplier")
         # theta = alpha * theta0; a multiplier alpha * conj(theta) * h is then
         # co-analytic exactly when h lies in the model space of theta0, so h
         # is drawn as a combination of reproducing kernels at theta0's zeros.
-        zeros0 = disk_points(rng, int(rng.integers(1, 3)))
+        zeros0 = _disk_points(rng, int(rng.integers(1, 3)))
         theta0 = blaschke(zeros0)
-        alpha = blaschke(disk_points(rng, int(rng.integers(1, 3))))
+        alpha = blaschke(_disk_points(rng, int(rng.integers(1, 3))))
         theta = alpha * theta0
         h = RationalSymbol(LaurentPoly.zero())
         for zero in zeros0:
@@ -899,7 +890,7 @@ def suite_model_space(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         inputs = {"eta_coeffs": eta_c, "f_coeffs": f_c}
         result = run.check(trial, "model_space_identity", inputs, ("residual_plus", "residual_minus"))
         result.fail_if(
-            max(result.result.values()) > cfg.numeric_tol, "model-space projection identity exceeded tolerance"
+            max(result.result.values()) > _MODEL_SPACE_TOL, "model-space projection identity exceeded tolerance"
         )
 
 
@@ -913,14 +904,14 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     )
     for a_text, b_text, expected in pinned:
         pair = SymbolPair(parse_symbol(a_text), parse_symbol(b_text))
-        inputs = {"pair": pair, "band": 32, "rel_threshold": cfg.null_threshold}
+        inputs = {"pair": pair, "band": 32}
         result = run.check(-1, "kernel_dimension", inputs)
         result.fail_if(result["dim"] != expected, f"pinned kernel dimension for ({a_text}, {b_text}) wrong")
 
     for trial in range(cfg.trials):
         # analytic/coanalytic pairs have trivial kernels (vacuous invariance)
         pair_i = _draw_pair(cfg, run, trial, "trivial", "analytic", "coanalytic")
-        inputs = {"pair": pair_i, "band": max(4, pair_i.band_radius() + 2), "rel_threshold": cfg.null_threshold}
+        inputs = {"pair": pair_i, "band": max(4, pair_i.band_radius() + 2)}
         try:
             k_i = run.check(trial, "kernel_dimension", inputs)
         except AmbiguousKernelError as err:
@@ -947,7 +938,7 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         base = _draw_pair(cfg, run, trial, "base", "coanalytic_vanishing", "analytic")
         f_iii = kernel_element_direct(base.a, base.b)
         res_iii = run.check(trial, "kernel_annihilation", {"pair": base, "f": f_iii}, ("residual",))
-        res_iii.fail_if(res_iii["residual"] > cfg.exact_tol, "direct kernel element failed")
+        res_iii.fail_if(res_iii["residual"] > _EXACT_TOL, "direct kernel element failed")
         # multiplying both symbols by a common factor preserves the kernel
         eta = gen_symbol(cfg, run.stream(trial, "eta"))
         scaled = SymbolPair(eta * base.a, eta * base.b)
@@ -1018,14 +1009,14 @@ def suite_coburn(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     def sample(basis_of, pair: SymbolPair) -> tuple:
         """Band-16 kernel elements; a refused basis is skipped, its dimension already decided."""
         try:
-            return basis_of(pair, band, rel_threshold=cfg.null_threshold).basis
+            return basis_of(pair, band).basis
         except AmbiguousKernelError:
             run.bump("element_checks_skipped")
             return ()
 
     def process(pair: SymbolPair, trial: int):
         try:
-            result = run.check(trial, "coburn", {"pair": pair, "band": band, "rel_threshold": cfg.null_threshold})
+            result = run.check(trial, "coburn", {"pair": pair, "band": band})
         except AmbiguousKernelError as err:
             run.ambiguity(trial, err, "coburn")
             return
@@ -1038,7 +1029,7 @@ def suite_coburn(cfg: GeneratorConfig, run: _SuiteRun) -> None:
             if basis:
                 run.bump("gram_checks")
                 gram = run.check(trial, "conjugate_orthonormality", {"pair": pair, "basis": list(basis)})
-                gram.fail_if(gram["gram_deviation"] > cfg.exact_tol, "conjugate images not orthonormal")
+                gram.fail_if(gram["gram_deviation"] > _EXACT_TOL, "conjugate images not orthonormal")
         adjoint = sample(adjoint_kernel_basis, pair) if result["dim_adjoint"] and result["invertible_cases"] else ()
         if adjoint:
             run.bump("adjoint_round_trips")

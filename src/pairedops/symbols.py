@@ -66,6 +66,14 @@ _L2_UNSCALED_MIN = 2.0**-969
 # Largest sum of coefficient moduli that sup_norm evaluates unscaled, with
 # room for the rounding of every Horner step.
 _HORNER_UNSCALED_MAX = 2.0**1020
+_GOLDEN_ITERS = 60  # sup_norm refinement steps: 0.618^60 < 3e-13 of the window, below the grid's O(h^2)
+_ROOT_RESIDUAL_TOL = 1e-10  # of a polished root, relative: a backward-stable companion solve leaves ~n eps
+_FACTOR_CHECK_TOL = 1e-8  # inner-outer self-checks: simple roots within _ROOT_RESIDUAL_TOL stay far below
+_FACTOR_CHECK_GRID = 1024  # points of those self-checks
+_PRUNE_REL = 1e-14  # truncated coefficients below this share are noise: an FFT errs by ~log2(n) eps
+_MIN_POLE_DISTANCE = 1e-6  # of a truncated pole from the circle: coefficients decay like (1 - d)^k
+_START_BAND, _MAX_BAND = 32, 1 << 15  # rational_to_coeffs_auto's ladder: 1e-13 for poles ~1e-3 from the circle
+_CLUSTER_TOL = 1e-5  # roots this close are one double zero, which splits by ~sqrt(eps) ~ 1.5e-8
 
 _Scalar = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -507,13 +515,13 @@ def _horner_array(terms: list[tuple[int, complex]], zs: np.ndarray) -> np.ndarra
     return acc
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> float:
+def _golden_max(fn, lo: float, hi: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -745,13 +753,14 @@ class PolyRoots:
     residuals: tuple[float, ...]
 
 
-def poly_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
+def poly_roots(p: LaurentPoly) -> PolyRoots:
     """Roots of a nonzero analytic polynomial via companion-matrix eigenvalues.
 
     The monomial factor z^kmin is split off first and reported as
     ``monomial_order``.  Each root receives one Newton polishing step (one
-    vectorised pass over all roots) and is checked against ``residual_tol``
-    relative to the coefficient magnitude.
+    vectorised pass over all roots) and is checked against
+    ``_ROOT_RESIDUAL_TOL`` relative to the coefficient magnitude.  Companion
+    entries c_k / c_n that would not be finite raise :class:`FactorizationError`.
     """
     if p.is_zero:
         raise ValueError("cannot take roots of the zero polynomial")
@@ -769,6 +778,9 @@ def poly_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
     dense = np.ldexp(dense.real, -e) + 1j * np.ldexp(dense.imag, -e)
     scale = float(np.max(np.abs(dense)))
     rev = dense[::-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not np.isfinite(rev[1:] / rev[0]).all():
+            raise FactorizationError("the companion matrix would not be finite: the leading coefficient is too small")
     roots = np.array(sorted(np.roots(rev), key=lambda w: (w.real, w.imag)), dtype=complex)
     deriv = dense[1:] * np.arange(1, degree + 1)
     val = np.polyval(rev, roots)
@@ -781,8 +793,8 @@ def poly_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
         v / (scale * max(1.0, m) ** degree) for v, m in zip(_cabs(val).tolist(), _cabs(roots).tolist())
     )
     for res in residuals:
-        if res > residual_tol:
-            raise FactorizationError(f"root residual {res:.3e} exceeds {residual_tol:.1e}")
+        if res > _ROOT_RESIDUAL_TOL:
+            raise FactorizationError(f"root residual {res:.3e} exceeds {_ROOT_RESIDUAL_TOL:.1e}")
     return PolyRoots(tuple(roots.tolist()), order, residuals)
 
 
@@ -938,9 +950,9 @@ class RationalSymbol:
             tuple(1.0 / p.conjugate() for p in self.poles),
         )
 
-    def is_unimodular_on_circle(self, tol: float = 1e-8, grid_points: int = 1024) -> bool:
-        vals = np.abs(self(unit_grid(grid_points)))
-        return bool(np.max(np.abs(vals - 1.0)) <= tol)
+    def is_unimodular_on_circle(self) -> bool:
+        vals = np.abs(self(unit_grid(_FACTOR_CHECK_GRID)))
+        return bool(np.max(np.abs(vals - 1.0)) <= _FACTOR_CHECK_TOL)
 
     def to_json_dict(self) -> dict:
         return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
@@ -983,11 +995,12 @@ def _blaschke_factor(zero: complex) -> tuple[LaurentPoly, LaurentPoly, tuple[com
     return num, den, (1.0 / zero.conjugate(),)
 
 
-def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> InnerOuterFactorization:
+def inner_outer_factor(p: LaurentPoly) -> InnerOuterFactorization:
     """Factor a nonzero analytic polynomial into inner and outer parts.
 
     Verifies its own output: the inner factor must be unimodular on a grid and
-    the product must reproduce the input, both within 1e-8 relative.  The
+    the product must reproduce the input, both within ``_FACTOR_CHECK_TOL``
+    relative.  The
     second check runs on p and the outer factor divided by one power of two
     (:func:`_unit_scaled`), so values of p that overflow cannot break it.
     """
@@ -996,9 +1009,9 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
     if p.kmin < 0:
         raise ValueError("inner_outer_factor requires an analytic polynomial")
     rr = poly_roots(p)
-    interior = tuple(r for r in rr.roots if abs(r) < 1.0 - circle_tol)
-    circle = tuple(r for r in rr.roots if abs(abs(r) - 1.0) <= circle_tol)
-    exterior = tuple(r for r in rr.roots if abs(r) > 1.0 + circle_tol)
+    interior = tuple(r for r in rr.roots if abs(r) < 1.0 - CIRCLE_ROOT_TOL)
+    circle = tuple(r for r in rr.roots if abs(abs(r) - 1.0) <= CIRCLE_ROOT_TOL)
+    exterior = tuple(r for r in rr.roots if abs(r) > 1.0 + CIRCLE_ROOT_TOL)
     leading = p.coeff(p.kmax)
 
     blaschke_num = LaurentPoly.one()
@@ -1025,14 +1038,15 @@ def inner_outer_factor(p: LaurentPoly, circle_tol: float = CIRCLE_ROOT_TOL) -> I
     inner = RationalSymbol._from_poles(blaschke_num.shift(rr.monomial_order) * gamma, blaschke_den, poles)
     outer = RationalSymbol(outer_poly)
 
-    grid = unit_grid(1024)
+    grid = unit_grid(_FACTOR_CHECK_GRID)
     inner_vals = inner(grid)
     # written as `not x <= tol` so that a NaN from overflowing values refuses
-    if not np.max(np.abs(np.abs(inner_vals) - 1.0)) <= 1e-8:
+    if not np.max(np.abs(np.abs(inner_vals) - 1.0)) <= _FACTOR_CHECK_TOL:
         raise FactorizationError("inner factor is not unimodular on the circle")
     unit_p, e = _unit_scaled(p)
     p_vals = unit_p(grid)
-    if not np.max(np.abs(inner_vals * outer_poly.ldexp(-e)(grid) - p_vals)) <= 1e-8 * np.max(np.abs(p_vals)):
+    product = inner_vals * outer_poly.ldexp(-e)(grid)
+    if not np.max(np.abs(product - p_vals)) <= _FACTOR_CHECK_TOL * np.max(np.abs(p_vals)):
         raise FactorizationError("inner * outer does not reproduce the input")
     return InnerOuterFactorization(
         inner=inner,
@@ -1082,30 +1096,23 @@ def _fft_size(band: int, extra: int) -> int:
     return n
 
 
-def rational_to_coeffs(
-    r: RationalSymbol,
-    band: int,
-    *,
-    min_root_distance: float = 1e-6,
-    prune_rel: float = 1e-14,
-) -> RationalTruncation:
+def rational_to_coeffs(r: RationalSymbol, band: int) -> RationalTruncation:
     """Fourier coefficients of a rational symbol on exponents [-band, band].
 
-    Sampled on an oversampled FFT grid; coefficients below ``prune_rel`` times
+    Sampled on an oversampled FFT grid; coefficients below ``_PRUNE_REL`` times
     the largest one are dropped as sampling noise.  The maximum reconstruction
     error over the grid is returned alongside; it decays geometrically in the
     band at a rate set by the distance of the denominator roots from the
-    circle, which is why denominators closer than ``min_root_distance`` are
-    rejected up front.
+    circle, which is why poles closer than ``_MIN_POLE_DISTANCE`` are rejected.
     """
     if band < 0:
         raise ValueError("band must be nonnegative")
     if r.poles:
         dist = min(abs(abs(p) - 1.0) for p in r.poles)
-        if dist < min_root_distance:
+        if dist < _MIN_POLE_DISTANCE:
             raise ConditioningError(
                 f"denominator root at distance {dist:.2e} from the circle; "
-                f"need at least {min_root_distance:.1e}"
+                f"need at least {_MIN_POLE_DISTANCE:.1e}"
             )
     width = (r.num.kmax - r.num.kmin) + r.den.kmax
     n = _fft_size(band, width)
@@ -1115,7 +1122,7 @@ def rational_to_coeffs(
     slots = np.arange(-band, band + 1) % n
     window = spectrum[slots]
     magnitude = _cabs(window)
-    window[~(magnitude > prune_rel * magnitude.max())] = 0
+    window[~(magnitude > _PRUNE_REL * magnitude.max())] = 0
     pruned = LaurentPoly.from_dense(window, -band)
     recon_spec = np.zeros(n, dtype=complex)
     recon_spec[slots] = window
@@ -1124,14 +1131,7 @@ def rational_to_coeffs(
     return RationalTruncation(pruned, err)
 
 
-def rational_to_coeffs_auto(
-    r: RationalSymbol,
-    *,
-    tol: float = 1e-12,
-    start_band: int = 32,
-    max_band: int = 1 << 15,
-    min_root_distance: float = 1e-6,
-) -> RationalTruncation:
+def rational_to_coeffs_auto(r: RationalSymbol, *, tol: float = 1e-12) -> RationalTruncation:
     """Grow the band geometrically until the grid reconstruction error meets tol.
 
     The target is relative to the function magnitude (bounded through the l1
@@ -1139,15 +1139,15 @@ def rational_to_coeffs_auto(
     scales with the largest values the symbol takes on the circle; so the
     band does not depend on a common scale of the symbol.
     """
-    band = start_band
+    band = _START_BAND
     last: RationalTruncation | None = None
-    while band <= max_band:
-        last = rational_to_coeffs(r, band, min_root_distance=min_root_distance)
+    while band <= _MAX_BAND:
+        last = rational_to_coeffs(r, band)
         if last.grid_error <= tol * last.coeffs.l1_norm():
             return last
         band *= 2
     raise ConditioningError(
-        f"could not reach reconstruction tolerance {tol:.1e} within band {max_band}"
+        f"could not reach reconstruction tolerance {tol:.1e} within band {_MAX_BAND}"
         + (f"; best error {last.grid_error:.2e}" if last else "")
     )
 
@@ -1157,11 +1157,11 @@ def rational_to_coeffs_auto(
 # ---------------------------------------------------------------------------
 
 
-def _cluster_roots(roots: Sequence[complex], tol: float = 1e-5) -> list[tuple[complex, int]]:
+def _cluster_roots(roots: Sequence[complex]) -> list[tuple[complex, int]]:
     clusters: list[tuple[complex, int]] = []
     for r in sorted(roots, key=lambda w: (round(w.real, 9), round(w.imag, 9))):
         for i, (center, count) in enumerate(clusters):
-            if abs(r - center) <= tol:
+            if abs(r - center) <= _CLUSTER_TOL:
                 clusters[i] = ((center * count + r) / (count + 1), count + 1)
                 break
         else:
@@ -1178,7 +1178,7 @@ def model_space_basis(theta: RationalSymbol, band: int) -> list[LaurentPoly]:
     and orthonormalized.  Zeros of multiplicity three or more are rejected,
     except for the zero at the origin, whose kernels are exact monomials.
     """
-    if not theta.is_unimodular_on_circle(1e-8):
+    if not theta.is_unimodular_on_circle():
         raise ValueError("model_space_basis requires an inner symbol")
     if theta.is_polynomial and len(theta.num.coeffs) == 1:
         n = theta.num.kmax

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pairedops
 from pairedops import kernels, properties
 from pairedops.cli import RunConfig, main
 from pairedops.operators import SymbolPair
+from pairedops.properties import GeneratorConfig
 from pairedops.symbols import LaurentPoly
 
 
@@ -187,42 +190,20 @@ def test_coburn_report(capsys):
 
 
 @pytest.mark.parametrize("command", ["kernel", "coburn"])
-def test_null_threshold_from_config_reaches_every_kernel(command, tmp_path, capsys):
+def test_null_threshold_reaches_every_band_limited_kernel(command, capsys, monkeypatch):
     # b vanishes at 1, so the band-limited route answers: at band 6 and a
     # 1e-3 threshold a null candidate of (z^-1, (1 - z)(z - 0.3)) fails
     # certification, and both commands must refuse
-    tolerances = {"exact": 1e-12, "numeric": 1e-8, "null_threshold": 1e-3}
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"tolerances": tolerances}), encoding="utf-8")
     argv = (command, "--a", "z^-1", "--b", "(1 - z)*(z - 0.3)", "--N", "6")
-    code, _, err = run_cli(capsys, *argv, "--config", str(path))
-    assert code == 2 and err.startswith("ambiguous:")
-    # the default threshold answers the same question
     assert run_cli(capsys, *argv)[0] == 0
-    # a Fredholm pair takes the index route, which has no null threshold
     fredholm = (command, "--a", "z^-1", "--b", "z - 0.3", "--N", "6", "--format", "json")
-    code, out, _ = run_cli(capsys, *fredholm, "--config", str(path))
-    assert code == 0
-    assert json.loads(out)["result"] == json.loads(run_cli(capsys, *fredholm)[1])["result"]
-
-
-def test_suite_null_threshold_from_config(tmp_path, capsys):
-    # the suites' band-limited kernels run under the configured threshold: at
-    # 1e-3 a band-16 adjoint sample of the coburn suite lands in the gray zone,
-    # where the default 1e-8 gives certified elements for its round trips
-    tolerances = {"exact": 1e-12, "numeric": 1e-8, "null_threshold": 1e-3}
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"tolerances": tolerances}), encoding="utf-8")
-    argv = ("suite", "coburn", "--trials", "5", "--seed", "1", "--format", "json")
-    code, out, _ = run_cli(capsys, *argv)
-    default = json.loads(out)["result"]
-    code_cfg, out_cfg, _ = run_cli(capsys, *argv, "--config", str(path))
-    configured = json.loads(out_cfg)["result"]
-    assert code == code_cfg == 0
-    assert configured != default
-    skipped = [report["stats"].get("element_checks_skipped", 0) for report in (default, configured)]
-    assert skipped[1] > skipped[0]
-    assert configured["stats"]["adjoint_round_trips"] < default["stats"]["adjoint_round_trips"]
+    default = json.loads(run_cli(capsys, *fredholm)[1])["result"]
+    monkeypatch.setattr(kernels, "NULL_SPACE_REL_THRESHOLD", 1e-3)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("ambiguous:")
+    # a Fredholm pair takes the index route, which has no null threshold
+    code, out, _ = run_cli(capsys, *fredholm)
+    assert code == 0 and json.loads(out)["result"] == default
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +269,15 @@ def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(format="yaml")
     with pytest.raises(ValueError):
-        RunConfig(tolerances={"exact": 1e-12})
-    with pytest.raises(ValueError):
         RunConfig.from_json_dict({"bogus": 1})
+
+
+def test_config_surface_is_pinned():
+    # every threshold is a module constant: neither config carries one
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["N", "grid_points", "seed", "out", "format"]
+    fields = [f.name for f in dataclasses.fields(GeneratorConfig)]
+    assert fields == ["seed", "degree_range", "coefficient_scale", "trials"]
+    assert set(RunConfig().to_json_dict()) == {"N", "grid_points", "seed", "out", "format"}
 
 
 @pytest.mark.parametrize(
@@ -300,12 +287,10 @@ def test_runconfig_validation():
         ({"seed": 1.5}, "seed must be an integer"),
         ({"grid_points": True}, "grid_points must be an integer"),
         ({"out": 1}, "out must be a path"),
-        ({"tolerances": {"exact": "1e-12", "numeric": 1e-8, "null_threshold": 1e-8}}, "tolerance 'exact'"),
-        ({"tolerances": {"exact": 1e-12, "numeric": math.nan, "null_threshold": 1e-8}}, "tolerance 'numeric'"),
-        (
-            {"tolerances": {"exact": 1e-12, "numeric": 1e-8, "null_threshold": 1e-8, "nul_threshold": 1e-3}},
-            "unknown tolerance keys: ['nul_threshold']",
-        ),
+        # the tolerance settings are gone: each is an unknown key
+        ({"tolerances": {"exact": 1e-12, "numeric": 1e-8}}, "unknown config keys: ['tolerances']"),
+        ({"null_threshold": 1e-8}, "unknown config keys: ['null_threshold']"),
+        ({"N": 8, "exact_tol": 1e-12, "numeric_tol": 1e-8}, "unknown config keys: ['exact_tol', 'numeric_tol']"),
         ([], "must be a JSON object"),
     ],
 )
@@ -464,6 +449,39 @@ def test_extreme_scales_answer_as_at_scale_one(capsys, scaled, unscaled):
         assert result["convention"] == "generic" and result["residual"] <= 1e-10
         pairs = [SymbolPair(*(LaurentPoly.from_json_dict(r[k]["num"]) for k in "ab")) for r in (result, expected)]
         assert kernels.same_kernel_test(*pairs)
+
+
+_ROBUST = [
+    # a's leading coefficient is subnormal: the companion matrix would overflow
+    (["kernel", "--a", "1e-320*z+1", "--b", "z^-1", "--N", "8"], ["kernel", "--a", "1", "--b", "z^-1", "--N", "8"]),
+    (["coburn", "--a", "1e-320*z+1", "--b", "z^-1", "--N", "8"], ["coburn", "--a", "1", "--b", "z^-1", "--N", "8"]),
+    # -c_a/c_b is 1e600 or 1e-600: each element is scaled by a power of two
+    (["kernel", "--a", "1e300*z^-1", "--b", "1e-300*z"], ["kernel", "--a", "z^-1", "--b", "z"]),
+    (["coburn", "--a", "1e300*z^-1", "--b", "1e-300*z"], ["coburn", "--a", "z^-1", "--b", "z"]),
+    (["kernel", "--a", "1e-300*z^-1", "--b", "1e300*z"], ["kernel", "--a", "z^-1", "--b", "z"]),
+    # the conjugated pair's reflected root 1/conj(r) is not finite: trivial
+    # kernels build no factors, a nontrivial one refuses
+    (["coburn", "--a", "1e-320*z^-1+1", "--b", "z", "--N", "8"], ["coburn", "--a", "1", "--b", "z", "--N", "8"]),
+    (["coburn", "--a", "1e-320*z^-1+1", "--b", "z^-1", "--N", "8"], ["coburn", "--a", "1", "--b", "z^-1", "--N", "8"]),
+]
+
+
+@pytest.mark.parametrize("probe, twin", _ROBUST, ids=[" ".join(probe) for probe, _ in _ROBUST])
+def test_extreme_scales_answer_the_scale_one_dims_or_refuse_by_name(capsys, probe, twin):
+    def dims(argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert not caught and not err.startswith("error:"), (err, [str(w.message) for w in caught])
+        if code:
+            return code, err
+        result = json.loads(out)["result"]
+        return code, result.get("dims", result.get("dim"))
+
+    expected = dims(twin)
+    assert expected[0] == 0
+    code, got = dims(probe)
+    assert (code, got) == expected or (code == 2 and got.startswith("ambiguous:")), got
 
 
 def test_apply_cap_spares_single_term_factors(capsys):

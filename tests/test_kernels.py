@@ -77,15 +77,15 @@ def wind(symbol: LaurentPoly) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _full_svd_null_space(matrix: np.ndarray, rel_threshold: float = NULL_SPACE_REL_THRESHOLD):
+def _full_svd_null_space(matrix: np.ndarray):
     """Oracle for ``_null_space``: count and vectors from one full SVD."""
     _, svals, vh = np.linalg.svd(matrix, full_matrices=False)
-    count = _null_count(svals, matrix.shape[1], rel_threshold)
+    count = _null_count(svals, matrix.shape[1])
     columns = vh[len(svals) - count :].conj().T if svals[0] else np.eye(count, dtype=complex)
     return columns, sorted(float(s) for s in svals)
 
 
-def test_null_space_gap_guard():
+def test_null_space_gap_guard(monkeypatch):
     ambiguous = np.diag([1.0, 3e-8]).astype(complex)
     with pytest.raises(AmbiguousKernelError) as err:
         _null_space(ambiguous)
@@ -95,15 +95,18 @@ def test_null_space_gap_guard():
     assert svals == sorted(svals)
     # the count path applies the same rule to values-only singular values
     with pytest.raises(AmbiguousKernelError) as err:
-        _null_count(np.linalg.svd(ambiguous, compute_uv=False), 2, 1e-8)
+        _null_count(np.linalg.svd(ambiguous, compute_uv=False), 2)
     assert err.value.singular_values == (3e-8, 1.0)
     clean = np.diag([1.0, 1e-12]).astype(complex)
-    assert _null_count(np.linalg.svd(clean, compute_uv=False), 2, 1e-8) == 1
-    assert _null_count(np.linalg.svd(clean, compute_uv=False), 2, 1e-13) == 0
+    assert NULL_SPACE_REL_THRESHOLD == 1e-8
+    assert _null_count(np.linalg.svd(clean, compute_uv=False), 2) == 1
     # a zero matrix is null in every column, also wider than tall
     zero = np.zeros((2, 3), dtype=complex)
-    assert _null_count(np.linalg.svd(zero, compute_uv=False), 3, 1e-8) == 3
+    assert _null_count(np.linalg.svd(zero, compute_uv=False), 3) == 3
     assert np.array_equal(_null_space(zero)[0], np.eye(3))
+    # the threshold is read at call time
+    monkeypatch.setattr(kernels, "NULL_SPACE_REL_THRESHOLD", 1e-13)
+    assert _null_count(np.linalg.svd(clean, compute_uv=False), 2) == 0
 
 
 def test_kernel_basis_pinned_dimensions():

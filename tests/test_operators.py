@@ -26,7 +26,6 @@ from pairedops.operators import (
     hankel_minus,
     hankel_plus,
     inner_product,
-    mul_apply,
     op_norm,
     riesz_minus,
     riesz_plus,
@@ -71,10 +70,11 @@ def test_riesz_complementary_exact(v):
 
 
 def test_mul_apply_basics():
+    # the multiplication operator M_a acts as the Laurent product a * v
     v = lp("2 + z^-1")
-    assert mul_apply(LaurentPoly.one(), v) == v
-    assert mul_apply(lp("z"), LaurentPoly.monomial(3)) == LaurentPoly.monomial(4)
-    assert mul_apply(LaurentPoly.zero(), v).is_zero
+    assert LaurentPoly.one() * v == v
+    assert lp("z") * LaurentPoly.monomial(3) == LaurentPoly.monomial(4)
+    assert (LaurentPoly.zero() * v).is_zero
 
 
 def test_apply_paired_pinned_constant_two():
@@ -291,7 +291,7 @@ def _builder_cases(builder: str, n: int, monkeypatch):
     windows = {
         "paired": (full, full, apply_paired),
         "transposed": (full, full, apply_transposed),
-        "multiplication": (full, full, mul_apply),
+        "multiplication": (full, full, lambda g, e: g * e),
         "toeplitz": (plus, plus, lambda g, e: riesz_plus(g * e)),
         "hankel_minus": (minus, plus, hankel_minus),
         "hankel_plus": (plus, minus, hankel_plus),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from pairedops import properties
+from pairedops import kernels, properties
 from pairedops.kernels import l2_kernel, subspace_angle
 from pairedops.operators import SymbolPair, apply_paired
 from pairedops.properties import (
@@ -90,9 +90,6 @@ def test_generator_config_validation():
         GeneratorConfig(degree_range=(3, 1))
     with pytest.raises(ValueError):
         GeneratorConfig(trials=-1)
-    for bad in (0.0, -1e-8, float("nan")):
-        with pytest.raises(ValueError):
-            GeneratorConfig(null_threshold=bad)
 
 
 def test_draw_pair_counts_rejections_and_raises():
@@ -326,22 +323,31 @@ def test_replay_unknown_check_rejected():
         replay_violation({"check": "nonsense", "inputs": {}})
 
 
-# Fixed tolerances set so that every check they guard fails; exact_tol=-1 and
-# numeric_tol=inf do the same for the configured ones.
+# Every suite threshold set so that each check it guards fails.  With the
+# membership certificate off, a null threshold of 1 counts every band-limited
+# direction null, so the pinned (1, 1 - z) and the coburn dichotomy fail too.
 _FORCING = {
-    "_PINNED_NORM_TOL": -1.0,
-    "_TRUNCATION_TOL": -1.0,
-    "_MEMBERSHIP_TOL": math.inf,
+    (properties, "_EXACT_TOL"): -1.0,
+    (properties, "_WITNESS_FLOOR"): math.inf,
+    (properties, "_MODEL_SPACE_TOL"): -1.0,
+    (properties, "_PINNED_NORM_TOL"): -1.0,
+    (properties, "_TRUNCATION_TOL"): -1.0,
+    (properties, "_MEMBERSHIP_TOL"): math.inf,
+    (kernels, "_MEMBERSHIP_TOL"): math.inf,
+    (kernels, "NULL_SPACE_REL_THRESHOLD"): 1.0,
 }
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_forced_violations_replay_exactly(name, monkeypatch):
-    for constant, value in _FORCING.items():
-        monkeypatch.setattr(properties, constant, value)
-    cfg = GeneratorConfig(seed=0, trials=3, exact_tol=-1.0, numeric_tol=math.inf)
+    for (module, constant), value in _FORCING.items():
+        monkeypatch.setattr(module, constant, value)
+    cfg = GeneratorConfig(seed=0, trials=3)
     report = SUITES[name](cfg)
     assert report.violations
+    if name in ("kernels", "coburn"):
+        # the null threshold shows through a wrong band-limited dimension
+        assert {v.check for v in report.violations} & {"kernel_dimension", "coburn"}
     for v in report.violations:
         assert replay_violation(v) == v.residuals, (v.check, v.message)
     # the JSON form replays too, as a report consumer would read it
@@ -355,6 +361,10 @@ def test_kernel_dimension_check_reads_the_index_where_it_can():
 
     assert dimension("1", "z - 0.3") == {"dim": 1, "route": "index"}  # band 8 alone finds dim 0 here
     assert dimension("z^-2", "1 - z") == {"dim": 2, "route": "band-limited"}
+    # a record that still carries the deleted threshold input is refused
+    inputs = {"pair": _pair_input("z^-2", "1 - z"), "band": 8, "rel_threshold": 1e-8}
+    with pytest.raises(TypeError, match="rel_threshold"):
+        replay_violation({"check": "kernel_dimension", "inputs": inputs})
 
 
 def _pair_input(a: str, b: str) -> dict:

@@ -120,6 +120,8 @@ def test_mul_identity_and_cancellation():
     assert one * a == a
     assert lp("1+z") * lp("1-z") == LaurentPoly({0: 1.0, 2: -1.0})
     assert lp("z^-1") * lp("z") == one
+    assert lp("z") * LaurentPoly.monomial(3) == LaurentPoly.monomial(4)
+    assert (LaurentPoly.zero() * a).is_zero
 
 
 def test_zero_band_convention():
@@ -718,13 +720,14 @@ def _random_rational(rng: np.random.Generator) -> RationalSymbol:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_rational_to_coeffs_matches_loop_oracle(seed):
+def test_rational_to_coeffs_matches_loop_oracle(seed, monkeypatch):
     rng = np.random.default_rng(100 + seed)
     for _ in range(6):
         r = _random_rational(rng)
         for band in (0, 1, 5, 32, 200):
             for prune_rel in (1e-14, 0.0, 1e-3):
-                got = rational_to_coeffs(r, band, prune_rel=prune_rel)
+                monkeypatch.setattr(symbols, "_PRUNE_REL", prune_rel)
+                got = rational_to_coeffs(r, band)
                 table, err = _rational_to_coeffs_oracle(r, band, prune_rel)
                 _assert_same_table(got.coeffs, table)
                 assert got.grid_error == err
@@ -740,15 +743,15 @@ def test_rational_to_coeffs_exact_zeros_match_oracle():
             assert got.grid_error == err
 
 
-def _assert_same_roots(p: LaurentPoly, residual_tol: float = 1e-10) -> None:
+def _assert_same_roots(p: LaurentPoly) -> None:
     try:
-        want = _poly_roots_oracle(p, residual_tol)
+        want = _poly_roots_oracle(p, symbols._ROOT_RESIDUAL_TOL)
     except FactorizationError as oracle_error:
         with pytest.raises(FactorizationError) as error:
-            poly_roots(p, residual_tol)
+            poly_roots(p)
         assert str(error.value) == str(oracle_error)
         return
-    got = poly_roots(p, residual_tol)
+    got = poly_roots(p)
     assert got == want
     assert repr(got) == repr(want)
     assert all(type(r) is complex for r in got.roots) and all(type(e) is float for e in got.residuals)
@@ -765,12 +768,13 @@ def test_poly_roots_matches_per_root_oracle(seed):
         _assert_same_roots(p)
 
 
-def test_poly_roots_pinned_cases_match_oracle():
+def test_poly_roots_pinned_cases_match_oracle(monkeypatch):
     for text in ("z^2 - 1", "z^2 - z - 6", "z^3", "(z - 0.5)*(z - 0.5)*(z + 2)", "z*(z - 0.5i)*(z + 1.5)", "7"):
         _assert_same_roots(lp(text))
     _assert_same_roots(poly_from_roots([0.3, 0.3, 0.3, -2.0], 1.0 + 1j, shift=2))
     # a tolerance no residual meets: the same first failure and message
-    _assert_same_roots(lp("z^3 - 2*z + 0.7"), residual_tol=1e-300)
+    monkeypatch.setattr(symbols, "_ROOT_RESIDUAL_TOL", 1e-300)
+    _assert_same_roots(lp("z^3 - 2*z + 0.7"))
 
 
 def _trusted_cases() -> list[LaurentPoly]:
