@@ -7,7 +7,6 @@ randomized verification suites, all behind a small CLI.
 """
 
 from .symbols import (
-    AnalyticityClass,
     ConditioningError,
     FactorizationError,
     InnerOuterFactorization,
@@ -21,7 +20,6 @@ from .symbols import (
     in_hardy,
     inner_outer_factor,
     is_nondegenerate,
-    model_space_basis,
     parse_symbol,
     poly_from_roots,
     poly_roots,
@@ -30,7 +28,6 @@ from .symbols import (
     unit_grid,
 )
 from .operators import (
-    BlockDecomposition,
     CoeffVector,
     CommutatorResidual,
     CompositionResidual,
@@ -39,14 +36,10 @@ from .operators import (
     SymbolPair,
     apply_paired,
     apply_transposed,
-    block_decompose,
     commutator_residual,
     composition_residual,
-    conjugation_identity_residual,
     exact_action_matrix,
     finite_section,
-    hankel_minus,
-    hankel_plus,
     inner_product,
     op_norm,
     riesz_minus,
@@ -56,7 +49,6 @@ from .kernels import (
     AmbiguousKernelError,
     BridgeReport,
     CoburnReport,
-    InvarianceReport,
     KernelBasis,
     KernelPair,
     L2Kernel,
@@ -71,7 +63,6 @@ from .kernels import (
     kernel_element_direct,
     kernel_element_from_inner_factor,
     l2_kernel,
-    multiplier_invariance_test,
     pair_from_function,
     reciprocal_symbol,
     same_kernel_test,

@@ -59,7 +59,7 @@ from .operators import (
     CoeffVector,
     DegeneratePairError,
     SymbolPair,
-    apply_paired,
+    apply_paired,  # unused here, but perfbench/tracer.py times kernels.apply_paired
     apply_transposed,
     exact_action_matrix,
     riesz_minus,
@@ -87,7 +87,6 @@ __all__ = [
     "AmbiguousKernelError",
     "BridgeReport",
     "CoburnReport",
-    "InvarianceReport",
     "KernelBasis",
     "KernelPair",
     "L2Kernel",
@@ -103,7 +102,6 @@ __all__ = [
     "kernel_element_direct",
     "kernel_element_from_inner_factor",
     "l2_kernel",
-    "multiplier_invariance_test",
     "pair_from_function",
     "reciprocal_symbol",
     "same_kernel_test",
@@ -118,6 +116,8 @@ _EPS = float(np.finfo(float).eps)
 # error bounds of the rational expansions behind the two maps that still truncate
 _INNER_FACTOR_CONVERSION_TOL = 1e-13
 _CONVERSION_TOL = 1e-12
+_RANK_CUT = 1e-12  # _orthonormal drops a QR direction with |R_jj| below this share of max |R|: rounding leaves ~n eps
+_INNER_AT_ZERO_MIN = 1e-14  # inner(0) below this is 0: the dropped c*conj(inner)*a is far below _MEMBERSHIP_TOL
 
 
 class AmbiguousKernelError(ArithmeticError):
@@ -460,7 +460,7 @@ def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
 
 def _orthonormal(vectors: Sequence[CoeffVector], kmin: int, kmax: int) -> np.ndarray:
     q, r = np.linalg.qr(np.column_stack([v.to_dense(kmin, kmax) for v in vectors]))
-    keep = np.abs(np.diag(r)) > 1e-12 * float(np.max(np.abs(r)))
+    keep = np.abs(np.diag(r)) > _RANK_CUT * float(np.max(np.abs(r)))
     return q[:, keep]
 
 
@@ -611,7 +611,7 @@ def kernel_element_from_inner_factor(a: LaurentPoly, b: LaurentPoly) -> CoeffVec
     numerator = b - outer_poly * c
     drift = numerator.coeff(0)
     f_plus = (numerator - LaurentPoly({0: drift})).shift(-1)
-    if abs(c) < 1e-14:
+    if abs(c) < _INNER_AT_ZERO_MIN:
         f_minus = (-a).shift(-1)
     else:
         rational = (RationalSymbol.one() - io.inner.conj_reflect() * c) * (-a)
@@ -941,55 +941,3 @@ def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
         route=route,
         degenerate_difference=difference.is_zero,
     )
-
-
-# ---------------------------------------------------------------------------
-# invariance under multipliers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Both sides of the multiplier-invariance equivalence for one input, with their relative residuals."""
-
-    multiplier_keeps_kernel: bool
-    hankel_parts_vanish: bool
-    image_residual: float
-    hankel_minus_residual: float
-    hankel_plus_residual: float
-
-    @property
-    def consistent(self) -> bool:
-        return self.multiplier_keeps_kernel == self.hankel_parts_vanish
-
-
-def multiplier_invariance_test(pair: SymbolPair, eta: LaurentPoly, f: CoeffVector) -> InvarianceReport:
-    """Test  eta*f in kernel  <=>  both Hankel parts of f under eta vanish.
-
-    ``f`` must already be a kernel element (residual-checked).  Both sides of
-    the equivalence are evaluated exactly, each as a relative residual
-    (:func:`_relative`) against ``_MEMBERSHIP_TOL``: a P+(eta f) + b P-(eta f)
-    over the larger of its terms, P-(eta f+) over eta f+ and P+(eta f-) over
-    eta f-.  A contradiction between them would indicate numerical trouble
-    and raises :class:`ArithmeticError`.
-    """
-    pair.require_nondegenerate()
-    _check_membership(pair, f, "paired")
-    eta_f, eta_plus, eta_minus = eta * f, eta * riesz_plus(f), eta * riesz_minus(f)
-    image_residual = _relative(apply_paired(pair, eta_f), pair.a * riesz_plus(eta_f), pair.b * riesz_minus(eta_f))
-    h_minus = _relative(riesz_minus(eta_plus), eta_plus)
-    h_plus = _relative(riesz_plus(eta_minus), eta_minus)
-    report = InvarianceReport(
-        multiplier_keeps_kernel=image_residual <= _MEMBERSHIP_TOL,
-        hankel_parts_vanish=max(h_minus, h_plus) <= _MEMBERSHIP_TOL,
-        image_residual=float(image_residual),
-        hankel_minus_residual=float(h_minus),
-        hankel_plus_residual=float(h_plus),
-    )
-    if not report.consistent:
-        raise ArithmeticError(
-            "multiplier invariance equivalence failed numerically: "
-            f"image residual {image_residual:.3e}, hankel residuals "
-            f"({h_minus:.3e}, {h_plus:.3e})"
-        )
-    return report

@@ -5,7 +5,7 @@ an operator to a trigonometric polynomial with full band growth and no
 truncation, so algebraic identities hold to rounding; it backs every kernel
 and identity computation.  The *finite section* regime compresses an operator
 to the exponent window [-N, N] and is used only where a limit N -> infinity
-is the object of interest (operator norms, adjoint/block structure).
+is the object of interest (operator norms, the adjoint of a section).
 
 Both regimes build their matrices from symbol coefficients, not by applying
 operators to basis vectors: the paired operator has entry a[i - j] in the
@@ -24,7 +24,6 @@ import numpy as np
 from .symbols import LaurentPoly, NondegeneracyReport, is_nondegenerate
 
 __all__ = [
-    "BlockDecomposition",
     "CoeffVector",
     "CompositionResidual",
     "CommutatorResidual",
@@ -34,14 +33,10 @@ __all__ = [
     "SymbolPair",
     "apply_paired",
     "apply_transposed",
-    "block_decompose",
     "commutator_residual",
     "composition_residual",
-    "conjugation_identity_residual",
     "exact_action_matrix",
     "finite_section",
-    "hankel_minus",
-    "hankel_plus",
     "inner_product",
     "op_norm",
     "riesz_minus",
@@ -54,12 +49,7 @@ __all__ = [
 # canonicalization rules.
 CoeffVector = LaurentPoly
 
-SectionKind = Literal[
-    "paired", "transposed", "multiplication", "toeplitz", "hankel_minus", "hankel_plus"
-]
-
-_Z = LaurentPoly.monomial(1)
-_Z_INV = LaurentPoly.monomial(-1)
+SectionKind = Literal["paired", "transposed"]
 
 
 class DegeneratePairError(ValueError):
@@ -140,38 +130,11 @@ def apply_transposed(pair: SymbolPair, v: CoeffVector) -> CoeffVector:
     return riesz_plus(pair.a * v) + riesz_minus(pair.b * v)
 
 
-def hankel_minus(symbol: LaurentPoly, v: CoeffVector) -> CoeffVector:
-    """P- (symbol * v) for v supported on nonnegative exponents."""
-    if not v.is_zero and v.kmin < 0:
-        raise ValueError("hankel_minus expects an analytic argument (kmin >= 0)")
-    return riesz_minus(symbol * v)
-
-
-def hankel_plus(symbol: LaurentPoly, v: CoeffVector) -> CoeffVector:
-    """P+ (symbol * v) for v supported on strictly negative exponents."""
-    if not v.is_zero and v.kmax > -1:
-        raise ValueError("hankel_plus expects a co-analytic argument (kmax <= -1)")
-    return riesz_plus(symbol * v)
-
-
 def inner_product(u: CoeffVector, v: CoeffVector) -> complex:
     """L2 inner product  sum_k u_k conj(v_k)."""
     if len(u._coeffs) <= len(v._coeffs):
         return sum((c * v.coeff(k).conjugate() for k, c in u.items()), 0j)
     return sum((u.coeff(k) * c.conjugate() for k, c in v.items()), 0j)
-
-
-def conjugation_identity_residual(pair: SymbolPair, v: CoeffVector) -> float:
-    """Residual of the conjugation identity linking (a, b) and (conj b, conj a).
-
-    Computes || conj(T v) - z * T'( zbar * conj(v) ) ||_2 where T is the paired
-    operator of ``pair``, T' the paired operator of the conjugated-swapped
-    pair, and conj acts coefficientwise (realizing pointwise conjugation on
-    the circle).  The value is zero to rounding for every input.
-    """
-    lhs = apply_paired(pair, v).conj_reflect()
-    rhs = _Z * apply_paired(pair.conj_swapped(), _Z_INV * v.conj_reflect())
-    return (lhs - rhs).l2_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +155,6 @@ class FiniteSection:
     matrix: np.ndarray
     row_exponents: tuple[int, ...]
     col_exponents: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        entries = []
-        for i in range(self.matrix.shape[0]):
-            for j in range(self.matrix.shape[1]):
-                v = self.matrix[i, j]
-                if v != 0:
-                    entries.append([i, j, v.real, v.imag])
-        return {"n": self.matrix.shape[0], "m": self.matrix.shape[1], "entries": entries}
 
 
 def toeplitz_window(
@@ -240,38 +194,20 @@ def _paired_window(pair: SymbolPair, kind: str, rows: range, band: int) -> np.nd
     return matrix
 
 
-def _section_exponents(kind: str, band: int) -> tuple[range, range]:
-    full = range(-band, band + 1)
-    plus = range(0, band + 1)
-    minus = range(-band, 0)
-    if kind in ("paired", "transposed", "multiplication"):
-        return full, full
-    if kind == "toeplitz":
-        return plus, plus
-    if kind == "hankel_minus":
-        return minus, plus
-    if kind == "hankel_plus":
-        return plus, minus
-    raise ValueError(f"unknown section kind {kind!r}")
-
-
-def finite_section(operand, kind: SectionKind, band: int) -> FiniteSection:
+def finite_section(pair: SymbolPair, kind: SectionKind, band: int) -> FiniteSection:
     """Matrix of the compression  Pi_N Op Pi_N  in the exponent basis.
 
-    ``operand`` is a :class:`SymbolPair` for the paired/transposed kinds and a
-    single symbol for multiplication, Toeplitz and the two Hankel kinds.
-    Every kind is a window of symbol coefficients at row - col exponent (see
-    :func:`toeplitz_window`); the paired and transposed kinds take a on one
-    side of exponent 0 and b on the other.
+    ``kind`` is "paired" or "transposed".  The matrix is a window of symbol
+    coefficients at row - col exponent (see :func:`toeplitz_window`), taking
+    a on one side of exponent 0 and b on the other.
     """
     if band < 1:
         raise ValueError("band must be at least 1")
-    rows, cols = _section_exponents(kind, band)
-    if kind in ("paired", "transposed"):
-        matrix = _paired_window(operand, kind, rows, band)
-    else:
-        matrix = toeplitz_window(operand, rows, cols)
-    return FiniteSection(kind, band, matrix, row_exponents=tuple(rows), col_exponents=tuple(cols))
+    if kind not in ("paired", "transposed"):
+        raise ValueError(f"unknown section kind {kind!r}")
+    window = range(-band, band + 1)
+    matrix = _paired_window(pair, kind, window, band)
+    return FiniteSection(kind, band, matrix, row_exponents=tuple(window), col_exponents=tuple(window))
 
 
 def exact_action_matrix(pair: SymbolPair, band: int, kind: str = "paired") -> np.ndarray:
@@ -519,53 +455,6 @@ def _dominates(gram: np.ndarray, mu: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The 2x2 Toeplitz/Hankel block structure of a paired finite section.
-
-    Indices are split into the analytic window 0..N and the co-analytic
-    window -N..-1 (both ascending).  ``residual`` is the maximum entrywise
-    deviation from the blocks constructed directly from symbol coefficients;
-    it is zero to rounding by construction.
-    """
-
-    top_left: np.ndarray
-    top_right: np.ndarray
-    bottom_left: np.ndarray
-    bottom_right: np.ndarray
-    residual: float
-
-
-def block_decompose(pair: SymbolPair, band: int) -> BlockDecomposition:
-    section = finite_section(pair, "paired", band)
-    exps = section.row_exponents
-    plus_idx = [i for i, k in enumerate(exps) if k >= 0]
-    minus_idx = [i for i, k in enumerate(exps) if k < 0]
-    m = section.matrix
-    top_left = m[np.ix_(plus_idx, plus_idx)]
-    top_right = m[np.ix_(plus_idx, minus_idx)]
-    bottom_left = m[np.ix_(minus_idx, plus_idx)]
-    bottom_right = m[np.ix_(minus_idx, minus_idx)]
-
-    plus_exps = [exps[i] for i in plus_idx]
-    minus_exps = [exps[i] for i in minus_idx]
-
-    def direct(symbol: LaurentPoly, row_exps, col_exps) -> np.ndarray:
-        out = np.zeros((len(row_exps), len(col_exps)), dtype=complex)
-        for i, je in enumerate(row_exps):
-            for j, ke in enumerate(col_exps):
-                out[i, j] = symbol.coeff(je - ke)
-        return out
-
-    residual = max(
-        float(np.max(np.abs(top_left - direct(pair.a, plus_exps, plus_exps)))) if top_left.size else 0.0,
-        float(np.max(np.abs(bottom_left - direct(pair.a, minus_exps, plus_exps)))) if bottom_left.size else 0.0,
-        float(np.max(np.abs(top_right - direct(pair.b, plus_exps, minus_exps)))) if top_right.size else 0.0,
-        float(np.max(np.abs(bottom_right - direct(pair.b, minus_exps, minus_exps)))) if bottom_right.size else 0.0,
-    )
-    return BlockDecomposition(top_left, top_right, bottom_left, bottom_right, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import numpy as np
 from .kernels import (
     _MEMBERSHIP_TOL,
     AmbiguousKernelError,
+    _check_membership,
     _paired_residual,
     _relative,
     adjoint_inverse_report,
@@ -488,6 +489,30 @@ def check_kernel_annihilation(pair: SymbolPair, f: LaurentPoly) -> dict:
     return {"residual": _relative(apply_paired(pair, f), pair.a * riesz_plus(f), pair.b * riesz_minus(f))}
 
 
+@_register("multiplier_invariance")
+def check_multiplier_invariance(pair: SymbolPair, eta: LaurentPoly, f: LaurentPoly) -> dict:
+    """Both sides of  eta*f in kernel  <=>  both Hankel parts of f under eta vanish.
+
+    ``f`` must be a kernel element of ``pair``, else ``ValueError``.  Each
+    side is read from relative residuals (:func:`_relative`) at the
+    membership tolerance: a P+(eta f) + b P-(eta f) over the larger of its
+    terms, P-(eta f+) over eta f+ and P+(eta f-) over eta f-.
+    """
+    pair.require_nondegenerate()
+    _check_membership(pair, f, "paired")
+    eta_f, eta_plus, eta_minus = eta * f, eta * riesz_plus(f), eta * riesz_minus(f)
+    image = _relative(apply_paired(pair, eta_f), pair.a * riesz_plus(eta_f), pair.b * riesz_minus(eta_f))
+    hankel_minus = _relative(riesz_minus(eta_plus), eta_plus)
+    hankel_plus = _relative(riesz_plus(eta_minus), eta_minus)
+    return {
+        "image_residual": image,
+        "hankel_minus_residual": hankel_minus,
+        "hankel_plus_residual": hankel_plus,
+        "keeps_kernel": image <= _MEMBERSHIP_TOL,
+        "hankel_parts_vanish": max(hankel_minus, hankel_plus) <= _MEMBERSHIP_TOL,
+    }
+
+
 @_register("kernel_dimension")
 def check_kernel_dimension(pair: SymbolPair, band: int) -> dict:
     """The L2 kernel dimension from the index; the band-``band`` one where there is no closed form."""
@@ -905,11 +930,22 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
     for a_text, b_text, expected in pinned:
         pair = SymbolPair(parse_symbol(a_text), parse_symbol(b_text))
         inputs = {"pair": pair, "band": 32}
-        result = run.check(-1, "kernel_dimension", inputs)
+        try:
+            result = run.check(-1, "kernel_dimension", inputs)
+        except AmbiguousKernelError as err:
+            run.ambiguity(-1, err, f"pinned kernel ({a_text}, {b_text})")
+            continue
         result.fail_if(result["dim"] != expected, f"pinned kernel dimension for ({a_text}, {b_text}) wrong")
 
+    def invariance(trial: int, pair: SymbolPair, f: LaurentPoly, keeps: bool) -> None:
+        """zbar*f stays in the kernel of ``pair`` exactly when f+(0) = 0, which ``keeps`` states."""
+        result = run.check(trial, "multiplier_invariance", {"pair": pair, "eta": LaurentPoly.monomial(-1), "f": f})
+        result.fail_if(result["keeps_kernel"] != result["hankel_parts_vanish"], "multiplier invariance equivalence split")
+        result.fail_if(result["keeps_kernel"] != keeps, f"zbar*f {'left' if keeps else 'stayed in'} the kernel")
+        run.bump("invariance_kept" if result["keeps_kernel"] else "invariance_left")
+
     for trial in range(cfg.trials):
-        # analytic/coanalytic pairs have trivial kernels (vacuous invariance)
+        # analytic/coanalytic pairs have trivial kernels
         pair_i = _draw_pair(cfg, run, trial, "trivial", "analytic", "coanalytic")
         inputs = {"pair": pair_i, "band": max(4, pair_i.band_radius() + 2)}
         try:
@@ -918,8 +954,6 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
             run.ambiguity(trial, err, "analytic/coanalytic kernel")
         else:
             k_i.fail_if(k_i["dim"] != 0, "analytic/coanalytic pair with a nontrivial kernel")
-            if k_i["dim"] == 0:
-                run.bump("invariance_vacuous_trials")
 
         # nontrivial inner factor produces an explicit kernel element
         rng = run.stream(trial, "inner_factor")
@@ -939,6 +973,10 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         f_iii = kernel_element_direct(base.a, base.b)
         res_iii = run.check(trial, "kernel_annihilation", {"pair": base, "f": f_iii}, ("residual",))
         res_iii.fail_if(res_iii["residual"] > _EXACT_TOL, "direct kernel element failed")
+        # nearly invariant: f+(0) = b(0) != 0 sends zbar*f out; z*b - a, of (a, z*b), has f+(0) = 0
+        invariance(trial, base, f_iii, keeps=False)
+        shifted = SymbolPair(base.a, base.b.shift(1))
+        invariance(trial, shifted, kernel_element_direct(shifted.a, shifted.b), keeps=True)
         # multiplying both symbols by a common factor preserves the kernel
         eta = gen_symbol(cfg, run.stream(trial, "eta"))
         scaled = SymbolPair(eta * base.a, eta * base.b)

@@ -4,8 +4,9 @@ The basic object is a Laurent polynomial: a finite two-sided Fourier
 coefficient table that represents either a bounded multiplier (a symbol) or
 a trigonometric polynomial regarded as an element of L2.  On top of that sit
 rational symbols with circle-free denominators (Blaschke products and
-reciprocals), inner-outer factorization of analytic polynomials, model-space
-bases, and a small expression parser used by the command line tools.
+reciprocals), inner-outer factorization of analytic polynomials, Fourier
+truncation of rationals, and a small expression parser used by the command
+line tools.
 
 Everything in this module is pure and deterministic.  "Exact" always means
 exact up to IEEE double rounding; identity-style checks elsewhere in the
@@ -19,13 +20,11 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
-    "AnalyticityClass",
     "BLASCHKE_BOUNDARY_MARGIN",
     "CIRCLE_ROOT_TOL",
     "ConditioningError",
@@ -43,7 +42,6 @@ __all__ = [
     "in_hardy",
     "inner_outer_factor",
     "is_nondegenerate",
-    "model_space_basis",
     "parse_symbol",
     "poly_from_roots",
     "poly_roots",
@@ -73,7 +71,10 @@ _FACTOR_CHECK_GRID = 1024  # points of those self-checks
 _PRUNE_REL = 1e-14  # truncated coefficients below this share are noise: an FFT errs by ~log2(n) eps
 _MIN_POLE_DISTANCE = 1e-6  # of a truncated pole from the circle: coefficients decay like (1 - d)^k
 _START_BAND, _MAX_BAND = 32, 1 << 15  # rational_to_coeffs_auto's ladder: 1e-13 for poles ~1e-3 from the circle
-_CLUSTER_TOL = 1e-5  # roots this close are one double zero, which splits by ~sqrt(eps) ~ 1.5e-8
+_NEWTON_STEP_MIN = 1e-8  # poly_roots polishes where |p'| exceeds this share of the coefficients: steps stay ~n eps / 1e-8
+_ORIGIN_TOL = 1e-9  # a zero within this of 0 takes the factor z, O(1e-9) from its own up to a unit, below _FACTOR_CHECK_TOL
+_UNIMODULAR_TOL = 1e-12  # of a Blaschke constant's modulus from 1: a computed unit constant errs by a few eps
+_SWEEP_GRID, _SWEEP_MIN = 512, 1e-9  # min |den| over 512 roots of unity below 1e-9 of its max refuses, behind CIRCLE_MARGIN
 
 _Scalar = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -447,17 +448,6 @@ class LaurentPoly:
             best = max(best, abs(_horner(terms, complex(grid[i]))), refined)
         return best
 
-    def classify(self) -> "AnalyticityClass":
-        if self.is_zero or (self._kmin == 0 and self._kmax == 0):
-            return AnalyticityClass.CONSTANT
-        if self._kmin >= 0:
-            return AnalyticityClass.ANALYTIC
-        if self._kmax <= -1:
-            return AnalyticityClass.COANALYTIC_VANISHING
-        if self._kmax <= 0:
-            return AnalyticityClass.COANALYTIC
-        return AnalyticityClass.NEITHER
-
     # -- serialization -----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -531,16 +521,6 @@ def _golden_max(fn, lo: float, hi: float) -> float:
             d = a + invphi * (b - a)
             fd = fn(d)
     return max(fc, fd)
-
-
-class AnalyticityClass(Enum):
-    """Band-based classification of a Laurent polynomial."""
-
-    CONSTANT = "constant"
-    ANALYTIC = "analytic"
-    COANALYTIC = "coanalytic"
-    COANALYTIC_VANISHING = "coanalytic_vanishing"
-    NEITHER = "neither"
 
 
 def in_hardy(a: LaurentPoly) -> bool:
@@ -785,7 +765,7 @@ def poly_roots(p: LaurentPoly) -> PolyRoots:
     deriv = dense[1:] * np.arange(1, degree + 1)
     val = np.polyval(rev, roots)
     dval = np.polyval(deriv[::-1], roots)
-    step = _cabs(dval) > 1e-8 * scale
+    step = _cabs(dval) > _NEWTON_STEP_MIN * scale
     roots[step] -= val[step] / dval[step]
     val[step] = np.polyval(rev, roots[step])
     # float powers one by one: numpy's array power may differ from libm pow in the last bit
@@ -844,8 +824,8 @@ class RationalSymbol:
         if rr.monomial_order > 0:
             raise ValueError("denominator must not vanish at the origin")
         self._adopt(num, den, rr.roots)
-        grid_vals = np.abs(den(unit_grid(512)))
-        if grid_vals.min() <= 1e-9 * grid_vals.max():
+        grid_vals = np.abs(den(unit_grid(_SWEEP_GRID)))
+        if grid_vals.min() <= _SWEEP_MIN * grid_vals.max():
             raise ConditioningError("denominator nearly vanishes on the circle")
 
     @classmethod
@@ -950,10 +930,6 @@ class RationalSymbol:
             tuple(1.0 / p.conjugate() for p in self.poles),
         )
 
-    def is_unimodular_on_circle(self) -> bool:
-        vals = np.abs(self(unit_grid(_FACTOR_CHECK_GRID)))
-        return bool(np.max(np.abs(vals - 1.0)) <= _FACTOR_CHECK_TOL)
-
     def to_json_dict(self) -> dict:
         return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
 
@@ -987,7 +963,7 @@ class InnerOuterFactorization:
 
 def _blaschke_factor(zero: complex) -> tuple[LaurentPoly, LaurentPoly, tuple[complex, ...]]:
     """Numerator, denominator and denominator root of one Blaschke factor for a zero inside the disk."""
-    if abs(zero) < 1e-9:
+    if abs(zero) < _ORIGIN_TOL:
         return LaurentPoly.monomial(1), LaurentPoly.one(), ()
     u = abs(zero) / zero
     num = LaurentPoly({0: u * zero, 1: -u})
@@ -1023,7 +999,7 @@ def inner_outer_factor(p: LaurentPoly) -> InnerOuterFactorization:
         blaschke_num = blaschke_num * fn
         blaschke_den = blaschke_den * fd
         poles += fp
-        if abs(r) < 1e-9:
+        if abs(r) < _ORIGIN_TOL:
             continue
         outer_poly = outer_poly * LaurentPoly({0: 1.0, 1: -r.conjugate()})
         outer_poly = outer_poly * (-r / abs(r))
@@ -1062,7 +1038,7 @@ def inner_outer_factor(p: LaurentPoly) -> InnerOuterFactorization:
 def blaschke(zeros: Sequence[complex], constant: complex = 1.0) -> RationalSymbol:
     """Finite Blaschke product with the given zeros, times a unimodular constant."""
     c = complex(constant)
-    if abs(abs(c) - 1.0) > 1e-12:
+    if abs(abs(c) - 1.0) > _UNIMODULAR_TOL:
         raise ValueError("constant must be unimodular")
     num = LaurentPoly({0: c})
     den = LaurentPoly.one()
@@ -1150,61 +1126,3 @@ def rational_to_coeffs_auto(r: RationalSymbol, *, tol: float = 1e-12) -> Rationa
         f"could not reach reconstruction tolerance {tol:.1e} within band {_MAX_BAND}"
         + (f"; best error {last.grid_error:.2e}" if last else "")
     )
-
-
-# ---------------------------------------------------------------------------
-# model spaces
-# ---------------------------------------------------------------------------
-
-
-def _cluster_roots(roots: Sequence[complex]) -> list[tuple[complex, int]]:
-    clusters: list[tuple[complex, int]] = []
-    for r in sorted(roots, key=lambda w: (round(w.real, 9), round(w.imag, 9))):
-        for i, (center, count) in enumerate(clusters):
-            if abs(r - center) <= _CLUSTER_TOL:
-                clusters[i] = ((center * count + r) / (count + 1), count + 1)
-                break
-        else:
-            clusters.append((r, 1))
-    return clusters
-
-
-def model_space_basis(theta: RationalSymbol, band: int) -> list[LaurentPoly]:
-    """Orthonormal basis of the model space of a finite Blaschke product.
-
-    For a monomial z^n the basis is e_0, ..., e_{n-1} exactly.  For Blaschke
-    zeros the basis comes from reproducing kernels 1/(1 - conj(zero) z) (and
-    their first derivative kernels for double zeros), truncated to [0, band]
-    and orthonormalized.  Zeros of multiplicity three or more are rejected,
-    except for the zero at the origin, whose kernels are exact monomials.
-    """
-    if not theta.is_unimodular_on_circle():
-        raise ValueError("model_space_basis requires an inner symbol")
-    if theta.is_polynomial and len(theta.num.coeffs) == 1:
-        n = theta.num.kmax
-        if n < 0:
-            raise ValueError("inner monomial must have a nonnegative exponent")
-        return [LaurentPoly.monomial(j) for j in range(min(n, band + 1))]
-    rr = poly_roots(theta.num)
-    if any(abs(r) >= 1.0 - CIRCLE_ROOT_TOL for r in rr.roots):
-        raise ValueError("not a finite Blaschke product: zero on or outside the circle")
-    columns: list[np.ndarray] = []
-    for j in range(rr.monomial_order):
-        col = np.zeros(band + 1, dtype=complex)
-        col[j] = 1.0
-        columns.append(col)
-    ks = np.arange(band + 1)
-    for center, count in _cluster_roots(rr.roots):
-        if count > 2:
-            raise ValueError(f"zero multiplicity {count} > 2 not supported")
-        w = center.conjugate()
-        columns.append(w**ks)
-        if count == 2:
-            deriv = np.zeros(band + 1, dtype=complex)
-            deriv[1:] = ks[1:] * w ** (ks[1:] - 1)
-            columns.append(deriv)
-    if not columns:
-        return []
-    matrix = np.column_stack(columns)
-    q, _ = np.linalg.qr(matrix)
-    return [LaurentPoly.from_dense(q[:, i], 0) for i in range(q.shape[1])]

@@ -32,7 +32,6 @@ from pairedops.kernels import (
     kernel_element_direct,
     kernel_element_from_inner_factor,
     l2_kernel,
-    multiplier_invariance_test,
     pair_from_function,
     reciprocal_symbol,
     same_kernel_test,
@@ -46,7 +45,7 @@ from pairedops.operators import (
     exact_action_matrix,
     op_norm,
 )
-from pairedops.properties import check_norm_bounds
+from pairedops.properties import check_multiplier_invariance, check_norm_bounds
 from pairedops.symbols import (
     FactorizationError,
     LaurentPoly,
@@ -846,44 +845,43 @@ def test_coburn_check_routes_share_keys_and_special_cases():
 # ---------------------------------------------------------------------------
 
 
+def _invariance(p: SymbolPair, eta: LaurentPoly, f: LaurentPoly) -> tuple[bool, bool]:
+    """(eta*f stays in the kernel, both Hankel parts vanish), from the registered check."""
+    result = check_multiplier_invariance(p, eta, f)
+    return result["keeps_kernel"], result["hankel_parts_vanish"]
+
+
 def test_invariance_constant_multiplier():
-    p = pair("z^-1", "z")
-    report = multiplier_invariance_test(p, lp("3"), lp("z - z^-1"))
-    assert report.multiplier_keeps_kernel and report.hankel_parts_vanish
+    assert _invariance(pair("z^-1", "z"), lp("3"), lp("z - z^-1")) == (True, True)
 
 
 def test_invariance_fails_consistently():
-    p = pair("z^-1", "z")
-    report = multiplier_invariance_test(p, lp("z^2"), lp("1 - z^-2"))
-    assert not report.multiplier_keeps_kernel
-    assert not report.hankel_parts_vanish
-    assert report.hankel_plus_residual > 1e-8
-
-    p = pair("z^-1", "1")
-    report = multiplier_invariance_test(p, lp("z"), lp("1 - z^-1"))
-    assert not report.multiplier_keeps_kernel and not report.hankel_parts_vanish
+    result = check_multiplier_invariance(pair("z^-1", "z"), lp("z^2"), lp("1 - z^-2"))
+    assert (result["keeps_kernel"], result["hankel_parts_vanish"]) == (False, False)
+    assert result["hankel_plus_residual"] > 1e-8
+    # f+(0) = 1 != 0, so zbar*f leaves; f = z - 1 of (zbar, z) has f+(0) = 0 and stays
+    assert _invariance(pair("z^-1", "1"), lp("z^-1"), lp("1 - z^-1")) == (False, False)
+    assert _invariance(pair("z^-1", "z"), lp("z^-1"), lp("z - z^-1")) == (True, True)
+    assert _invariance(pair("z^-1", "1"), lp("z"), lp("1 - z^-1")) == (False, False)
 
 
 def test_invariance_ignores_a_common_scale():
     # eta*f leaves the kernel and f- under z has a nonzero Hankel part, at every scale
     f = lp("1 - z^-1")
     for scale in (1e-12, 1.0, 1e12):
-        report = multiplier_invariance_test(SymbolPair(lp("z^-1") * scale, lp("1") * scale), lp("z"), f)
-        assert (report.multiplier_keeps_kernel, report.hankel_parts_vanish) == (False, False)
-        report = multiplier_invariance_test(pair("z^-1", "1"), lp("z"), f * scale)
-        assert (report.multiplier_keeps_kernel, report.hankel_parts_vanish) == (False, False)
+        assert _invariance(SymbolPair(lp("z^-1") * scale, lp("1") * scale), lp("z"), f) == (False, False)
+        assert _invariance(pair("z^-1", "1"), lp("z"), f * scale) == (False, False)
 
 
 def test_invariance_member_case():
     # eta = z^2 with a kernel element whose parts clear both Hankel conditions
     p = pair("z^-3", "z^3")
-    f = kernel_element_from_inner_factor(p.a, p.b)  # 1 - zbar^... deep parts
-    report = multiplier_invariance_test(p, lp("z^2"), f)
-    assert report.consistent
-    report2 = multiplier_invariance_test(p, lp("1"), f)
-    assert report2.multiplier_keeps_kernel
+    f = kernel_element_from_inner_factor(p.a, p.b)
+    keeps, vanish = _invariance(p, lp("z^2"), f)
+    assert keeps == vanish
+    assert _invariance(p, lp("1"), f)[0]
 
 
 def test_invariance_requires_membership():
     with pytest.raises(ValueError):
-        multiplier_invariance_test(pair("z^-1", "z"), lp("z"), lp("1 + z"))
+        check_multiplier_invariance(pair("z^-1", "z"), lp("z"), lp("1 + z"))

@@ -17,18 +17,15 @@ from pairedops.operators import (
     SymbolPair,
     apply_paired,
     apply_transposed,
-    block_decompose,
     commutator_residual,
     composition_residual,
-    conjugation_identity_residual,
     exact_action_matrix,
     finite_section,
-    hankel_minus,
-    hankel_plus,
     inner_product,
     op_norm,
     riesz_minus,
     riesz_plus,
+    toeplitz_window,
 )
 from pairedops.symbols import LaurentPoly, parse_symbol
 
@@ -130,16 +127,13 @@ def test_apply_paired_linearity(a, b, v):
 
 
 def test_hankel_examples():
-    assert hankel_minus(lp("z"), lp("1")).is_zero
-    assert hankel_minus(lp("z^-2"), lp("1")) == lp("z^-2")
-    assert hankel_plus(lp("z^2"), lp("z^-2")) == lp("1")
-
-
-def test_hankel_band_violations():
-    with pytest.raises(ValueError):
-        hankel_minus(lp("z"), lp("z^-1"))
-    with pytest.raises(ValueError):
-        hankel_plus(lp("z"), lp("1"))
+    # the off-diagonal blocks of a paired section are the Hankel pieces: on
+    # exponents -2..2, P-(z^-2 z^k) = z^(k-2) and P+(z^2 z^-k) = z^(2-k)
+    m = finite_section(pair("z^-2", "z^2"), "paired", 2).matrix
+    assert np.array_equal(m[:2, 2:], [[1, 0, 0], [0, 1, 0]])
+    assert np.array_equal(m[2:, :2], [[1, 0], [0, 1], [0, 0]])
+    # P-(z z^k) = 0 for k >= 0: the analytic columns of (z, 1) stay analytic
+    assert not finite_section(pair("z", "1"), "paired", 2).matrix[:2, 2:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +141,15 @@ def test_hankel_band_violations():
 # ---------------------------------------------------------------------------
 
 
+def _conjugation_identity_residual(p: SymbolPair, v: LaurentPoly) -> float:
+    """|| conj(T v) - z T'(zbar conj(v)) ||, T' the paired operator of (conj b, conj a)."""
+    rhs = apply_paired(p.conj_swapped(), v.conj_reflect().shift(-1)).shift(1)
+    return (apply_paired(p, v).conj_reflect() - rhs).l2_norm()
+
+
 def test_conjugation_identity_pinned():
-    assert conjugation_identity_residual(pair("1", "z"), lp("1 + z^-1")) <= 1e-14
-    assert conjugation_identity_residual(pair("z^-1", "z^2 + 1"), lp("z + z^-3")) <= 1e-13
+    assert _conjugation_identity_residual(pair("1", "z"), lp("1 + z^-1")) <= 1e-14
+    assert _conjugation_identity_residual(pair("z^-1", "z^2 + 1"), lp("z + z^-3")) <= 1e-13
 
 
 def test_conjugation_identity_random():
@@ -158,7 +158,7 @@ def test_conjugation_identity_random():
         p = SymbolPair(_random_poly(rng), _random_poly(rng))
         v = _random_poly(rng)
         scale = max(1.0, v.l2_norm() * (p.a.max_abs_coeff() + p.b.max_abs_coeff()))
-        assert conjugation_identity_residual(p, v) <= 1e-12 * scale
+        assert _conjugation_identity_residual(p, v) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +167,11 @@ def test_conjugation_identity_random():
 
 
 def test_section_multiplication_shift():
-    sec = finite_section(lp("z"), "multiplication", 1)
+    # (z, z) is multiplication by z: its section is the shift window
+    sec = finite_section(pair("z", "z"), "paired", 1)
     expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
     assert np.array_equal(sec.matrix, expected)
+    assert np.array_equal(toeplitz_window(lp("z"), range(-1, 2), range(-1, 2)), expected)
     assert sec.row_exponents == (-1, 0, 1)
 
 
@@ -180,27 +182,36 @@ def test_section_paired_columns_oracle():
     assert np.array_equal(sec.matrix, expected)
 
 
+def test_finite_section_takes_only_the_paired_kinds():
+    for kind in ("multiplication", "toeplitz", "hankel_minus", "hankel_plus"):
+        with pytest.raises(ValueError, match="section kind"):
+            finite_section(pair("1", "z"), kind, 2)
+
+
 def test_section_toeplitz_matches_classical():
     rng = np.random.default_rng(5)
     g = _random_poly(rng, -3, 3, 6)
     n = 4
-    sec = finite_section(g, "toeplitz", n)
+    # the analytic block of a paired section of (g, .) is the Toeplitz matrix of g
+    top_left = finite_section(SymbolPair(g, lp("1")), "paired", n).matrix[n:, n:]
     expected = np.array([[g.coeff(j - k) for k in range(n + 1)] for j in range(n + 1)])
-    assert np.max(np.abs(sec.matrix - expected)) == 0.0
+    assert np.max(np.abs(top_left - expected)) == 0.0
+    assert np.array_equal(toeplitz_window(g, range(n + 1), range(n + 1)), expected)
 
 
 def test_section_hankel_shapes():
     g = lp("z^-2 + z")
     n = 3
-    minus = finite_section(g, "hankel_minus", n)
-    assert minus.matrix.shape == (n, n + 1)
-    assert minus.row_exponents == (-3, -2, -1)
-    plus = finite_section(g, "hankel_plus", n)
-    assert plus.matrix.shape == (n + 1, n)
-    # entries are symbol coefficients at row - col exponent
-    for i, je in enumerate(plus.row_exponents):
-        for j, ke in enumerate(plus.col_exponents):
-            assert plus.matrix[i, j] == g.coeff(je - ke)
+    m = finite_section(SymbolPair(g, g), "paired", n).matrix
+    plus, minus = range(0, n + 1), range(-n, 0)
+    # P-(g .) on analytic columns: rows -N..-1, columns 0..N
+    assert m[:n, n:].shape == (n, n + 1)
+    assert np.array_equal(m[:n, n:], toeplitz_window(g, minus, plus))
+    # P+(g .) on coanalytic columns: entries are coefficients at row - col exponent
+    assert m[n:, :n].shape == (n + 1, n)
+    for i, je in enumerate(plus):
+        for j, ke in enumerate(minus):
+            assert m[n + i, j] == g.coeff(je - ke)
 
 
 def test_adjoint_compression_identity():
@@ -210,14 +221,6 @@ def test_adjoint_compression_identity():
         lhs = finite_section(p, "paired", 8).matrix.conj().T
         rhs = finite_section(p.conjugated(), "transposed", 8).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
-
-
-def test_section_json_export():
-    sec = finite_section(lp("z"), "multiplication", 1)
-    data = sec.to_json_dict()
-    assert data["n"] == 3 and data["m"] == 3
-    # zero entries omitted; the shift has exactly two nonzero entries
-    assert sorted(data["entries"]) == [[1, 0, 1.0, 0.0], [2, 1, 1.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +296,8 @@ def _builder_cases(builder: str, n: int, monkeypatch):
         "transposed": (full, full, apply_transposed),
         "multiplication": (full, full, lambda g, e: g * e),
         "toeplitz": (plus, plus, lambda g, e: riesz_plus(g * e)),
-        "hankel_minus": (minus, plus, hankel_minus),
-        "hankel_plus": (plus, minus, hankel_plus),
+        "hankel_minus": (minus, plus, lambda g, e: riesz_minus(g * e)),
+        "hankel_plus": (plus, minus, lambda g, e: riesz_plus(g * e)),
     }
     if builder in ("paired", "transposed"):
         rows, cols, apply = windows[builder]
@@ -304,10 +307,9 @@ def _builder_cases(builder: str, n: int, monkeypatch):
             yield sec.matrix, _column_oracle(lambda e: apply(p, e), rows, cols)
     elif builder in windows:
         rows, cols, apply = windows[builder]
+        # the windows the paired and transposed sections are built from
         for g in _ORACLE_SYMBOLS:
-            sec = finite_section(g, builder, n)
-            assert (sec.row_exponents, sec.col_exponents) == (tuple(rows), tuple(cols))
-            yield sec.matrix, _column_oracle(lambda e: apply(g, e), rows, cols)
+            yield toeplitz_window(g, rows, cols), _column_oracle(lambda e: apply(g, e), rows, cols)
     elif builder.startswith("exact_"):
         kind = builder[len("exact_"):]
         apply = apply_paired if kind == "paired" else apply_transposed
@@ -643,31 +645,44 @@ def test_op_norm_is_bitwise_repeatable():
 # ---------------------------------------------------------------------------
 
 
-def test_block_decompose_half_pairs():
-    blocks = block_decompose(SymbolPair(_random_poly(np.random.default_rng(2)), LaurentPoly.zero()), 3)
-    assert np.max(np.abs(blocks.top_right)) == 0.0
-    assert np.max(np.abs(blocks.bottom_right)) == 0.0
-    assert blocks.residual == 0.0
+def _blocks(p: SymbolPair, n: int) -> dict:
+    """The paired section's blocks, exponents split into 0..N and -N..-1, each
+    checked against the symbol window it is."""
+    m = finite_section(p, "paired", n).matrix
+    plus, minus = range(0, n + 1), range(-n, 0)
+    blocks = {
+        "top_left": (m[n:, n:], p.a, plus, plus),
+        "top_right": (m[n:, :n], p.b, plus, minus),
+        "bottom_left": (m[:n, n:], p.a, minus, plus),
+        "bottom_right": (m[:n, :n], p.b, minus, minus),
+    }
+    for block, symbol, rows, cols in blocks.values():
+        assert np.array_equal(block, toeplitz_window(symbol, rows, cols))
+    return {name: block for name, (block, *_) in blocks.items()}
 
-    blocks = block_decompose(pair("1", "1"), 3)
-    assert np.array_equal(blocks.top_left, np.eye(4))
-    assert np.array_equal(blocks.bottom_right, np.eye(3))
-    assert np.max(np.abs(blocks.top_right)) == 0.0
-    assert np.max(np.abs(blocks.bottom_left)) == 0.0
+
+def test_block_decompose_half_pairs():
+    blocks = _blocks(SymbolPair(_random_poly(np.random.default_rng(2)), LaurentPoly.zero()), 3)
+    assert np.max(np.abs(blocks["top_right"])) == 0.0
+    assert np.max(np.abs(blocks["bottom_right"])) == 0.0
+
+    blocks = _blocks(pair("1", "1"), 3)
+    assert np.array_equal(blocks["top_left"], np.eye(4))
+    assert np.array_equal(blocks["bottom_right"], np.eye(3))
+    assert np.max(np.abs(blocks["top_right"])) == 0.0
+    assert np.max(np.abs(blocks["bottom_left"])) == 0.0
 
 
 def test_block_decompose_single_coupling_entry():
     # pair (zbar, z): the only analytic-to-coanalytic coupling is e_0 -> e_-1
-    blocks = block_decompose(pair("z^-1", "z"), 2)
-    assert blocks.residual == 0.0
-    bottom_left = blocks.bottom_left  # rows exponents -2,-1; cols 0,1,2
-    expected = np.zeros((2, 3), dtype=complex)
+    blocks = _blocks(pair("z^-1", "z"), 2)
+    expected = np.zeros((2, 3), dtype=complex)  # rows -2, -1; columns 0, 1, 2
     expected[1, 0] = 1.0
-    assert np.array_equal(bottom_left, expected)
+    assert np.array_equal(blocks["bottom_left"], expected)
     # the pair (z, zbar) decouples entirely
-    blocks = block_decompose(pair("z", "z^-1"), 2)
-    assert np.max(np.abs(blocks.bottom_left)) == 0.0
-    assert np.max(np.abs(blocks.top_right)) == 0.0
+    blocks = _blocks(pair("z", "z^-1"), 2)
+    assert np.max(np.abs(blocks["bottom_left"])) == 0.0
+    assert np.max(np.abs(blocks["top_right"])) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from pairedops.properties import (
     suite_norm_bounds,
 )
 from pairedops.symbols import (
-    AnalyticityClass,
     LaurentPoly,
     RationalSymbol,
+    in_conj_hardy_vanishing,
+    in_hardy,
     parse_symbol,
     poly_roots,
     rational_to_coeffs,
@@ -50,13 +51,9 @@ SHORTFALL = Path(__file__).parent / "data" / "kernels_shortfall.json"
 
 def test_gen_symbol_families_classify():
     for trial in range(10):
-        assert gen_symbol(SMALL, default_rng(trial), "analytic").classify() in (
-            AnalyticityClass.ANALYTIC,
-            AnalyticityClass.CONSTANT,
-        )
-        assert gen_symbol(
-            SMALL, default_rng(trial), "coanalytic_vanishing"
-        ).classify() is AnalyticityClass.COANALYTIC_VANISHING
+        assert in_hardy(gen_symbol(SMALL, default_rng(trial), "analytic"))
+        vanishing = gen_symbol(SMALL, default_rng(trial), "coanalytic_vanishing")
+        assert in_conj_hardy_vanishing(vanishing) and not vanishing.is_zero
         co = gen_symbol(SMALL, default_rng(trial), "coanalytic")
         assert co.kmax <= 0
 
@@ -348,11 +345,29 @@ def test_forced_violations_replay_exactly(name, monkeypatch):
     if name in ("kernels", "coburn"):
         # the null threshold shows through a wrong band-limited dimension
         assert {v.check for v in report.violations} & {"kernel_dimension", "coburn"}
+    if name == "kernels":
+        # an infinite membership tolerance keeps zbar*f of every element in the kernel
+        assert "multiplier_invariance" in {v.check for v in report.violations}
     for v in report.violations:
         assert replay_violation(v) == v.residuals, (v.check, v.message)
     # the JSON form replays too, as a report consumer would read it
     blob = json.loads(json.dumps(report.violations[0].to_json_dict()))
     assert replay_violation(blob) == report.violations[0].residuals
+
+
+def test_refused_pinned_kernel_is_an_ambiguity(monkeypatch):
+    # a null threshold of 1e-2 puts section singular values of (1, 1 - z) in the gray zone
+    monkeypatch.setattr(kernels, "NULL_SPACE_REL_THRESHOLD", 1e-2)
+    report = SUITES["kernels"](GeneratorConfig(seed=0, trials=3))
+    assert report.verdict == "ambiguous" and not report.violations
+    assert report.ambiguities[0]["context"] == "pinned kernel (1, 1 - z)"
+    assert report.ambiguities[0]["singular_values"]
+
+
+def test_kernels_suite_counts_both_invariance_outcomes():
+    stats = SUITES["kernels"](SMALL).stats
+    assert stats["invariance_kept"] == stats["invariance_left"] == SMALL.trials
+    assert "invariance_vacuous_trials" not in stats
 
 
 def test_kernel_dimension_check_reads_the_index_where_it_can():

@@ -14,7 +14,6 @@ from pairedops import kernels, symbols
 from pairedops.kernels import reciprocal_symbol
 from pairedops.operators import riesz_minus, riesz_plus
 from pairedops.symbols import (
-    AnalyticityClass,
     ConditioningError,
     FactorizationError,
     LaurentPoly,
@@ -23,10 +22,10 @@ from pairedops.symbols import (
     SymbolParseError,
     blaschke,
     in_conj_hardy,
+    in_conj_hardy_vanishing,
     in_hardy,
     inner_outer_factor,
     is_nondegenerate,
-    model_space_basis,
     parse_symbol,
     poly_from_roots,
     poly_roots,
@@ -127,7 +126,7 @@ def test_mul_identity_and_cancellation():
 def test_zero_band_convention():
     zero = LaurentPoly.zero()
     assert zero.band == (0, 0)
-    assert zero.classify() is AnalyticityClass.CONSTANT
+    assert in_hardy(zero) and in_conj_hardy(zero) and in_conj_hardy_vanishing(zero)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,28 +161,27 @@ def test_conj_reflect_pinned():
     assert LaurentPoly({0: 1j}).conj_reflect() == LaurentPoly({0: -1j})
 
 
+def _sides(text: str) -> tuple[bool, bool, bool]:
+    a = lp(text)
+    return in_hardy(a), in_conj_hardy(a), in_conj_hardy_vanishing(a)
+
+
 def test_classify_cases():
-    assert lp("z^2 + 3").classify() is AnalyticityClass.ANALYTIC
-    assert lp("z^-1").classify() is AnalyticityClass.COANALYTIC_VANISHING
-    assert lp("z + z^-1").classify() is AnalyticityClass.NEITHER
-    assert lp("4").classify() is AnalyticityClass.CONSTANT
-    assert lp("1 + z^-2").classify() is AnalyticityClass.COANALYTIC
+    assert _sides("z^2 + 3") == (True, False, False)
+    assert _sides("z^-1") == (False, True, True)
+    assert _sides("z + z^-1") == (False, False, False)
+    assert _sides("4") == (True, True, False)
+    assert _sides("1 + z^-2") == (False, True, False)
 
 
 @settings(max_examples=60, deadline=None)
 @given(laurent_polys())
 def test_classify_reflect_swaps_sides(a):
-    cls = a.classify()
-    refl = a.conj_reflect().classify()
-    if cls is AnalyticityClass.ANALYTIC:
-        assert refl in (AnalyticityClass.COANALYTIC, AnalyticityClass.COANALYTIC_VANISHING)
-    if cls in (AnalyticityClass.COANALYTIC, AnalyticityClass.COANALYTIC_VANISHING):
-        assert refl is AnalyticityClass.ANALYTIC
-    if cls is AnalyticityClass.CONSTANT:
-        assert refl is AnalyticityClass.CONSTANT
-    if cls is AnalyticityClass.NEITHER:
-        assert refl is AnalyticityClass.NEITHER
-    assert in_hardy(a) == in_conj_hardy(a.conj_reflect())
+    refl = a.conj_reflect()
+    assert in_hardy(a) == in_conj_hardy(refl)
+    assert in_conj_hardy(a) == in_hardy(refl)
+    # strictly coanalytic reflects to analytic and vanishing at 0
+    assert in_conj_hardy_vanishing(a) == (in_hardy(refl) and refl.coeff(0) == 0)
 
 
 def test_is_nondegenerate_reports():
@@ -535,57 +533,51 @@ def test_composed_poles_keep_the_conditioning_guards():
 # ---------------------------------------------------------------------------
 
 
+def _orthogonal_to_theta_h2(theta: RationalSymbol, vec: np.ndarray, shifts: int) -> bool:
+    """Whether ``vec`` (exponents 0..band) is orthogonal to theta * z^j for j < ``shifts``."""
+    band = len(vec) - 1
+    theta_c = rational_to_coeffs(theta, band).coeffs
+    return all(abs(np.vdot(theta_c.shift(j).to_dense(0, band), vec)) <= 1e-8 for j in range(shifts))
+
+
 def test_model_space_monomial():
+    # K_(z^2) = span{1, z}: both are orthogonal to z^2 H2, and z^2 is not
     theta = RationalSymbol(lp("z^2"))
-    basis = model_space_basis(theta, 16)
-    assert basis == [LaurentPoly.monomial(0), LaurentPoly.monomial(1)]
-    assert model_space_basis(RationalSymbol(lp("z")), 16) == [LaurentPoly.monomial(0)]
+    for k in range(3):
+        assert _orthogonal_to_theta_h2(theta, np.eye(17)[k], 4) == (k < 2)
 
 
 def test_model_space_blaschke_orthogonality_oracle():
+    # the reproducing kernel at a zero w, coefficients conj(w)^k, lies in the model space
     theta = blaschke([0.5])
-    band = 64
-    basis = model_space_basis(theta, band)
-    assert len(basis) == 1
-    # reproducing-kernel direction
-    ks = np.arange(band + 1)
-    kernel = 0.5**ks
-    vec = basis[0].to_dense(0, band)
-    inner = abs(np.vdot(kernel, vec))
-    assert inner == pytest.approx(np.linalg.norm(kernel), abs=1e-8)
-    # orthogonal to theta * e_j for j = 0..3
-    theta_c = rational_to_coeffs(theta, band).coeffs
-    for j in range(4):
-        shifted = theta_c.shift(j).to_dense(0, band)
-        assert abs(np.vdot(shifted, vec)) <= 1e-8
+    ks = np.arange(65)
+    assert _orthogonal_to_theta_h2(theta, 0.5**ks, 4)
+    # the kernel at another point does not: <theta, k_0.3> = theta(0.3)
+    assert not _orthogonal_to_theta_h2(theta, 0.3**ks, 1)
 
 
 def test_model_space_gram_identity():
-    theta = blaschke([0.5, -0.3 + 0.2j, 0.0])
-    band = 96
-    basis = model_space_basis(theta, band)
-    assert len(basis) == 3
-    mat = np.column_stack([v.to_dense(0, band) for v in basis])
-    gram = mat.conj().T @ mat
-    assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
-    theta_c = rational_to_coeffs(theta, band).coeffs
-    for j in range(3):
-        shifted = theta_c.shift(j).to_dense(0, band)
-        for v in basis:
-            assert abs(np.vdot(shifted, v.to_dense(0, band))) <= 1e-8
+    zeros = [0.5, -0.3 + 0.2j, 0.0]
+    theta = blaschke(zeros)
+    ks = np.arange(97)
+    kernels_at_zeros = np.column_stack([np.conj(w) ** ks for w in zeros])
+    for column in kernels_at_zeros.T:
+        assert _orthogonal_to_theta_h2(theta, column, 3)
+    # the kernels span a space of dimension 3: Gram entries 1 / (1 - w_i conj(w_j))
+    gram = kernels_at_zeros.conj().T @ kernels_at_zeros
+    expected = 1.0 / (1.0 - np.outer(zeros, np.conj(zeros)))
+    assert np.max(np.abs(gram - expected)) <= 1e-12
+    assert np.linalg.eigvalsh(gram).min() > 1e-2
 
 
 def test_model_space_double_zero():
-    theta = blaschke([0.4, 0.4])
-    basis = model_space_basis(theta, 96)
-    assert len(basis) == 2
-    with pytest.raises(ValueError):
-        model_space_basis(blaschke([0.4, 0.4, 0.4]), 64)
-
-
-def test_model_space_rejects_non_inner():
-    with pytest.raises(ValueError):
-        model_space_basis(RationalSymbol(lp("1 + 0.5*z")), 16)
+    # a double zero w adds the derivative kernel k conj(w)^(k-1) to the model space
+    ks = np.arange(97)
+    derivative = ks * 0.4 ** np.maximum(ks - 1, 0)
+    assert _orthogonal_to_theta_h2(blaschke([0.4, 0.4]), 0.4**ks, 3)
+    assert _orthogonal_to_theta_h2(blaschke([0.4, 0.4]), derivative, 3)
+    # a simple zero does not: <theta, derivative kernel> = conj(theta'(w))
+    assert not _orthogonal_to_theta_h2(blaschke([0.4]), derivative, 1)
 
 
 # ---------------------------------------------------------------------------
