@@ -59,13 +59,12 @@ class RunConfig:
     """Resolved run parameters shared by every command."""
 
     N: int = 32
-    grid_points: int = 1024
     seed: int = 0
     out: str | None = None
     format: str = "pretty"
 
     def __post_init__(self):
-        for name in ("N", "grid_points", "seed"):
+        for name in ("N", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
@@ -79,7 +78,6 @@ class RunConfig:
     def to_json_dict(self) -> dict:
         return {
             "N": self.N,
-            "grid_points": self.grid_points,
             "seed": self.seed,
             "out": self.out,
             "format": self.format,
@@ -105,8 +103,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     overrides = {}
     if args.N is not None:
         overrides["N"] = _parse_bands(args.N)[0]
-    if args.grid is not None:
-        overrides["grid_points"] = args.grid
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
@@ -126,19 +122,19 @@ def _parse_bands(text: str) -> list[int]:
     return values
 
 
-def _check_size(pair: SymbolPair, bands: list[int], cfg: RunConfig) -> None:
+def _check_size(pair: SymbolPair, bands: list[int]) -> None:
     """Refuse, before any allocation, inputs whose dense arrays exceed :data:`MAX_DENSE_BYTES`.
 
     For band radius d and the largest band N: the exact action matrix of
-    (2(N+d)+1) x (2N+1) entries (it contains every finite section), the
-    companion matrix of a root solve of degree up to 2d, and the evaluation
-    grid of max(--grid, 16(2d+1)) points.
+    (2(N+d)+1) x (2N+1) entries (it contains every finite section) and the
+    companion matrix of a root solve of degree up to 2d.  The evaluation grid
+    of ``sup_norm``, max(256, 16(2d+1)) points, needs no entry: it is smaller
+    than the companion matrix from d = 9 on, and far below the cap before.
     """
     d, band = pair.band_radius(), max(bands)
     arrays = {
         f"band {band} matrix": (2 * (band + d) + 1) * (2 * band + 1),
         "root-solve matrix": (2 * d) ** 2,
-        "evaluation grid": max(cfg.grid_points, 16 * (2 * d + 1)),
     }
     for name, entries in arrays.items():
         if 16 * entries > MAX_DENSE_BYTES:
@@ -188,8 +184,8 @@ def _cmd_apply(args, cfg: RunConfig):
 def _cmd_norm(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     bands = _parse_bands(args.N) if args.N else [8, 16, 32, 64]
-    _check_size(pair, bands, cfg)
-    sup_a, sup_b = pair.a.sup_norm(cfg.grid_points), pair.b.sup_norm(cfg.grid_points)
+    _check_size(pair, bands)
+    sup_a, sup_b = pair.a.sup_norm(), pair.b.sup_norm()
     m = max(sup_a, sup_b)
     rows = []
     for band in bands:
@@ -220,7 +216,7 @@ def _rational_expression(symbol: RationalSymbol) -> str:
 def _cmd_kernel(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
-    _check_size(pair, [band], cfg)
+    _check_size(pair, [band])
     kernel = l2_kernel(pair)
     if kernel is None:
         return _band_limited_kernel(args, cfg, pair, band)
@@ -316,7 +312,7 @@ def _cmd_pair_from(args, cfg: RunConfig):
 def _cmd_coburn(args, cfg: RunConfig):
     pair = SymbolPair(parse_symbol(args.a), parse_symbol(args.b))
     band = _parse_bands(args.N)[0] if args.N else cfg.N
-    _check_size(pair, [band], cfg)
+    _check_size(pair, [band])
     report = coburn_check(pair, band)
     result = report.to_json_dict()
     pretty = [
@@ -377,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=_FORMATS, help="output format")
     common.add_argument("--seed", type=int, help="random seed for suites")
     common.add_argument("--N", help="band (single integer, or comma list for `norm`)")
-    common.add_argument("--grid", type=int, help="evaluation grid points")
 
     parser = argparse.ArgumentParser(
         prog="pairedops",

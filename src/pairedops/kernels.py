@@ -111,13 +111,9 @@ __all__ = [
 
 NULL_SPACE_REL_THRESHOLD = 1e-8  # share of the largest singular value: a null direction reads ~n eps
 _NULL_GAP_FACTOR = 10.0  # values within this factor above the null threshold are refused as ambiguous
-_MEMBERSHIP_TOL = 1e-10  # relative residual: rounding, plus the truncating maps' conversion tolerances below
+_MEMBERSHIP_TOL = 1e-10  # relative residual: rounding, plus the adjoint inverse's truncation (symbols._CONVERSION_TOL)
 _EPS = float(np.finfo(float).eps)
-# error bounds of the rational expansions behind the two maps that still truncate
-_INNER_FACTOR_CONVERSION_TOL = 1e-13
-_CONVERSION_TOL = 1e-12
 _RANK_CUT = 1e-12  # _orthonormal drops a QR direction with |R_jj| below this share of max |R|: rounding leaves ~n eps
-_INNER_AT_ZERO_MIN = 1e-14  # inner(0) below this is 0: the dropped c*conj(inner)*a is far below _MEMBERSHIP_TOL
 
 
 class AmbiguousKernelError(ArithmeticError):
@@ -585,17 +581,19 @@ def kernel_element_direct(a: LaurentPoly, b: LaurentPoly) -> CoeffVector:
     return b - a
 
 
-def kernel_element_from_inner_factor(a: LaurentPoly, b: LaurentPoly) -> CoeffVector:
-    """An explicit nonzero kernel element when b carries a nontrivial inner factor.
+def kernel_element_from_inner_factor(a: LaurentPoly, b: LaurentPoly) -> tuple[RationalSymbol, RationalSymbol]:
+    """An explicit nonzero kernel element (plus, minus) when b carries a nontrivial inner factor.
 
-    With b = (inner)(outer) and c = inner(0), the element is
+    With b = (inner)(outer) and c = inner(0), the element f = plus + minus is
 
-        f  =  (b - c * outer) / z   +   ( -a * (1 - c * conj(inner)) / z )
+        plus  =  (b - c * outer) / z,      minus  =  (1 - c * conj(inner)) * (-a) / z.
 
-    whose analytic part is an exact polynomial and whose co-analytic part is
-    rational (truncated here with an automatically grown band).  The result
-    passes the membership rule (:func:`_certify`), or :class:`ArithmeticError`
-    is raised.
+    ``plus`` is a polynomial: b - c * outer vanishes at 0, and the constant
+    term that rounding leaves is dropped before the division.  ``minus`` is
+    rational with every pole inside the disk and a zero at infinity, so it is
+    its own P- and nothing is truncated.  The parts have the shape of an
+    :class:`L2Kernel` basis element and pass its certificate
+    (:func:`_certify_l2_element`), or :class:`AmbiguousKernelError` is raised.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("both symbols must be nonzero")
@@ -607,20 +605,13 @@ def kernel_element_from_inner_factor(a: LaurentPoly, b: LaurentPoly) -> CoeffVec
     if io.inner_is_constant:
         raise ValueError("second symbol has a trivial inner factor")
     c = io.inner.value_at_zero()
-    outer_poly = io.outer.as_laurent()
-    numerator = b - outer_poly * c
-    drift = numerator.coeff(0)
-    f_plus = (numerator - LaurentPoly({0: drift})).shift(-1)
-    if abs(c) < _INNER_AT_ZERO_MIN:
-        f_minus = (-a).shift(-1)
-    else:
-        rational = (RationalSymbol.one() - io.inner.conj_reflect() * c) * (-a)
-        truncation = rational_to_coeffs_auto(rational.shift(-1), tol=_INNER_FACTOR_CONVERSION_TOL)
-        f_minus = riesz_minus(truncation.coeffs)
-    if f_plus.is_zero and f_minus.is_zero:
+    numerator = b - io.outer.as_laurent() * c
+    plus = RationalSymbol((numerator - LaurentPoly({0: numerator.coeff(0)})).shift(-1))
+    minus = (1 - io.inner.conj_reflect() * c) * (-a).shift(-1)
+    if plus.num.is_zero and minus.num.is_zero:
         raise ArithmeticError("constructed kernel element vanished")
-    _certify(_paired_residual(a, b, f_plus, f_minus), "inner-factor kernel element", ArithmeticError)
-    return f_plus + f_minus
+    _certify_l2_element(a, b, plus, minus)
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +791,7 @@ def adjoint_kernel_map_inverse(
     if numerator.is_zero:
         return LaurentPoly.zero()
     quotient = RationalSymbol(LaurentPoly.one()) * numerator * reciprocal_symbol(divisor)
-    result = rational_to_coeffs_auto(quotient, tol=_CONVERSION_TOL).coeffs
+    result = rational_to_coeffs_auto(quotient).coeffs
     _check_membership(conj_pair, result, "transposed")
     return result
 

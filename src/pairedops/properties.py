@@ -8,6 +8,8 @@ Check/replay contract: suite bodies only draw inputs and state failure
 conditions.  ``_SuiteRun.check`` calls the registered check once per input
 set, and a violation records exactly those inputs and that output, so
 :func:`replay_violation`, which calls the same check, returns its residuals.
+A check that raises ``ValueError`` on its inputs is recorded the same way,
+with no residuals and the error text; its replay raises the same error.
 
 Kernel dimensions come from the closed-form L2 kernels wherever a and b are
 invertible on the circle; band-limited null spaces answer, at one band, only
@@ -26,6 +28,7 @@ draws and a suite's report is the same whether it runs alone or in
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -106,23 +109,20 @@ _EXACT_TOL = 1e-12  # identities that hold to rounding: products of degree-4 sym
 _WITNESS_FLOOR = 1e-8  # a witness of a broken identity: its defect is of order one (0.5 x the scale)
 _MODEL_SPACE_TOL = 1e-8  # the identity on rationals cut at band 192: poles within 0.8 leave 0.8^192 < 1e-18
 _PINNED_NORM_TOL = 1e-9  # section norms of (1, z) and (3, 0) against sqrt(2) and 3
-_TRUNCATION_TOL = 1e-9  # the inner-factor element and the adjoint round trip, both truncated
+_TRUNCATION_TOL = 1e-9  # the adjoint round trip, through a truncated inverse
 _DRAW_ATTEMPTS = 50  # candidates an accept loop draws before it gives up
+_DEGREE_RANGE = (1, 4)  # gen_symbol's degree d is uniform over these, both included
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Seed, symbol degrees and scale, and trial count: what a run draws."""
+    """Seed, coefficient scale and trial count: what a run draws."""
 
     seed: int = 0
-    degree_range: tuple[int, int] = (1, 4)
     coefficient_scale: float = 1.0
     trials: int = 100
 
     def __post_init__(self):
-        lo, hi = self.degree_range
-        if lo < 0 or hi < lo:
-            raise ValueError("degree_range must satisfy 0 <= lo <= hi")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if self.coefficient_scale <= 0:
@@ -158,14 +158,14 @@ def gen_symbol(cfg: GeneratorConfig, rng: np.random.Generator, family: str = "ge
 
     Families select the band: ``analytic`` gives [0, d], ``coanalytic``
     [-d, 0], ``coanalytic_vanishing`` [-d, -1], ``general`` [-d, d]; the
-    degree d is uniform over ``degree_range`` and coefficients are complex
+    degree d is uniform over ``_DEGREE_RANGE`` and coefficients are complex
     Gaussians.  ``invertible_on_T`` resamples a general symbol until all roots
     stay 1e-3 away from the circle, and ``blaschke`` returns a
     :class:`RationalSymbol` with zeros sampled in the disk of radius 0.8.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    lo, hi = cfg.degree_range
+    lo, hi = _DEGREE_RANGE
     degree = int(rng.integers(lo, hi + 1))
     if family == "blaschke":
         return blaschke(_disk_points(rng, max(1, degree)))
@@ -272,6 +272,10 @@ class _Checked:
             self.run.violations.append(record)
 
 
+class _Refused(Exception):
+    """A registered check refused its inputs; :func:`_suite` ends the body, the violation already recorded."""
+
+
 class _SuiteRun:
     """Accumulator shared by all suites, and their one way to run a check."""
 
@@ -303,9 +307,15 @@ class _SuiteRun:
         """Run the registered check ``name`` once on ``inputs``.
 
         The residuals named in ``observe`` feed ``max_residual``; the suite
-        states its failure conditions on the returned :class:`_Checked`.
+        states its failure conditions on the returned :class:`_Checked`.  A
+        ``ValueError`` of the check (an input outside the kernel) is a violation
+        with no residuals that ends the suite's body (:class:`_Refused`).
         """
-        result = _CHECKS[name](**inputs)
+        try:
+            result = _CHECKS[name](**inputs)
+        except ValueError as err:
+            self.violations.append(Violation(trial, name, _encode(inputs), {}, str(err)))
+            raise _Refused from err
         self.observe(*(result[key] for key in observe))
         return _Checked(self, trial, name, inputs, result)
 
@@ -484,9 +494,9 @@ def check_model_space_identity(
 
 
 @_register("kernel_annihilation")
-def check_kernel_annihilation(pair: SymbolPair, f: LaurentPoly) -> dict:
-    """a P+f + b P-f over the larger of its two terms."""
-    return {"residual": _relative(apply_paired(pair, f), pair.a * riesz_plus(f), pair.b * riesz_minus(f))}
+def check_kernel_annihilation(pair: SymbolPair, plus, minus) -> dict:
+    """a*plus + b*minus over the larger of its two terms, denominators cleared (:func:`_paired_residual`)."""
+    return {"residual": _paired_residual(pair.a, pair.b, plus, minus)}
 
 
 @_register("multiplier_invariance")
@@ -667,13 +677,14 @@ SUITES: dict[str, Callable[[GeneratorConfig], TrialReport]] = {}
 
 
 def _suite(name: str):
-    """Register ``body(cfg, run)`` as suite ``name``; zero trials skip the body."""
+    """Register ``body(cfg, run)`` as suite ``name``; zero trials skip the body, a refused check ends it."""
 
     def decorate(body):
         def suite(cfg: GeneratorConfig) -> TrialReport:
             run = _SuiteRun(name, cfg)
             if cfg.trials:
-                body(cfg, run)
+                with contextlib.suppress(_Refused):
+                    body(cfg, run)
             return run.finish()
 
         suite.__name__ = suite.__qualname__ = body.__name__
@@ -960,18 +971,20 @@ def suite_kernels(cfg: GeneratorConfig, run: _SuiteRun) -> None:
         a_ii = gen_symbol(cfg, rng, "coanalytic")
         b_ii = _rooted_analytic(rng, interior=int(rng.integers(1, 3)), exterior=int(rng.integers(0, 2)))
         try:
-            f_ii = kernel_element_from_inner_factor(a_ii, b_ii)
+            plus_ii, minus_ii = kernel_element_from_inner_factor(a_ii, b_ii)
         except ArithmeticError as err:
             run.ambiguity(trial, err, "inner-factor kernel element")
         else:
-            inputs = {"pair": SymbolPair(a_ii, b_ii), "f": f_ii}
+            inputs = {"pair": SymbolPair(a_ii, b_ii), "plus": plus_ii, "minus": minus_ii}
             res_ii = run.check(trial, "kernel_annihilation", inputs, ("residual",))
-            res_ii.fail_if(res_ii["residual"] > _TRUNCATION_TOL or f_ii.is_zero, "inner-factor kernel element failed")
+            vanished = plus_ii.num.is_zero and minus_ii.num.is_zero
+            res_ii.fail_if(res_ii["residual"] > _EXACT_TOL or vanished, "inner-factor kernel element failed")
 
         # strictly co-analytic against analytic: direct element and containment
         base = _draw_pair(cfg, run, trial, "base", "coanalytic_vanishing", "analytic")
         f_iii = kernel_element_direct(base.a, base.b)
-        res_iii = run.check(trial, "kernel_annihilation", {"pair": base, "f": f_iii}, ("residual",))
+        inputs = {"pair": base, "plus": riesz_plus(f_iii), "minus": riesz_minus(f_iii)}
+        res_iii = run.check(trial, "kernel_annihilation", inputs, ("residual",))
         res_iii.fail_if(res_iii["residual"] > _EXACT_TOL, "direct kernel element failed")
         # nearly invariant: f+(0) = b(0) != 0 sends zbar*f out; z*b - a, of (a, z*b), has f+(0) = 0
         invariance(trial, base, f_iii, keeps=False)

@@ -71,9 +71,9 @@ _FACTOR_CHECK_GRID = 1024  # points of those self-checks
 _PRUNE_REL = 1e-14  # truncated coefficients below this share are noise: an FFT errs by ~log2(n) eps
 _MIN_POLE_DISTANCE = 1e-6  # of a truncated pole from the circle: coefficients decay like (1 - d)^k
 _START_BAND, _MAX_BAND = 32, 1 << 15  # rational_to_coeffs_auto's ladder: 1e-13 for poles ~1e-3 from the circle
+_CONVERSION_TOL = 1e-12  # rational_to_coeffs_auto's grid error over the l1 norm: below kernels._MEMBERSHIP_TOL
 _NEWTON_STEP_MIN = 1e-8  # poly_roots polishes where |p'| exceeds this share of the coefficients: steps stay ~n eps / 1e-8
 _ORIGIN_TOL = 1e-9  # a zero within this of 0 takes the factor z, O(1e-9) from its own up to a unit, below _FACTOR_CHECK_TOL
-_UNIMODULAR_TOL = 1e-12  # of a Blaschke constant's modulus from 1: a computed unit constant errs by a few eps
 _SWEEP_GRID, _SWEEP_MIN = 512, 1e-9  # min |den| over 512 roots of unity below 1e-9 of its max refuses, behind CIRCLE_MARGIN
 
 _Scalar = (int, float, complex, np.integer, np.floating, np.complexfloating)
@@ -386,10 +386,10 @@ class LaurentPoly:
     def max_abs_coeff(self) -> float:
         return max((abs(v) for v in self._coeffs.values()), default=0.0)
 
-    def sup_norm(self, grid_points: int | None = None) -> float:
+    def sup_norm(self) -> float:
         """Max of |self| over the circle, estimated from below.
 
-        Evaluates on the cached grid of n >= max(256, 16 * (band width + 1))
+        Evaluates on the cached grid of n = max(256, 16 * (band width + 1))
         roots of unity, spacing h = 2*pi/n.  Every grid local maximum theta_j
         = 2*pi*j/n whose value lies within B = (h^2/2) * sum (k - kbar)^2 |c_k|
         of the largest grid value G, with kbar = sum k |c_k| / sum |c_k|, gets
@@ -418,7 +418,7 @@ class LaurentPoly:
         """
         if self.is_zero:
             return 0.0
-        n = max(grid_points or 0, 256, 16 * (self._kmax - self._kmin + 1))
+        n = max(256, 16 * (self._kmax - self._kmin + 1))
         try:
             weights = [(k, abs(v)) for k, v in self._coeffs.items()]
             total = sum(w for _, w in weights)
@@ -426,7 +426,7 @@ class LaurentPoly:
             total = math.inf
         if not total <= _HORNER_UNSCALED_MAX:
             scaled, e = _unit_scaled(self)
-            return _scaled_back(scaled.sup_norm(n), e, "sup norm")
+            return _scaled_back(scaled.sup_norm(), e, "sup norm")
         terms = self._horner_terms()
         grid = unit_grid(n)
         values = _cabs(_horner_array(terms, grid))
@@ -1035,12 +1035,9 @@ def inner_outer_factor(p: LaurentPoly) -> InnerOuterFactorization:
     )
 
 
-def blaschke(zeros: Sequence[complex], constant: complex = 1.0) -> RationalSymbol:
-    """Finite Blaschke product with the given zeros, times a unimodular constant."""
-    c = complex(constant)
-    if abs(abs(c) - 1.0) > _UNIMODULAR_TOL:
-        raise ValueError("constant must be unimodular")
-    num = LaurentPoly({0: c})
+def blaschke(zeros: Sequence[complex]) -> RationalSymbol:
+    """Finite Blaschke product with the given zeros, one :func:`_blaschke_factor` each."""
+    num = LaurentPoly.one()
     den = LaurentPoly.one()
     poles: tuple[complex, ...] = ()
     for zero in zeros:
@@ -1107,8 +1104,8 @@ def rational_to_coeffs(r: RationalSymbol, band: int) -> RationalTruncation:
     return RationalTruncation(pruned, err)
 
 
-def rational_to_coeffs_auto(r: RationalSymbol, *, tol: float = 1e-12) -> RationalTruncation:
-    """Grow the band geometrically until the grid reconstruction error meets tol.
+def rational_to_coeffs_auto(r: RationalSymbol) -> RationalTruncation:
+    """Grow the band geometrically until the grid reconstruction error meets ``_CONVERSION_TOL``.
 
     The target is relative to the function magnitude (bounded through the l1
     norm of the coefficients), since the attainable floor of the grid error
@@ -1119,10 +1116,10 @@ def rational_to_coeffs_auto(r: RationalSymbol, *, tol: float = 1e-12) -> Rationa
     last: RationalTruncation | None = None
     while band <= _MAX_BAND:
         last = rational_to_coeffs(r, band)
-        if last.grid_error <= tol * last.coeffs.l1_norm():
+        if last.grid_error <= _CONVERSION_TOL * last.coeffs.l1_norm():
             return last
         band *= 2
     raise ConditioningError(
-        f"could not reach reconstruction tolerance {tol:.1e} within band {_MAX_BAND}"
+        f"could not reach reconstruction tolerance {_CONVERSION_TOL:.1e} within band {_MAX_BAND}"
         + (f"; best error {last.grid_error:.2e}" if last else "")
     )

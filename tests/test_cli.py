@@ -259,7 +259,7 @@ def test_suite_csv_format(capsys):
 
 
 def test_runconfig_round_trip():
-    cfg = RunConfig(N=17, grid_points=512, seed=9, out="x.json", format="csv")
+    cfg = RunConfig(N=17, seed=9, out="x.json", format="csv")
     assert RunConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 
@@ -274,10 +274,10 @@ def test_runconfig_validation():
 
 def test_config_surface_is_pinned():
     # every threshold is a module constant: neither config carries one
-    assert [f.name for f in dataclasses.fields(RunConfig)] == ["N", "grid_points", "seed", "out", "format"]
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["N", "seed", "out", "format"]
     fields = [f.name for f in dataclasses.fields(GeneratorConfig)]
-    assert fields == ["seed", "degree_range", "coefficient_scale", "trials"]
-    assert set(RunConfig().to_json_dict()) == {"N", "grid_points", "seed", "out", "format"}
+    assert fields == ["seed", "coefficient_scale", "trials"]
+    assert set(RunConfig().to_json_dict()) == {"N", "seed", "out", "format"}
 
 
 @pytest.mark.parametrize(
@@ -285,7 +285,8 @@ def test_config_surface_is_pinned():
     [
         ({"N": "5"}, "N must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
-        ({"grid_points": True}, "grid_points must be an integer"),
+        # sup_norm picks its own grid: the setting is gone
+        ({"grid_points": 1024}, "unknown config keys: ['grid_points']"),
         ({"out": 1}, "out must be a path"),
         # the tolerance settings are gone: each is an unknown key
         ({"tolerances": {"exact": 1e-12, "numeric": 1e-8}}, "unknown config keys: ['tolerances']"),
@@ -300,6 +301,13 @@ def test_mistyped_config_exits_2(config, message, tmp_path, capsys):
     code, out, err = run_cli(capsys, "kernel", "--a", "z^-1", "--b", "z", "--config", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_grid_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["norm", "--a", "1", "--b", "z", "--N", "8", "--grid", "1024"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --grid 1024" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -338,7 +346,6 @@ _OVERSIZED = [
     ["kernel", "--a", "1", "--b", "z", "--N", "40000"],
     ["coburn", "--a", "1", "--b", "z", "--N", "40000"],
     ["norm", "--a", "1", "--b", "z", "--N", "8,40000"],
-    ["norm", "--a", "1", "--b", "z", "--N", "8", "--grid", "1000000000"],
     ["kernel", "--a", "1 + z^12000", "--b", "z", "--N", "8"],
     ["apply", "--a", "1 + z^400000000", "--b", "1", "--f", "1 + z"],
 ]

@@ -54,6 +54,7 @@ from pairedops.symbols import (
     poly_from_roots,
     poly_roots,
     rational_to_coeffs,
+    unit_grid,
 )
 
 
@@ -478,18 +479,36 @@ def test_kernel_element_direct_preconditions():
 
 
 def test_kernel_element_inner_factor_monomial_cases():
-    f = kernel_element_from_inner_factor(lp("z^-1"), lp("z"))
-    assert f == lp("1 - z^-2")
-    f = kernel_element_from_inner_factor(lp("z^-2"), lp("z^2"))
-    assert f == lp("z - z^-3")
+    # inner = z^m has c = inner(0) = 0: plus = b/z and minus = -a/z, both polynomial
+    for a, b, plus, minus in (("z^-1", "z", "1", "-z^-2"), ("z^-2", "z^2", "z", "-z^-3")):
+        parts = kernel_element_from_inner_factor(lp(a), lp(b))
+        assert all(isinstance(part, RationalSymbol) for part in parts)
+        assert [part.as_laurent() for part in parts] == [lp(plus), lp(minus)]
 
 
 def test_kernel_element_inner_factor_blaschke_case():
-    a = lp("z^-1 + 2")
-    b = lp("z - 0.5")
-    f = kernel_element_from_inner_factor(a, b)
-    assert not f.is_zero
-    assert apply_paired(SymbolPair(a, b), f).l2_norm() <= 1e-9
+    # b = z - 0.5: inner = (z - 0.5)/(1 - 0.5z), outer = 1 - 0.5z, c = -0.5, so
+    # plus = 0.75 and minus = -0.75 (z^-1 + 2) / (z - 0.5), exact and untruncated
+    a, b = lp("z^-1 + 2"), lp("z - 0.5")
+    plus, minus = kernel_element_from_inner_factor(a, b)
+    assert plus.as_laurent().coeff(0) == pytest.approx(0.75, abs=1e-15) and plus.num.kmax == 0
+    assert minus.poles == pytest.approx((0.5,)) and minus.num.kmax - minus.den.kmax == -1
+    grid = unit_grid(64)
+    assert np.max(np.abs(minus(grid) + 0.75 * (1 / grid + 2) / (grid - 0.5))) <= 1e-14
+    assert _paired_residual(a, b, plus, minus) <= 1e-14
+    # an independent check of the operator: the truncated element is annihilated
+    f = plus.as_laurent() + rational_to_coeffs(minus, 64).coeffs
+    assert apply_paired(SymbolPair(a, b), f).l2_norm() <= 1e-12
+
+
+def test_kernel_element_inner_factor_with_inner_vanishing_at_zero():
+    # b = z (z - 0.5): c = inner(0) = 0 takes no special case, and minus equals -a/z
+    a, b = lp("z^-2 + 0.3*z^-1 + 1"), lp("z*(z - 0.5)")
+    plus, minus = kernel_element_from_inner_factor(a, b)
+    assert plus.as_laurent() == lp("z - 0.5")
+    grid = unit_grid(64)
+    assert np.max(np.abs(minus(grid) + a(grid) / grid)) <= 1e-14
+    assert _paired_residual(a, b, plus, minus) <= 1e-14
 
 
 def test_kernel_element_inner_factor_rejects_trivial_inner():
@@ -876,7 +895,8 @@ def test_invariance_ignores_a_common_scale():
 def test_invariance_member_case():
     # eta = z^2 with a kernel element whose parts clear both Hankel conditions
     p = pair("z^-3", "z^3")
-    f = kernel_element_from_inner_factor(p.a, p.b)
+    plus, minus = kernel_element_from_inner_factor(p.a, p.b)
+    f = plus.as_laurent() + minus.as_laurent()
     keeps, vanish = _invariance(p, lp("z^2"), f)
     assert keeps == vanish
     assert _invariance(p, lp("1"), f)[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -83,8 +84,6 @@ def test_gen_symbol_blaschke_is_inner():
 def test_generator_config_validation():
     with pytest.raises(ValueError):
         gen_symbol(SMALL, default_rng(0), "nope")
-    with pytest.raises(ValueError):
-        GeneratorConfig(degree_range=(3, 1))
     with pytest.raises(ValueError):
         GeneratorConfig(trials=-1)
 
@@ -173,6 +172,40 @@ def test_refused_inner_factor_element_is_an_ambiguity(monkeypatch):
     agg = run_all(GeneratorConfig(seed=0, trials=2))
     assert sorted(agg.reports) == sorted(SUITES) and len(SUITES) == 7
     assert agg.reports["kernels"].verdict == "ambiguous" and agg.verdict == "ambiguous"
+
+
+def test_refused_check_is_a_violation_that_replays_its_error(monkeypatch):
+    # a library defect that hands multiplier_invariance a non-member: the
+    # suite records the refusal and stops, and run_all goes on to the next suite
+    monkeypatch.setattr(properties, "kernel_element_direct", lambda a, b: b + a)
+    report = SUITES["kernels"](GeneratorConfig(seed=0, trials=3))
+    assert report.exit_code == 1 and report.verdict == "fail"
+    refused = [v for v in report.violations if v.check == "multiplier_invariance"]
+    assert len(refused) == 1 and refused[0].trial == 0 and refused[0].residuals == {}
+    assert "membership residual" in refused[0].message
+    with pytest.raises(ValueError) as err:
+        replay_violation(refused[0])
+    assert str(err.value) == refused[0].message
+    with pytest.raises(ValueError, match=re.escape(refused[0].message)):
+        replay_violation(json.loads(json.dumps(refused[0].to_json_dict())))
+    agg = run_all(GeneratorConfig(seed=0, trials=2))
+    assert sorted(agg.reports) == sorted(SUITES) and agg.exit_code == 1
+    assert {name for name, r in agg.reports.items() if r.verdict != "pass"} == {"kernels"}
+
+
+def test_inner_factor_elements_are_exact_on_the_suite_draws(monkeypatch):
+    # nothing is truncated, so each certificate reads rounding only
+    residuals = []
+    build = properties.kernel_element_from_inner_factor
+
+    def recording(a, b):
+        plus, minus = build(a, b)
+        residuals.append(kernels._paired_residual(a, b, plus, minus))
+        return plus, minus
+
+    monkeypatch.setattr(properties, "kernel_element_from_inner_factor", recording)
+    assert SUITES["kernels"](GeneratorConfig(seed=0, trials=50)).verdict == "pass"
+    assert len(residuals) == 50 and max(residuals) <= properties._EXACT_TOL
 
 
 def test_violations_imply_not_passed():
@@ -264,10 +297,11 @@ def test_replay_reproduces_residuals():
     f = parse_symbol("1 + z")
     # a P+f + b P-f over the larger of its two terms (here P-f = 0)
     residual = apply_paired(pair, f).max_abs_coeff() / (pair.a * f).max_abs_coeff()
+    plus, minus = ({"__laurent__": part.to_json_dict()} for part in (f, LaurentPoly.zero()))
     record = Violation(
         trial=7,
         check="kernel_annihilation",
-        inputs={"pair": {"__pair__": pair.to_json_dict()}, "f": {"__laurent__": f.to_json_dict()}},
+        inputs={"pair": {"__pair__": pair.to_json_dict()}, "plus": plus, "minus": minus},
         residuals={"residual": residual},
         message="synthetic",
     )

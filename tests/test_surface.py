@@ -4,13 +4,19 @@
 ``tests/test_acceptance.py`` imports names from the modules.  A deletion or
 rename that breaks either fails here, in seconds, rather than inside a
 traced benchmark run.  Each module's ``__all__`` and the names the package
-re-exports are pinned, so a change to the public surface is a deliberate
-edit of this file.
+re-exports are pinned, and so is every value a caller can set (config
+fields, common flags, defaulted parameters), so a change to the public
+surface is a deliberate edit of this file.  Every constant that the README
+"Tolerances" table names must exist.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
+import inspect
+import re
 import types
 from pathlib import Path
 
@@ -121,3 +127,82 @@ def test_package_reexports_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == _REEXPORTS
+
+
+def _readme_tolerances() -> list[tuple[str, str]]:
+    """(module, constant) of each name in the first column of the README "Tolerances" table.
+
+    A cell names its module once: `symbols._START_BAND`, `_MAX_BAND`.
+    """
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("### Tolerances", 1)[1].split("\n#", 1)[0]
+    named = []
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            first, *rest = re.findall(r"`([^`]+)`", row.split("|")[1])
+            module, constant = first.split(".")
+            named += [(module, constant)] + [(module, name) for name in rest]
+    return named
+
+
+@pytest.mark.parametrize("module,constant", _readme_tolerances())
+def test_readme_tolerance_exists(module, constant):
+    assert hasattr(MODULES[module], constant)
+
+
+def test_readme_tolerances_were_read():
+    assert len(_readme_tolerances()) >= 20
+
+
+def _common_flags() -> list[str]:
+    """The option strings that every subcommand accepts."""
+    sub = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [{s for action in p._actions for s in action.option_strings} for p in sub.choices.values()]
+    return sorted(set.intersection(*flags))
+
+
+def _defaulted_parameters() -> set[str]:
+    """``module.qualname(parameter)`` of each parameter with a default, over the public functions and methods.
+
+    The generated ``__init__`` of a dataclass is left out: its fields are pinned on their own.
+    """
+    functions = set()
+    for module in MODULES.values():
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                functions.add(obj)
+            elif inspect.isclass(obj):
+                for attr, value in vars(obj).items():
+                    value = getattr(value, "__func__", value)
+                    if inspect.isfunction(value) and not (attr == "__init__" and dataclasses.is_dataclass(obj)):
+                        functions.add(value)
+    return {
+        f"{fn.__module__.rsplit('.', 1)[1]}.{fn.__qualname__}({p.name})"
+        for fn in functions
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    }
+
+
+def test_settable_surface_is_pinned():
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == ["N", "seed", "out", "format"]
+    assert [f.name for f in dataclasses.fields(properties.GeneratorConfig)] == ["seed", "coefficient_scale", "trials"]
+    assert _common_flags() == ["--N", "--config", "--format", "--help", "--out", "--seed", "-h"]
+    # of these, only invertible_on_circle(min_distance) is a tolerance: callers pass 1e-8, 1e-3 and 1e-2
+    assert _defaulted_parameters() == {
+        "cli.main(argv)",
+        "kernels.AmbiguousKernelError.__init__(singular_values)",
+        "kernels.invertible_on_circle(min_distance)",
+        "kernels.kernel_basis(kind)",
+        "operators.composition_residual(kind)",
+        "operators.exact_action_matrix(kind)",
+        "operators.toeplitz_window(out)",
+        "properties.AggregateReport.to_json_dict(include_runtime)",
+        "properties.TrialReport.to_json_dict(include_runtime)",
+        "properties.gen_symbol(family)",
+        "symbols.LaurentPoly.__init__(coeffs)",
+        "symbols.LaurentPoly.monomial(coefficient)",
+        "symbols.RationalSymbol.__init__(den)",
+        "symbols.poly_from_roots(leading)",
+        "symbols.poly_from_roots(shift)",
+    }

@@ -343,8 +343,8 @@ def test_blaschke_zero_at_origin_is_shift():
 
 
 def test_blaschke_empty_is_constant():
-    b = blaschke([], constant=1j)
-    assert b.num == LaurentPoly({0: 1j})
+    b = blaschke([])
+    assert b.num == LaurentPoly.one() and b.den == LaurentPoly.one()
 
 
 def test_blaschke_grid_modulus_oracle():
@@ -356,8 +356,6 @@ def test_blaschke_grid_modulus_oracle():
 def test_blaschke_rejects_boundary_zero():
     with pytest.raises(ValueError):
         blaschke([0.9999])
-    with pytest.raises(ValueError):
-        blaschke([0.5], constant=2.0)
 
 
 def test_rational_monic_normalization():
@@ -416,7 +414,7 @@ def test_rational_to_coeffs_conditioning_guard():
 
 def test_rational_to_coeffs_auto_reaches_tolerance():
     r = RationalSymbol(LaurentPoly.one(), lp("1 - 0.9*z"))
-    vec, err = rational_to_coeffs_auto(r, tol=1e-12)
+    vec, err = rational_to_coeffs_auto(r)
     assert err <= 1e-12 * max(1.0, vec.max_abs_coeff())
 
 
@@ -821,7 +819,7 @@ def _power_sum_oracle(p: LaurentPoly, z):
     return out
 
 
-def _sup_norm_oracle(p: LaurentPoly, grid_points: int | None = None) -> float:
+def _sup_norm_oracle(p: LaurentPoly) -> float:
     """sup_norm's search in power sums: the grid, then 60 golden steps at each peak near its top.
 
     A peak is a grid local maximum within (h^2/2) sum (k - kbar)^2 |c_k| of
@@ -834,11 +832,11 @@ def _sup_norm_oracle(p: LaurentPoly, grid_points: int | None = None) -> float:
         return 0.0
     e = min(0, math.frexp(p.max_abs_coeff())[1])
     scaled = LaurentPoly({k: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for k, c in p.items()})
-    return math.ldexp(_normalized_sup_norm_oracle(scaled, grid_points), e)
+    return math.ldexp(_normalized_sup_norm_oracle(scaled), e)
 
 
-def _normalized_sup_norm_oracle(p: LaurentPoly, grid_points: int | None) -> float:
-    n = max(grid_points or 0, 256, 16 * (p.kmax - p.kmin + 1))
+def _normalized_sup_norm_oracle(p: LaurentPoly) -> float:
+    n = max(256, 16 * (p.kmax - p.kmin + 1))
     theta = 2 * np.pi * np.arange(n) / n
     vals = np.abs(_power_sum_oracle(p, np.exp(1j * theta)))
     h = 2 * np.pi / n
@@ -935,12 +933,12 @@ def _random_symbols(count: int) -> list[LaurentPoly]:
     return out
 
 
-def _assert_sup_norm_against_oracle(p: LaurentPoly, grid_points: int | None = None) -> None:
-    got = p.sup_norm(grid_points)
-    want = _sup_norm_oracle(p, grid_points)
+def _assert_sup_norm_against_oracle(p: LaurentPoly) -> None:
+    got = p.sup_norm()
+    want = _sup_norm_oracle(p)
     assert abs(got - want) <= 8 * _EPS * want
     assert got <= p.l1_norm() + _horner_tol(p)
-    n = max(grid_points or 0, 256, 16 * (p.kmax - p.kmin + 1))
+    n = max(256, 16 * (p.kmax - p.kmin + 1))
     # without the factor z^kmin, as sup_norm evaluates: its numpy power alone
     # may round past the Horner allowance (|c z^8| read 4e-15 above |c|)
     grid_max = float(np.max(_cabs(p.shift(-p.kmin)(unit_grid(n)))))
@@ -952,7 +950,6 @@ def test_sup_norm_within_rounding_of_replaced_algorithm():
     narrow = [p for p in _EVAL_CASES if not p.is_zero and p.kmax - p.kmin <= 8]
     for p in narrow + _random_symbols(40):
         _assert_sup_norm_against_oracle(p)
-    _assert_sup_norm_against_oracle(lp("1 - 2*z + z^-3"), 1024)
     # a width-80 gap: z^80 costs about 80 roundings in any evaluation order
     gapped = lp("z^-40 + z^40")
     assert abs(gapped.sup_norm() - 2.0) <= _horner_tol(gapped)
@@ -980,8 +977,8 @@ def test_sup_norm_makes_one_array_pass_and_reports_python_arithmetic(monkeypatch
     monkeypatch.setattr(symbols, "_horner_array", counting)
     for p in cases:
         calls.clear()
-        p.sup_norm(1024)
-        assert calls == [(max(1024, 16 * (p.kmax - p.kmin + 1)),)]
+        p.sup_norm()
+        assert calls == [(max(256, 16 * (p.kmax - p.kmin + 1)),)]
     # the array pass only picks the grid argmax: last-bit changes in its values,
     # as another CPU's SIMD complex multiply gives, leave every result's bits
     rng = np.random.default_rng(5)
