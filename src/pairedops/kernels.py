@@ -10,8 +10,8 @@ Two routes compute a kernel.
   poles outside the disk, f- strictly coanalytic with its poles inside, and
   the membership rule below.  The kernel has dimension
   max(0, wind b - wind a), and its first element generates it: every
-  element is p*f with p a polynomial of degree below the dimension.  This
-  route is the only source of a kernel dimension from the index.
+  element is p*f with p a polynomial of degree below the dimension.
+  :func:`coburn_check` reads its dimensions from the winding numbers.
 * **Band-limited route** (:func:`kernel_basis`, and :func:`coburn_check`
   where a or b is not invertible on the circle).  The null space of the
   exact band-growing action on trigonometric polynomials of band N, so
@@ -30,8 +30,8 @@ Null vectors, the Toeplitz bridge, closed-form elements, explicit elements
 and the inputs and outputs of the structure maps all pass through it.
 
 Every winding number, Fredholm index and invertibility test reads one rule,
-:func:`_root_split`: one root solve per symbol, whose inclusion disks must
-all stay more than ``CIRCLE_MARGIN`` (1e-8) from the circle.  A root on or
+``symbols._root_split``: one root solve per symbol, whose inclusion disks
+must all stay more than ``CIRCLE_MARGIN`` (1e-8) from the circle.  A root
 near the circle, a root cluster whose disks reach it, or a failed solve
 leaves the symbol not invertible and its winding number unknown.
 
@@ -71,6 +71,7 @@ from .symbols import (
     ConditioningError,
     LaurentPoly,
     RationalSymbol,
+    _root_split,
     _unit_exponent,
     in_conj_hardy,
     in_conj_hardy_vanishing,
@@ -78,7 +79,6 @@ from .symbols import (
     inner_outer_factor,
     is_nondegenerate,
     poly_from_roots,
-    poly_roots,
     rational_to_coeffs_auto,
 )
 
@@ -112,7 +112,6 @@ __all__ = [
 NULL_SPACE_REL_THRESHOLD = 1e-8  # share of the largest singular value: a null direction reads ~n eps
 _NULL_GAP_FACTOR = 10.0  # values within this factor above the null threshold are refused as ambiguous
 _MEMBERSHIP_TOL = 1e-10  # relative residual: rounding, plus the adjoint inverse's truncation (symbols._CONVERSION_TOL)
-_EPS = float(np.finfo(float).eps)
 _RANK_CUT = 1e-12  # _orthonormal drops a QR direction with |R_jj| below this share of max |R|: rounding leaves ~n eps
 
 
@@ -255,46 +254,20 @@ class KernelBasis:
         }
 
 
-_Split = tuple[tuple[complex, ...], tuple[complex, ...]]
+def _certified_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tuple, tuple] | None:
+    """(roots inside, roots outside) of ``symbols._root_split`` at ``margin``.
 
-
-def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> _Split | None:
-    """(roots inside the disk, roots outside) of p = symbol * z^-kmin, certified.
-
-    One :func:`poly_roots` solve.  None when the symbol is zero, the solve or
-    the certificate fails, or an inclusion disk comes within ``margin`` of
+    None when the symbol is zero, the root solve fails, or a root is near
     the circle: the symbol is then not invertible on the circle, or its
     winding number cannot be certified.
-
-    The disks: p has degree n, leading coefficient c and distinct computed
-    roots r_i, and W_i = p(r_i) / (c prod_{j != i} (r_i - r_j)).  The matrix
-    diag(r) - W 1^T has characteristic polynomial p / c, since both are monic
-    and agree at every r_i.  Its Gerschgorin disks, centre r_i - W_i and
-    radius (n - 1)|W_i|, lie inside |z - r_i| <= n |W_i|.  So a connected
-    component of k of these disks holds exactly k roots of p (Carstensen,
-    Numer. Math. 59, 1991), and one that stays clear of the circle lies on
-    one side of it together with its computed roots.  |p(r_i)| is taken as
-    its computed value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.
-    A root cluster, which a solve scatters over a disk of radius about
-    eps^(1/multiplicity), gives disks of about that radius, so near the
-    circle it is refused rather than split.
     """
     if symbol.is_zero:
         return None
-    lifted = symbol.shift(-symbol.kmin)
-    n, lead = lifted.kmax, lifted.coeff(lifted.kmax)
     try:
-        roots = poly_roots(lifted).roots if n else ()
-        for i, r in enumerate(roots):
-            gaps = math.prod(r - s for j, s in enumerate(roots) if j != i)
-            modulus = abs(r)
-            value = abs(lifted(r)) + 2 * (n + 1) * _EPS * sum(abs(c) * modulus**k for k, c in lifted.items())
-            # `not x > margin` also refuses a NaN from an overflowing certificate
-            if gaps == 0 or not abs(modulus - 1.0) - n * value / abs(lead * gaps) > margin:
-                return None
+        inside, near, outside = _root_split(symbol, margin)
     except ArithmeticError:
         return None
-    return tuple(r for r in roots if abs(r) < 1.0), tuple(r for r in roots if abs(r) > 1.0)
+    return None if near else (inside, outside)
 
 
 def kernel_basis(pair: SymbolPair, band: int, *, kind: str = "paired") -> KernelBasis:
@@ -381,8 +354,12 @@ def _certify_l2_element(a: LaurentPoly, b: LaurentPoly, plus: RationalSymbol, mi
     return _certify(_paired_residual(a, b, plus, minus), "closed-form kernel element", AmbiguousKernelError)
 
 
-def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
-    """:func:`l2_kernel` of a pair whose symbols have the root splits ``split_a`` and ``split_b``.
+def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
+    """The L2 kernel of aP+ + bP- in closed form, from one root solve per symbol.
+
+    None when :func:`_certified_split` of a or of b is None: the operator is
+    not Fredholm, or its index cannot be certified.  Callers then take
+    :func:`kernel_basis`.
 
     With a = c_a z^k_a prod(z - alpha) and b = c_b z^k_b prod(z - beta), the
     elements are, for j = 0 .. wind b - wind a - 1,
@@ -393,19 +370,22 @@ def _l2_kernel(pair: SymbolPair, split_a: _Split, split_b: _Split) -> L2Kernel:
     so that a*plus_j = -b*minus_j.  The poles are passed on, not solved again.
     Element j is z^j times element 0, and shifts are exact, so all elements
     have one residual: certifying the first and the last element (the lowest
-    analytic mode and the highest coanalytic one) certifies every element.
+    analytic mode and the highest coanalytic one) certifies every element
+    (:func:`_certify_l2_element`); a failed certificate raises
+    :class:`AmbiguousKernelError`.
 
     A trivial kernel builds no factors.  Where -c_a/c_b is zero or not
     finite, every element is scaled by a power of two (:func:`_split_ratio`).
-    A root that is not finite raises :class:`AmbiguousKernelError`.
     """
+    pair.require_nondegenerate()
     a, b = pair.a, pair.b
+    split_a, split_b = _certified_split(a), _certified_split(b)
+    if split_a is None or split_b is None:
+        return None
     (alpha_in, alpha_out), (beta_in, beta_out) = split_a, split_b
     wind_a, wind_b = a.kmin + len(alpha_in), b.kmin + len(beta_in)
     if wind_b <= wind_a:
         return L2Kernel(pair=pair, wind_a=wind_a, wind_b=wind_b, basis=(), residual=0.0)
-    if not all(map(cmath.isfinite, alpha_in + alpha_out + beta_in + beta_out)):
-        raise AmbiguousKernelError("a root of the symbols' split is not finite, as 1/conj(r) of a subnormal root r")
     num_plus, den_plus = poly_from_roots(beta_out), poly_from_roots(alpha_out)
     ratio = -a.coeff(a.kmax) / b.coeff(b.kmax)
     if ratio == 0 or not cmath.isfinite(ratio):
@@ -431,22 +411,6 @@ def _split_ratio(c_a: complex, c_b: complex) -> tuple[complex, int]:
     e = (k_a - k_b) // 2
     r = -m_a / m_b
     return complex(math.ldexp(r.real, k_a - k_b - e), math.ldexp(r.imag, k_a - k_b - e)), e
-
-
-def l2_kernel(pair: SymbolPair) -> L2Kernel | None:
-    """The L2 kernel of aP+ + bP- in closed form, from one root solve per symbol.
-
-    None when the root split of a or of b (:func:`_root_split`) is None:
-    the operator is not Fredholm, or its index cannot be certified.
-    Callers then take :func:`kernel_basis`.  Every element is certified (see
-    :func:`_certify_l2_element`); a failed certificate raises
-    :class:`AmbiguousKernelError`.
-    """
-    pair.require_nondegenerate()
-    split_a, split_b = _root_split(pair.a), _root_split(pair.b)
-    if split_a is None or split_b is None:
-        return None
-    return _l2_kernel(pair, split_a, split_b)
 
 
 # ---------------------------------------------------------------------------
@@ -724,18 +688,14 @@ def invertible_on_circle(symbol: LaurentPoly, min_distance: float = CIRCLE_MARGI
     For Laurent polynomials a root-free circle is exactly invertibility of
     the symbol as a bounded multiplier.  False also means that this could not
     be certified: the root solve failed, or the disks of a root cluster reach
-    within ``min_distance`` of the circle (see :func:`_root_split`).
+    within ``min_distance`` of the circle (see :func:`_certified_split`).
     """
-    return _root_split(symbol, min_distance) is not None
+    return _certified_split(symbol, min_distance) is not None
 
 
 def reciprocal_symbol(symbol: LaurentPoly) -> RationalSymbol:
-    """1/symbol as a rational symbol; requires a certified root-free circle (:func:`invertible_on_circle`)."""
-    split = _root_split(symbol)
-    if split is None:
-        raise ConditioningError("symbol has a root on or near the unit circle")
-    inside, outside = split
-    return RationalSymbol._from_poles(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin), inside + outside)
+    """1/symbol as a rational symbol; :class:`ConditioningError` unless :func:`invertible_on_circle`."""
+    return RationalSymbol(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin))
 
 
 def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair) -> CoeffVector:
@@ -879,18 +839,19 @@ def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
     isomorphic), and, whenever one of a, b or a - b is invertible on the
     circle, that the adjoint dimension matches the conjugated one.
 
-    When a and b are invertible on the circle (route "index") the kernels
-    are the closed-form L2 kernels.  The swapped pair reuses the roots, and
-    the conjugated pair (conj a, conj b) has the roots 1/conj(r).  The
-    adjoint kernel is (1/conj b) * P+ of the conjugated pair's kernel
-    (g = f+/conj b, with inverse f = conj b * g - conj a * g), so its
-    dimension is that kernel's; ``band`` is only reported.  Otherwise (route
+    When a and b are invertible on the circle (route "index") the
+    dimensions are those of the L2 kernels (:func:`l2_kernel`), read from
+    k = wind b - wind a with no basis built: max(0, k) for the pair, and
+    max(0, -k) for the swapped pair and for (conj a, conj b).  The adjoint
+    kernel is (1/conj b) * P+ of the conjugated pair's kernel (g = f+/conj b,
+    with inverse f = conj b * g - conj a * g), so its dimension is that
+    kernel's; ``band`` is only reported.  Otherwise (route
     "band-limited") the four dimensions are band-N null counts of
     :func:`kernel_basis`.
     """
     if pair.a.is_zero or pair.b.is_zero:
         raise DegeneratePairError(is_nondegenerate(pair.a, pair.b))
-    split_a, split_b = _root_split(pair.a), _root_split(pair.b)
+    split_a, split_b = _certified_split(pair.a), _certified_split(pair.b)
     difference = pair.a - pair.b
     invertible = tuple(
         case
@@ -906,13 +867,8 @@ def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
         # a multiplication operator by a nonzero symbol: all four kernels trivial
         dims = (0, 0, 0, 0)
     elif route == "index":
-        # conj a and conj b have the roots 1/conj(r): the outside side becomes the inside one
-        reflected = [
-            (tuple(1.0 / r.conjugate() for r in outside), tuple(1.0 / r.conjugate() for r in inside))
-            for inside, outside in (split_a, split_b)
-        ]
-        dims = [_l2_kernel(pair, split_a, split_b).dim, _l2_kernel(pair.swapped(), split_b, split_a).dim]
-        dims += [_l2_kernel(pair.conjugated(), *reflected).dim] * 2  # conjugated and adjoint
+        k = pair.b.kmin + len(split_b[0]) - pair.a.kmin - len(split_a[0])  # wind b - wind a
+        dims = (max(0, k),) + (max(0, -k),) * 3  # swapped, conjugated and adjoint
     else:
         conj = pair.conjugated()
         variants = ((pair, "paired"), (pair.swapped(), "paired"), (conj, "paired"), (conj, "transposed"))

@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "BLASCHKE_BOUNDARY_MARGIN",
-    "CIRCLE_ROOT_TOL",
     "ConditioningError",
     "FactorizationError",
     "InnerOuterFactorization",
@@ -50,13 +49,10 @@ __all__ = [
     "unit_grid",
 ]
 
-# Distance from the unit circle below which a polynomial root counts as lying
-# on the circle for factorization purposes.
-CIRCLE_ROOT_TOL = 1e-7
 # Blaschke zeros must stay at least this far inside the open disk.
 BLASCHKE_BOUNDARY_MARGIN = 1e-3
-# Distance from the unit circle that a pole, or a root whose side decides a
-# winding number, must exceed.
+# Distance from the unit circle that a root's inclusion disk, or a pole, must
+# exceed for the root to count as inside or outside (see _root_split).
 CIRCLE_MARGIN = 1e-8
 # Smallest sum of squared coefficient moduli that l2_norm takes unscaled: below
 # it a subnormal square could carry more than rounding error into the sum.
@@ -74,7 +70,7 @@ _START_BAND, _MAX_BAND = 32, 1 << 15  # rational_to_coeffs_auto's ladder: 1e-13 
 _CONVERSION_TOL = 1e-12  # rational_to_coeffs_auto's grid error over the l1 norm: below kernels._MEMBERSHIP_TOL
 _NEWTON_STEP_MIN = 1e-8  # poly_roots polishes where |p'| exceeds this share of the coefficients: steps stay ~n eps / 1e-8
 _ORIGIN_TOL = 1e-9  # a zero within this of 0 takes the factor z, O(1e-9) from its own up to a unit, below _FACTOR_CHECK_TOL
-_SWEEP_GRID, _SWEEP_MIN = 512, 1e-9  # min |den| over 512 roots of unity below 1e-9 of its max refuses, behind CIRCLE_MARGIN
+_EPS = float(np.finfo(float).eps)
 
 _Scalar = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -778,6 +774,56 @@ def poly_roots(p: LaurentPoly) -> PolyRoots:
     return PolyRoots(tuple(roots.tolist()), order, residuals)
 
 
+def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tuple, tuple, tuple]:
+    """(inside, near, outside): the roots of p = symbol * z^-kmin by side of the circle.
+
+    The one place that solves for roots (:func:`poly_roots`, whose
+    :class:`FactorizationError` propagates); every decision about a root's
+    side of the circle reads this split.  A root is inside or outside when
+    the component of its inclusion disk stays more than ``margin`` from the
+    circle on that side, and near when the component reaches within
+    ``margin`` of it or a disk in it cannot be computed.
+
+    The disks: p has degree n, leading coefficient c and distinct computed
+    roots r_i, and W_i = p(r_i) / (c prod_{j != i} (r_i - r_j)).  The matrix
+    diag(r) - W 1^T has characteristic polynomial p / c, since both are monic
+    and agree at every r_i.  Its Gerschgorin disks, centre r_i - W_i and
+    radius (n - 1)|W_i|, lie inside |z - r_i| <= n |W_i|.  So a connected
+    component of k of these disks holds exactly k roots of p (Carstensen,
+    Numer. Math. 59, 1991), and one that stays clear of the circle lies on
+    one side of it together with its computed roots.  |p(r_i)| is taken as
+    its computed value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.
+    A root cluster, which a solve scatters over a disk of radius about
+    eps^(1/multiplicity), gives disks of about that radius, so near the
+    circle it is near rather than split.  Coincident computed roots and an
+    overflowing certificate give a disk of infinite radius.
+    """
+    lifted = symbol.shift(-symbol.kmin)
+    roots = poly_roots(lifted).roots if lifted.kmax else ()
+    n, radii = len(roots), []
+    for i, r in enumerate(roots):
+        try:  # coincident roots divide by zero, and a power may overflow
+            gaps = math.prod(r - s for j, s in enumerate(roots) if j != i)
+            modulus = abs(r)
+            value = abs(lifted(r)) + 2 * (n + 1) * _EPS * sum(abs(c) * modulus**k for k, c in lifted.items())
+            radius = n * value / abs(lifted.coeff(n) * gaps)
+        except ArithmeticError:
+            radius = math.inf
+        radii.append(math.inf if math.isnan(radius) else radius)
+    # `not x > margin` also makes a NaN distance near
+    near = {i for i, r in enumerate(roots) if not abs(abs(r) - 1.0) - radii[i] > margin}
+    grown = near
+    while grown:  # a disk that overlaps a near disk is in its component
+        overlap = (j for j in range(n) if any(abs(roots[j] - roots[i]) <= radii[i] + radii[j] for i in grown))
+        grown = set(overlap) - near
+        near |= grown
+    return (
+        tuple(r for i, r in enumerate(roots) if i not in near and abs(r) < 1.0),
+        tuple(roots[i] for i in sorted(near)),
+        tuple(r for i, r in enumerate(roots) if i not in near and abs(r) > 1.0),
+    )
+
+
 def poly_from_roots(roots: Sequence[complex], leading: complex = 1.0, shift: int = 0) -> LaurentPoly:
     """Build  leading * z^shift * prod (z - r)  as an exact coefficient table."""
     poly = LaurentPoly({0: leading})
@@ -803,30 +849,27 @@ class RationalSymbol:
     The denominator is normalized to be monic, and ``poles`` holds its roots
     with multiplicity.  Coefficient input (``RationalSymbol(num, den)``, as
     the parser, :meth:`from_json_dict` and callers' own tables give it) is
-    solved once with :func:`poly_roots`; the roots must keep a distance of
-    more than 1e-8 from the unit circle, and a minimum-modulus sweep over a
-    grid must agree.  Every operation that already knows the roots composes
-    them instead: products and sums concatenate the poles, negation and
+    solved once by :func:`_root_split`: a root near the circle raises
+    :class:`ConditioningError`, and the roots inside and outside are the
+    poles.  Every operation that already knows the roots composes them
+    instead: products and sums concatenate the poles, negation and
     :meth:`shift` keep them, :meth:`conj_reflect` maps p to 1/conj(p), and
     :func:`blaschke` and :func:`inner_outer_factor` pass 1/conj(w) for each
     nonzero zero w.  The composed path keeps the normalization and the
-    distance check, but neither solves nor sweeps.
+    ``CIRCLE_MARGIN`` distance check, but solves nothing.  A product with a
+    zero numerator is the zero symbol over 1.
     """
 
     __slots__ = ("num", "den", "poles")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         num, den = _monic(num, LaurentPoly.one() if den is None else den)
-        if den.kmax == 0:
-            self._adopt(num, den, ())
-            return
-        rr = poly_roots(den)
-        if rr.monomial_order > 0:
+        if den.kmin > 0:
             raise ValueError("denominator must not vanish at the origin")
-        self._adopt(num, den, rr.roots)
-        grid_vals = np.abs(den(unit_grid(_SWEEP_GRID)))
-        if grid_vals.min() <= _SWEEP_MIN * grid_vals.max():
-            raise ConditioningError("denominator nearly vanishes on the circle")
+        inside, near, outside = _root_split(den)
+        if near:
+            raise ConditioningError("denominator has a root on or near the unit circle")
+        self._adopt(num, den, inside + outside)
 
     @classmethod
     def _from_poles(cls, num: LaurentPoly, den: LaurentPoly, poles: Sequence[complex]) -> "RationalSymbol":
@@ -889,7 +932,10 @@ class RationalSymbol:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return RationalSymbol._from_poles(self.num * rhs.num, self.den * rhs.den, self.poles + rhs.poles)
+        num = self.num * rhs.num
+        if num.is_zero:
+            return RationalSymbol(num)
+        return RationalSymbol._from_poles(num, self.den * rhs.den, self.poles + rhs.poles)
 
     __rmul__ = __mul__
 
@@ -943,9 +989,9 @@ class InnerOuterFactorization:
     """Inner x outer splitting of an analytic polynomial.
 
     The inner factor is z^m times a finite Blaschke product times a unimodular
-    constant; the outer factor is a polynomial with no zeros strictly inside
-    the disk, normalized so that its value at 0 is real and positive.  Roots
-    lying on the unit circle are assigned to the outer factor.
+    constant; the outer factor is a polynomial, normalized so that its value
+    at 0 is real and positive.  The root tuples are the classes of
+    :func:`_root_split`; the near and outside ones go to the outer factor.
     """
 
     inner: RationalSymbol
@@ -974,20 +1020,17 @@ def _blaschke_factor(zero: complex) -> tuple[LaurentPoly, LaurentPoly, tuple[com
 def inner_outer_factor(p: LaurentPoly) -> InnerOuterFactorization:
     """Factor a nonzero analytic polynomial into inner and outer parts.
 
-    Verifies its own output: the inner factor must be unimodular on a grid and
-    the product must reproduce the input, both within ``_FACTOR_CHECK_TOL``
-    relative.  The
-    second check runs on p and the outer factor divided by one power of two
-    (:func:`_unit_scaled`), so values of p that overflow cannot break it.
+    Each root goes by its class in :func:`_root_split`.  Verifies its own
+    output: the inner factor must be unimodular on a grid and the product
+    must reproduce the input, both within ``_FACTOR_CHECK_TOL`` relative.
+    The second check runs on p and the outer factor divided by one power of
+    two (:func:`_unit_scaled`), so values of p that overflow cannot break it.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if p.kmin < 0:
         raise ValueError("inner_outer_factor requires an analytic polynomial")
-    rr = poly_roots(p)
-    interior = tuple(r for r in rr.roots if abs(r) < 1.0 - CIRCLE_ROOT_TOL)
-    circle = tuple(r for r in rr.roots if abs(abs(r) - 1.0) <= CIRCLE_ROOT_TOL)
-    exterior = tuple(r for r in rr.roots if abs(r) > 1.0 + CIRCLE_ROOT_TOL)
+    interior, circle, exterior = _root_split(p)
     leading = p.coeff(p.kmax)
 
     blaschke_num = LaurentPoly.one()
@@ -1011,7 +1054,7 @@ def inner_outer_factor(p: LaurentPoly) -> InnerOuterFactorization:
         raise FactorizationError("outer candidate vanishes at the origin")
     gamma = at_zero / abs(at_zero)
     outer_poly = outer_poly * (1.0 / gamma)
-    inner = RationalSymbol._from_poles(blaschke_num.shift(rr.monomial_order) * gamma, blaschke_den, poles)
+    inner = RationalSymbol._from_poles(blaschke_num.shift(p.kmin) * gamma, blaschke_den, poles)
     outer = RationalSymbol(outer_poly)
 
     grid = unit_grid(_FACTOR_CHECK_GRID)
@@ -1028,7 +1071,7 @@ def inner_outer_factor(p: LaurentPoly) -> InnerOuterFactorization:
         inner=inner,
         outer=outer,
         unimodular_constant=complex(gamma),
-        monomial_order=rr.monomial_order,
+        monomial_order=p.kmin,
         interior_roots=interior,
         circle_roots=circle,
         exterior_roots=exterior,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pairedops
-from pairedops import kernels, properties
+from pairedops import kernels, properties, symbols
 from pairedops.cli import RunConfig, main
 from pairedops.operators import SymbolPair
 from pairedops.properties import GeneratorConfig
@@ -466,8 +466,7 @@ _ROBUST = [
     (["kernel", "--a", "1e300*z^-1", "--b", "1e-300*z"], ["kernel", "--a", "z^-1", "--b", "z"]),
     (["coburn", "--a", "1e300*z^-1", "--b", "1e-300*z"], ["coburn", "--a", "z^-1", "--b", "z"]),
     (["kernel", "--a", "1e-300*z^-1", "--b", "1e300*z"], ["kernel", "--a", "z^-1", "--b", "z"]),
-    # the conjugated pair's reflected root 1/conj(r) is not finite: trivial
-    # kernels build no factors, a nontrivial one refuses
+    # a has the subnormal root -1e-320: coburn reads the dims from the winding numbers
     (["coburn", "--a", "1e-320*z^-1+1", "--b", "z", "--N", "8"], ["coburn", "--a", "1", "--b", "z", "--N", "8"]),
     (["coburn", "--a", "1e-320*z^-1+1", "--b", "z^-1", "--N", "8"], ["coburn", "--a", "1", "--b", "z^-1", "--N", "8"]),
 ]
@@ -489,6 +488,14 @@ def test_extreme_scales_answer_the_scale_one_dims_or_refuse_by_name(capsys, prob
     assert expected[0] == 0
     code, got = dims(probe)
     assert (code, got) == expected or (code == 2 and got.startswith("ambiguous:")), got
+
+
+def test_coburn_answers_a_subnormal_root_without_reflecting_it(capsys):
+    # the conjugated kernel is nontrivial; 1/conj(r) of a's root r = -1e-320 is not finite
+    code, out, err = run_cli(capsys, "coburn", "--a", "1e-320*z^-1+1", "--b", "z^-1", "--N", "8", "--format", "json")
+    assert code == 0, err
+    dims = json.loads(out)["result"]["dims"]
+    assert (dims["kernel"], dims["swapped"], dims["conjugated"], dims["adjoint"]) == (0, 1, 1, 1)
 
 
 def test_apply_cap_spares_single_term_factors(capsys):
@@ -570,13 +577,13 @@ def test_kernel_json_is_repeatable_in_and_across_processes(capsys, command):
 def test_fredholm_pair_takes_one_root_solve_per_symbol(capsys, monkeypatch, command, solves):
     # a and b for both commands, plus a - b for coburn's invertible cases
     calls = []
-    solve = kernels.poly_roots
+    solve = symbols.poly_roots
 
     def counting(p, *args, **kwargs):
         calls.append(p)
         return solve(p, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "poly_roots", counting)
+    monkeypatch.setattr(symbols, "poly_roots", counting)
     argv = [command, "--a", "1 - 0.2*z + 0.1*z^-1", "--b", "z^2 - 0.25*z", "--N", "24", "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["result"]["route"] == "index"

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairedops import kernels
+from pairedops import kernels, symbols
 from pairedops.kernels import (
     NULL_SPACE_REL_THRESHOLD,
     AmbiguousKernelError,
     _null_count,
     _null_space,
     _paired_residual,
+    _certified_split,
     _residual,
-    _root_split,
     adjoint_inverse_report,
     adjoint_kernel_basis,
     adjoint_kernel_map,
@@ -50,6 +50,7 @@ from pairedops.symbols import (
     FactorizationError,
     LaurentPoly,
     RationalSymbol,
+    inner_outer_factor,
     parse_symbol,
     poly_from_roots,
     poly_roots,
@@ -68,7 +69,7 @@ def pair(a: str, b: str) -> SymbolPair:
 
 def wind(symbol: LaurentPoly) -> int | None:
     """Winding number from the certified root split; None where it is refused."""
-    split = _root_split(symbol)
+    split = _certified_split(symbol)
     return None if split is None else symbol.kmin + len(split[0])
 
 
@@ -231,13 +232,15 @@ def test_winding_refuses_clusters_whose_disks_reach_the_circle():
         (lambda p: kernel_basis(p, 24), 0),
         (lambda p: coburn_check(p, 24), 3),
         (lambda p: l2_kernel(p), 2),
+        (lambda p: inner_outer_factor(p.b), 1),
+        (lambda p: RationalSymbol(p.b, p.a), 1),
     ],
-    ids=["invertible_on_circle", "kernel_basis", "coburn_check", "l2_kernel"],
+    ids=["invertible_on_circle", "kernel_basis", "coburn_check", "l2_kernel", "inner_outer_factor", "RationalSymbol"],
 )
 def test_one_root_solve_per_symbol(monkeypatch, call, solves):
     calls = []
-    solve = kernels.poly_roots
-    monkeypatch.setattr(kernels, "poly_roots", lambda p: calls.append(p) or solve(p))
+    solve = symbols.poly_roots
+    monkeypatch.setattr(symbols, "poly_roots", lambda p: calls.append(p) or solve(p))
     call(pair("1 - 0.2*z", "z^2 - 0.25*z"))
     assert len(calls) == solves
 
@@ -246,7 +249,7 @@ def test_failed_root_solve_leaves_the_index_unknown(monkeypatch):
     def failing(_):
         raise FactorizationError("root residual above tolerance")
 
-    monkeypatch.setattr(kernels, "poly_roots", failing)
+    monkeypatch.setattr(symbols, "poly_roots", failing)
     p = pair("1", "z - 0.3")
     assert l2_kernel(p) is None and coburn_check(p, 8).route == "band-limited"
     # the band-limited route reads no roots
@@ -506,9 +509,29 @@ def test_kernel_element_inner_factor_with_inner_vanishing_at_zero():
     a, b = lp("z^-2 + 0.3*z^-1 + 1"), lp("z*(z - 0.5)")
     plus, minus = kernel_element_from_inner_factor(a, b)
     assert plus.as_laurent() == lp("z - 0.5")
+    # the zero product c * conj(inner) keeps no denominator
+    assert (minus.num, minus.den, minus.poles) == ((-a).shift(-1), LaurentPoly.one(), ())
     grid = unit_grid(64)
     assert np.max(np.abs(minus(grid) + a(grid) / grid)) <= 1e-14
     assert _paired_residual(a, b, plus, minus) <= 1e-14
+
+
+@pytest.mark.parametrize("root", [1 - 5e-8, 1 + 5e-8, 1, -1, 1j, 0.5, 2])
+def test_factor_and_index_read_one_root_split(root):
+    # the root's side of the circle is one decision: the inner factor's
+    # roots are the ones the winding number counts, and a root near the
+    # circle both leaves the index unknown and is a circle root of the factor
+    b = poly_from_roots([root])
+    io = inner_outer_factor(b)
+    kernel = l2_kernel(SymbolPair(lp("z^-1 + 3"), b))
+    assert bool(io.circle_roots) == (kernel is None)
+    if kernel is not None:
+        assert len(io.interior_roots) + io.monomial_order == kernel.wind_b
+    if io.interior_roots:
+        try:
+            kernel_element_from_inner_factor(lp("z^-1 + 3"), b)
+        except AmbiguousKernelError:
+            pass  # a failed certificate is a refusal, not a trivial inner factor
 
 
 def test_kernel_element_inner_factor_rejects_trivial_inner():
@@ -706,8 +729,8 @@ def test_coburn_pinned_cases():
 
 def test_coburn_solves_each_symbol_once(monkeypatch):
     calls = []
-    solve = kernels.poly_roots
-    monkeypatch.setattr(kernels, "poly_roots", lambda p: calls.append(p) or solve(p))
+    solve = symbols.poly_roots
+    monkeypatch.setattr(symbols, "poly_roots", lambda p: calls.append(p) or solve(p))
     p = pair("1 - 0.2*z", "z^2 - 0.25*z")  # wind a = 0, wind b = 2
     svds = []
     svd = np.linalg.svd
@@ -812,7 +835,7 @@ def test_l2_kernel_is_none_off_the_fredholm_class(monkeypatch):
     def failing(p):
         raise FactorizationError("root residual too large")
 
-    monkeypatch.setattr(kernels, "poly_roots", failing)
+    monkeypatch.setattr(symbols, "poly_roots", failing)
     assert l2_kernel(pair("1", "z - 0.3")) is None
 
 

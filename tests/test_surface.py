@@ -68,7 +68,7 @@ def test_outside_references_were_read():
 
 _ALL = {
     "symbols": [
-        "BLASCHKE_BOUNDARY_MARGIN", "CIRCLE_ROOT_TOL", "ConditioningError", "FactorizationError",
+        "BLASCHKE_BOUNDARY_MARGIN", "ConditioningError", "FactorizationError",
         "InnerOuterFactorization", "LaurentPoly", "NondegeneracyReport", "PolyRoots", "RationalSymbol",
         "RationalTruncation", "SymbolParseError", "blaschke", "in_conj_hardy", "in_conj_hardy_vanishing",
         "in_hardy", "inner_outer_factor", "is_nondegenerate", "parse_symbol", "poly_from_roots", "poly_roots",
@@ -206,3 +206,23 @@ def test_settable_surface_is_pinned():
         "symbols.poly_from_roots(leading)",
         "symbols.poly_from_roots(shift)",
     }
+
+
+def _poly_roots_call_sites() -> list[tuple[str, str]]:
+    """(module, enclosing function) of every call of ``poly_roots`` in the package source."""
+    sites = []
+    for path in sorted((ROOT / "src" / "pairedops").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                callee = getattr(node, "func", None)
+                if getattr(callee, "id", getattr(callee, "attr", None)) == "poly_roots":
+                    sites.append((path.stem, fn.name))
+    return sites
+
+
+def test_one_root_split_solves_for_roots():
+    # every decision about a root's side of the circle reads symbols._root_split;
+    # a second caller of poly_roots would be a second root classifier
+    assert _poly_roots_call_sites() == [("symbols", "_root_split")]
