@@ -745,12 +745,20 @@ def adjoint_kernel_map_inverse(
     else:
         divisor_source = pair.b
         numerator = -riesz_plus(phi)
-    if not invertible_on_circle(divisor_source):
+    split = _certified_split(divisor_source)
+    if split is None:
         raise ConditioningError(f"case {case!r}: symbol is not invertible on the circle")
-    divisor = divisor_source.conj_reflect()
     if numerator.is_zero:
         return LaurentPoly.zero()
-    quotient = RationalSymbol(LaurentPoly.one()) * numerator * reciprocal_symbol(divisor)
+    # the reciprocal of the reflection, from the source's one solve: each
+    # nonzero root r of the source is a pole 1/conj(r) of 1/conj_reflect(source)
+    divisor = divisor_source.conj_reflect()
+    reciprocal = RationalSymbol._from_poles(
+        LaurentPoly.monomial(-divisor.kmin),
+        divisor.shift(-divisor.kmin),
+        tuple(1.0 / r.conjugate() for r in split[0] + split[1]),
+    )
+    quotient = RationalSymbol(LaurentPoly.one()) * numerator * reciprocal
     result = rational_to_coeffs_auto(quotient).coeffs
     _check_membership(conj_pair, result, "transposed")
     return result

@@ -733,45 +733,76 @@ def poly_roots(p: LaurentPoly) -> PolyRoots:
     """Roots of a nonzero analytic polynomial via companion-matrix eigenvalues.
 
     The monomial factor z^kmin is split off first and reported as
-    ``monomial_order``.  Each root receives one Newton polishing step (one
-    vectorised pass over all roots) and is checked against
-    ``_ROOT_RESIDUAL_TOL`` relative to the coefficient magnitude.  Companion
-    entries c_k / c_n that would not be finite raise :class:`FactorizationError`.
+    ``monomial_order``.  Each root receives one Newton polishing step and is
+    checked against ``_ROOT_RESIDUAL_TOL`` relative to the coefficient
+    magnitude.  Companion entries c_k / c_n that would not be finite raise
+    :class:`FactorizationError`.
+
+    All but the eigensolve runs in Python ``complex`` arithmetic: the
+    companion row, the sort, and the polish and residuals through
+    :func:`_horner`.  So the roots depend on the CPU only through LAPACK, not
+    through numpy's SIMD complex multiply.
     """
     if p.is_zero:
         raise ValueError("cannot take roots of the zero polynomial")
     if p.kmin < 0:
         raise ValueError("poly_roots requires an analytic band (kmin >= 0)")
     order = p.kmin
-    q = p.shift(-order)
-    degree = q.kmax
+    degree = p.kmax - order
     if degree == 0:
         return PolyRoots((), order, ())
-    dense = q.to_dense(0, degree)  # ascending powers
     # an exact power of two brings the largest part into [1/2, 1): subnormal
     # coefficients then reach neither the companion matrix nor the residuals
-    e = math.frexp(float(np.max(np.maximum(np.abs(dense.real), np.abs(dense.imag)))))[1]
-    dense = np.ldexp(dense.real, -e) + 1j * np.ldexp(dense.imag, -e)
-    scale = float(np.max(np.abs(dense)))
-    rev = dense[::-1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if not np.isfinite(rev[1:] / rev[0]).all():
-            raise FactorizationError("the companion matrix would not be finite: the leading coefficient is too small")
-    roots = np.array(sorted(np.roots(rev), key=lambda w: (w.real, w.imag)), dtype=complex)
-    deriv = dense[1:] * np.arange(1, degree + 1)
-    val = np.polyval(rev, roots)
-    dval = np.polyval(deriv[::-1], roots)
-    step = _cabs(dval) > _NEWTON_STEP_MIN * scale
-    roots[step] -= val[step] / dval[step]
-    val[step] = np.polyval(rev, roots[step])
-    # float powers one by one: numpy's array power may differ from libm pow in the last bit
-    residuals = tuple(
-        v / (scale * max(1.0, m) ** degree) for v, m in zip(_cabs(val).tolist(), _cabs(roots).tolist())
-    )
-    for res in residuals:
+    e = _unit_exponent(p)
+    rev = [0j] * (degree + 1)  # descending powers
+    for k, v in p._coeffs.items():
+        rev[p.kmax - k] = complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
+    lead = rev[0]
+    row = [-c / lead for c in rev[1:]] if lead else [math.inf]
+    if not all(map(cmath.isfinite, row)):
+        raise FactorizationError("the companion matrix would not be finite: the leading coefficient is too small")
+    companion = np.eye(degree, k=-1, dtype=complex)
+    companion[0] = row
+    terms = _dense_horner_terms(rev)
+    deriv = _dense_horner_terms([k * c for k, c in zip(range(degree, 0, -1), rev)])
+    scale = max(map(abs, rev))
+    roots, residuals = [], []
+    for r in sorted(np.linalg.eigvals(companion).tolist(), key=lambda w: (w.real, w.imag)):
+        val = _horner(terms, r)
+        dval = _horner(deriv, r)
+        if abs(dval) > _NEWTON_STEP_MIN * scale:
+            r -= val / dval
+            val = _horner(terms, r)
+        modulus = max(1.0, abs(r))
+        try:
+            res = abs(val) / (scale * modulus**degree)
+        except OverflowError:  # |r|^degree above the largest float: one division per power, which may underflow
+            res = abs(val) / scale
+            for _ in range(degree):
+                res /= modulus
         if res > _ROOT_RESIDUAL_TOL:
             raise FactorizationError(f"root residual {res:.3e} exceeds {_ROOT_RESIDUAL_TOL:.1e}")
-    return PolyRoots(tuple(roots.tolist()), order, residuals)
+        roots.append(r)
+        residuals.append(res)
+    return PolyRoots(tuple(roots), order, tuple(residuals))
+
+
+def _dense_horner_terms(rev: list[complex]) -> list[tuple[int, complex]]:
+    """The :func:`_horner` terms of the descending coefficients ``rev``, whose first entry is nonzero.
+
+    Zero entries become exponent gaps, as in :meth:`LaurentPoly._horner_terms`;
+    a trailing run of them ends the list with a zero term after its gap.
+    """
+    terms, gap = [], 0
+    for c in rev:
+        if c:
+            terms.append((gap, c))
+            gap = 1
+        else:
+            gap += 1
+    if gap > 1:
+        terms.append((gap - 1, 0j))
+    return terms
 
 
 def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tuple, tuple, tuple]:
@@ -795,21 +826,14 @@ def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tup
     its computed value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.
     A root cluster, which a solve scatters over a disk of radius about
     eps^(1/multiplicity), gives disks of about that radius, so near the
-    circle it is near rather than split.  Coincident computed roots and an
-    overflowing certificate give a disk of infinite radius.
+    circle it is near rather than split.  Coincident computed roots and a
+    certificate that cannot be computed, even in logarithms
+    (:func:`_disk_radius`), give a disk of infinite radius.
     """
     lifted = symbol.shift(-symbol.kmin)
     roots = poly_roots(lifted).roots if lifted.kmax else ()
-    n, radii = len(roots), []
-    for i, r in enumerate(roots):
-        try:  # coincident roots divide by zero, and a power may overflow
-            gaps = math.prod(r - s for j, s in enumerate(roots) if j != i)
-            modulus = abs(r)
-            value = abs(lifted(r)) + 2 * (n + 1) * _EPS * sum(abs(c) * modulus**k for k, c in lifted.items())
-            radius = n * value / abs(lifted.coeff(n) * gaps)
-        except ArithmeticError:
-            radius = math.inf
-        radii.append(math.inf if math.isnan(radius) else radius)
+    n = len(roots)
+    radii = [_disk_radius(lifted, r, [r - s for j, s in enumerate(roots) if j != i]) for i, r in enumerate(roots)]
     # `not x > margin` also makes a NaN distance near
     near = {i for i, r in enumerate(roots) if not abs(abs(r) - 1.0) - radii[i] > margin}
     grown = near
@@ -822,6 +846,40 @@ def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tup
         tuple(roots[i] for i in sorted(near)),
         tuple(r for i, r in enumerate(roots) if i not in near and abs(r) > 1.0),
     )
+
+
+def _disk_radius(lifted: LaurentPoly, r: complex, gaps: list[complex]) -> float:
+    """n |W_i| of :func:`_root_split` for the root r of ``lifted``, whose differences to the other roots are ``gaps``.
+
+    Where a power |r|^k or the gap product is above the largest float, the
+    radius is formed in logarithms (a huge root's disk stays finite); inf
+    where it still cannot be computed, as for coincident roots.
+    """
+    n = len(gaps) + 1
+    rounding = 2 * (n + 1) * _EPS
+    value = abs(lifted(r))
+    try:
+        modulus = abs(r)
+        bound = sum(abs(c) * modulus**k for k, c in lifted.items())
+        denominator = abs(lifted.coeff(n) * math.prod(gaps))
+        if denominator < math.inf:
+            radius = n * (value + rounding * bound) / denominator
+            return math.inf if math.isnan(radius) else radius
+    except ZeroDivisionError:
+        return math.inf
+    except OverflowError:
+        pass
+    try:
+        log_modulus = math.log(abs(r))
+        logs = [math.log(rounding) + math.log(abs(c)) + k * log_modulus for k, c in lifted.items()]
+        logs += [math.log(value)] if value else []
+        top = max(logs)
+        log_value = top + math.log(math.fsum(math.exp(t - top) for t in logs))
+        log_gaps = math.log(abs(lifted.coeff(n))) + math.fsum(math.log(abs(g)) for g in gaps)
+        radius = n * math.exp(log_value - log_gaps)
+    except (ValueError, OverflowError):
+        return math.inf
+    return math.inf if math.isnan(radius) else radius
 
 
 def poly_from_roots(roots: Sequence[complex], leading: complex = 1.0, shift: int = 0) -> LaurentPoly:

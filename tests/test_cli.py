@@ -498,6 +498,26 @@ def test_coburn_answers_a_subnormal_root_without_reflecting_it(capsys):
     assert (dims["kernel"], dims["swapped"], dims["conjugated"], dims["adjoint"]) == (0, 1, 1, 1)
 
 
+def test_a_root_above_1e154_is_split_and_counted(capsys):
+    # 1e-307*z^2 + z + 1 has the roots -1 and about -1e307, whose square is above the largest float
+    code, out, err = run_cli(capsys, "factor", "--p", "1e-307*z^2+z+1", "--format", "json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["circle_roots"] == [[-1.0, 0.0]] and result["interior_roots"] == []
+    [[re, im]] = result["exterior_roots"]
+    assert abs(re + 1e307) <= 1e-12 * 1e307 and im == 0.0
+    # b = 1e-307*z^2 + z + 0.5 winds once about 0 (roots -0.5 and about -1e307): the index answers
+    pair_argv = ("--a", "1", "--b", "1e-307*z^2+z+0.5", "--N", "4", "--format", "json")
+    code, out, err = run_cli(capsys, "kernel", *pair_argv)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert (result["route"], result["dim"]) == ("index", 1)
+    code, out, err = run_cli(capsys, "coburn", *pair_argv)
+    assert code == 0, err
+    dims = json.loads(out)["result"]["dims"]
+    assert (dims["kernel"], dims["swapped"], dims["conjugated"], dims["adjoint"]) == (1, 0, 0, 0)
+
+
 def test_apply_cap_spares_single_term_factors(capsys):
     # a one-term factor multiplies sparsely: the 400000001-wide symbol needs no dense array
     for extra in ([], ["--sigma"]):

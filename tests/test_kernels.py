@@ -245,6 +245,25 @@ def test_one_root_solve_per_symbol(monkeypatch, call, solves):
     assert len(calls) == solves
 
 
+@pytest.mark.parametrize(
+    "call, solved",
+    [
+        (lambda phi, p: adjoint_kernel_map_inverse(phi, p, "difference"), ["-0.5 + 1.0*z"]),
+        (adjoint_inverse_report, ["-0.5 + 1.0*z", "-0.5 + 1.0*z"]),
+    ],
+    ids=["adjoint_kernel_map_inverse", "adjoint_inverse_report"],
+)
+def test_adjoint_inverse_solves_each_divisor_once(monkeypatch, call, solved):
+    # the reciprocal of conj(a - b) takes its poles from the solve of a - b
+    calls = []
+    solve = symbols.poly_roots
+    monkeypatch.setattr(symbols, "poly_roots", lambda p: calls.append(p) or solve(p))
+    result = call(lp("1 - 2*z^-1"), pair("z", "0.5"))
+    assert [str(p) for p in calls] == solved
+    inverse = result if isinstance(result, LaurentPoly) else result.results["difference"]
+    assert (inverse - lp("-2")).max_abs_coeff() <= 1e-12
+
+
 def test_failed_root_solve_leaves_the_index_unknown(monkeypatch):
     def failing(_):
         raise FactorizationError("root residual above tolerance")

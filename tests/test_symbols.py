@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,18 @@ def test_poly_roots_of_subnormal_and_huge_coefficients():
     p = lp("(z - 0.5)*(z + 2i)*(z - 3)")
     for e in (-1060, -600, 600, 1000):
         assert poly_roots(p * math.ldexp(1.0, e)) == poly_roots(p)
+
+
+def test_a_root_above_1e154_keeps_a_finite_residual_and_disk():
+    # |r|^2 overflows for r about -1e307: the residual and the inclusion disk are formed without it
+    p = lp("1e-307*z^2 + z + 1")
+    rr = poly_roots(p)
+    assert len(rr.roots) == 2 and all(math.isfinite(e) and e <= 1e-10 for e in rr.residuals)
+    inside, near, outside = symbols._root_split(p)
+    assert inside == () and near == (-1 + 0j,) and len(outside) == 1
+    assert abs(outside[0] + 1e307) <= 1e-12 * 1e307
+    # one huge disk, finite, leaves the root at -0.5 inside
+    assert symbols._root_split(lp("1e-307*z^2 + z + 0.5"))[0] == (-0.5 + 0j,)
 
 
 def test_poly_roots_rejects_non_analytic():
@@ -625,7 +641,43 @@ def _rational_to_coeffs_oracle(r: RationalSymbol, band: int, prune_rel: float = 
 
 
 def _poly_roots_oracle(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
-    """Companion roots, each polished and checked on its own."""
+    """Companion roots, each polished and checked on its own in Python arithmetic.
+
+    Horner's rule steps through every coefficient, zero or not, and the
+    coefficients are not scaled: poly_roots divides them by a power of two,
+    which is exact on these inputs.
+    """
+    order = p.kmin
+    degree = p.kmax - order
+    if degree == 0:
+        return PolyRoots((), order, ())
+    rev = [p.coeff(k) for k in range(p.kmax, order - 1, -1)]
+    deriv = [(k - order) * p.coeff(k) for k in range(p.kmax, order, -1)]
+    scale = max(abs(c) for c in rev)
+    companion = np.eye(degree, k=-1, dtype=complex)
+    companion[0] = [-c / rev[0] for c in rev[1:]]
+    polished, residuals = [], []
+    for r in sorted(np.linalg.eigvals(companion).tolist(), key=lambda w: (w.real, w.imag)):
+        val = dval = 0j
+        for c in rev:
+            val = val * r + c
+        for c in deriv:
+            dval = dval * r + c
+        if abs(dval) > 1e-8 * scale:
+            r = r - val / dval
+            val = 0j
+            for c in rev:
+                val = val * r + c
+        res = abs(val) / (scale * max(1.0, abs(r)) ** degree)
+        if res > residual_tol:
+            raise FactorizationError(f"root residual {res:.3e} exceeds {residual_tol:.1e}")
+        polished.append(r)
+        residuals.append(res)
+    return PolyRoots(tuple(polished), order, tuple(residuals))
+
+
+def _poly_roots_polyval(p: LaurentPoly, residual_tol: float = 1e-10) -> PolyRoots:
+    """Companion roots through ``np.roots``, each polished and checked with ``np.polyval``."""
     order = p.kmin
     q = p.shift(-order)
     degree = q.kmax
@@ -768,6 +820,93 @@ def test_poly_roots_pinned_cases_match_oracle(monkeypatch):
     # a tolerance no residual meets: the same first failure and message
     monkeypatch.setattr(symbols, "_ROOT_RESIDUAL_TOL", 1e-300)
     _assert_same_roots(lp("z^3 - 2*z + 0.7"))
+
+
+def _assert_near_polyval_roots(p: LaurentPoly) -> None:
+    got, want = poly_roots(p), _poly_roots_polyval(p, symbols._ROOT_RESIDUAL_TOL)
+    assert got.monomial_order == want.monomial_order and len(got.roots) == len(want.roots)
+    for r in got.roots:
+        assert min(abs(r - w) for w in want.roots) <= 1e-12 * max(1.0, abs(r))
+
+
+def test_poly_roots_agrees_with_numpy_polyval():
+    for seed in range(4):
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(25):
+            degree = int(rng.integers(0, 9))
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1) * (rng.random() < 0.7)
+            coeffs[-1] = coeffs[-1] or 1.0
+            _assert_near_polyval_roots(LaurentPoly.from_dense(coeffs, int(rng.integers(0, 4))))
+    for text in ("z^2 - 1", "z^2 - z - 6", "z^3", "(z - 0.5)*(z - 0.5)*(z + 2)", "z*(z - 0.5i)*(z + 1.5)", "7"):
+        _assert_near_polyval_roots(lp(text))
+    _assert_near_polyval_roots(poly_from_roots([0.3, 0.3, 0.3, -2.0], 1.0 + 1j, shift=2))
+
+
+def test_poly_roots_refuses_as_numpy_polyval(monkeypatch):
+    monkeypatch.setattr(symbols, "_ROOT_RESIDUAL_TOL", 1e-300)
+    p = lp("z^3 - 2*z + 0.7")
+    with pytest.raises(FactorizationError) as oracle_error:
+        _poly_roots_polyval(p, symbols._ROOT_RESIDUAL_TOL)
+    with pytest.raises(FactorizationError) as error:
+        poly_roots(p)
+    assert str(error.value) == str(oracle_error.value)
+
+
+# Literal symbols of degree 1 to 8 after the monomial, roots on both sides,
+# one double root and three roots within 1e-3 of the circle.  Written out
+# rather than drawn with numpy: a generator's own texts may change with SIMD.
+_DETERMINISM_PROBES = (
+    "(0.7-1.3i)*(z-0.45+0.2i)*(z+1.9i)",
+    "1.1*(z-0.62)*(z+0.31i)*(z-2.75+1.1i)",
+    "(0.55+0.9i)*z^2*(z-0.12-0.6i)*(z+3.1)",
+    "(z-0.3)*(z-0.3)*(z+2.2i)",
+    "0.8*(z+0.71i)*(z-1.41)*(z+0.2-0.5i)*(z-3.3i)",
+    "z^5 - 0.37*z^3 + (0.2+1.1i)*z - 0.45i",
+    "(1.7+0.2i)*(z-0.15+0.68i)*(z+1.37)*(z-0.9i)*(z+2.6-1.2i)*(z-0.05)",
+    "(0.3-0.9i) + (1.2+0.4i)*z + (0.5-2.1i)*z^2 + 1.3*z^3",
+    "(z-0.51)*(z-0.52i)*(z+0.53)*(z+0.54i)*(z-1.55)*(z-1.56i)*(z+1.57)",
+    "(2.2-0.7i)*(z-1.35+0.1i)*(z+0.66-0.29i)*(z-3.9i)*(z+0.24)*(z-1.8)*(z+2.5i)*(z-0.73+0.41i)",
+    "(z+0.999)*(z-1.001i)*(z-0.4)",
+)
+
+# Per probe: the roots and the split, then the decisions alone.
+_PROBE_SCRIPT = """
+import sys
+from pairedops.symbols import _root_split, parse_symbol, poly_roots
+for text in sys.argv[1:]:
+    p = parse_symbol(text)
+    roots, split = poly_roots(p), _root_split(p)
+    print(repr(roots), split)
+    print(roots.monomial_order, [len(side) for side in split])
+"""
+
+
+def _probe_lines(**env_vars: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(symbols.__file__).parents[1]), OPENBLAS_NUM_THREADS="1", **env_vars)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE_SCRIPT, *_DETERMINISM_PROBES], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 * len(_DETERMINISM_PROBES)
+    return lines
+
+
+def test_roots_are_byte_identical_with_numpy_simd_off():
+    from numpy._core import _multiarray_umath as umath
+
+    # the dispatched features this CPU has above numpy's baseline, which cannot be disabled
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
+    if not features:
+        pytest.skip("numpy dispatches no SIMD feature above its baseline on this CPU")
+    assert _probe_lines(NPY_DISABLE_CPU_FEATURES=" ".join(features)) == _probe_lines()
+
+
+def test_root_decisions_are_identical_under_another_blas_core():
+    # the eigensolve runs OpenBLAS kernels for the core type, which may move
+    # the roots in the last bits; every side-of-circle count stays
+    decisions = slice(1, None, 2)
+    assert _probe_lines(OPENBLAS_CORETYPE="Nehalem")[decisions] == _probe_lines()[decisions]
 
 
 def _trusted_cases() -> list[LaurentPoly]:
