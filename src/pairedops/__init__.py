@@ -64,7 +64,6 @@ from .kernels import (
     kernel_element_from_inner_factor,
     l2_kernel,
     pair_from_function,
-    reciprocal_symbol,
     same_kernel_test,
     subspace_angle,
     toeplitz_kernel_bridge,

@@ -8,7 +8,7 @@ ambiguity the library refused to resolve, or another arithmetic failure.
 
 ``kernel`` and ``coburn`` answer from the closed-form L2 kernels where a and b
 are invertible on the circle (``"route": "index"``, independent of N), and
-from the band-N null spaces otherwise (``"route": "band-limited"``).
+from the closed-form band-N kernels otherwise (``"route": "band-limited"``).
 """
 
 from __future__ import annotations
@@ -125,11 +125,13 @@ def _parse_bands(text: str) -> list[int]:
 def _check_size(pair: SymbolPair, bands: list[int]) -> None:
     """Refuse, before any allocation, inputs whose dense arrays exceed :data:`MAX_DENSE_BYTES`.
 
-    For band radius d and the largest band N: the exact action matrix of
-    (2(N+d)+1) x (2N+1) entries (it contains every finite section) and the
-    companion matrix of a root solve of degree up to 2d.  The evaluation grid
-    of ``sup_norm``, max(256, 16(2d+1)) points, needs no entry: it is smaller
-    than the companion matrix from d = 9 on, and far below the cap before.
+    For band radius d and the largest band N: (2(N+d)+1) x (2N+1) entries,
+    which bound every finite section of ``norm`` and the band-N kernel basis
+    of ``kernel`` (at most 2N+1 elements, each with at most 2(N+d)+1
+    coefficients), and the companion matrix of a root solve of degree up to
+    2d.  The evaluation grid of ``sup_norm``, max(256, 16(2d+1)) points,
+    needs no entry: it is smaller than the companion matrix from d = 9 on,
+    and far below the cap before.
     """
     d, band = pair.band_radius(), max(bands)
     arrays = {

@@ -13,12 +13,13 @@ Two routes compute a kernel.
   element is p*f with p a polynomial of degree below the dimension.
   :func:`coburn_check` reads its dimensions from the winding numbers.
 * **Band-limited route** (:func:`kernel_basis`, and :func:`coburn_check`
-  where a or b is not invertible on the circle).  The null space of the
-  exact band-growing action on trigonometric polynomials of band N, so
-  every reported basis vector is a genuine kernel element of the operator
-  restricted to them, not merely a null vector of a truncation.  The
-  band-limited kernel is a subspace of the L2 kernel and claims nothing
-  more; this route solves no roots.
+  where a or b is not invertible on the circle).  The exact kernel on
+  trigonometric polynomials of band N, in closed form and with no SVD: the
+  paired kernel from the exponents and degrees of a, b and their gcd
+  (:func:`_paired_range`), the transposed kernel as a span of monomials
+  (:func:`_transposed_range`).  Its one decision is the degree of the gcd,
+  where the dimension depends on it (:func:`_cofactors`).  The band-N
+  kernel is a subspace of the L2 kernel and claims nothing more.
 
 Membership has one rule, :func:`_certify`.  A kernel is an exact
 cancellation, so the residual is scale-invariant: the largest coefficient of
@@ -26,23 +27,16 @@ a*f+ + b*f- (denominators cleared) over the larger of its two terms for the
 paired kernel, and of P+(a*f) + P-(b*f) over the larger of a*f and b*f for
 the transposed one (:func:`_paired_residual`, :func:`_residual`).  It must
 be at most ``_MEMBERSHIP_TOL`` (1e-10); the zero element has residual 0.
-Null vectors, the Toeplitz bridge, closed-form elements, explicit elements
-and the inputs and outputs of the structure maps all pass through it.
+Band-limited and closed-form elements, explicit elements and the inputs and
+outputs of the structure maps all pass through it.
 
 Every winding number, Fredholm index and invertibility test reads one rule,
 ``symbols._root_split``: one root solve per symbol, whose inclusion disks
 must all stay more than ``CIRCLE_MARGIN`` (1e-8) from the circle.  A root
 near the circle, a root cluster whose disks reach it, or a failed solve
-leaves the symbol not invertible and its winding number unknown.
-
-On the band-limited route the dimension comes from a values-only SVD of the
-band-N action matrix; a full SVD runs only when that count is positive, and
-its null vectors become the basis.  Singular values at most
-``NULL_SPACE_REL_THRESHOLD`` (1e-8) of the largest one count as null; any
-singular value landing in the gray zone just above it, or a null vector that
-fails the membership rule, raises :class:`AmbiguousKernelError` instead of
-silently committing to a dimension.  The thresholds named here are module
-constants; only :func:`invertible_on_circle` takes its margin as a parameter.
+leaves the symbol not invertible and its winding number unknown.  The
+thresholds named here are module constants; only :func:`invertible_on_circle`
+takes its margin as a parameter.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -61,17 +54,17 @@ from .operators import (
     SymbolPair,
     apply_paired,  # unused here, but perfbench/tracer.py times kernels.apply_paired
     apply_transposed,
-    exact_action_matrix,
     riesz_minus,
     riesz_plus,
-    toeplitz_window,
 )
 from .symbols import (
     CIRCLE_MARGIN,
     ConditioningError,
     LaurentPoly,
     RationalSymbol,
-    _root_split,
+    _exact_cofactors,
+    _root_disks,
+    _split_disks,
     _unit_exponent,
     in_conj_hardy,
     in_conj_hardy_vanishing,
@@ -90,7 +83,6 @@ __all__ = [
     "KernelBasis",
     "KernelPair",
     "L2Kernel",
-    "NULL_SPACE_REL_THRESHOLD",
     "adjoint_kernel_basis",
     "adjoint_kernel_map",
     "adjoint_kernel_map_inverse",
@@ -103,66 +95,17 @@ __all__ = [
     "kernel_element_from_inner_factor",
     "l2_kernel",
     "pair_from_function",
-    "reciprocal_symbol",
     "same_kernel_test",
     "subspace_angle",
     "toeplitz_kernel_bridge",
 ]
 
-NULL_SPACE_REL_THRESHOLD = 1e-8  # share of the largest singular value: a null direction reads ~n eps
-_NULL_GAP_FACTOR = 10.0  # values within this factor above the null threshold are refused as ambiguous
 _MEMBERSHIP_TOL = 1e-10  # relative residual: rounding, plus the adjoint inverse's truncation (symbols._CONVERSION_TOL)
 _RANK_CUT = 1e-12  # _orthonormal drops a QR direction with |R_jj| below this share of max |R|: rounding leaves ~n eps
 
 
 class AmbiguousKernelError(ArithmeticError):
-    """Null-space detection could not separate zero from nonzero singular values."""
-
-    def __init__(self, message: str, singular_values: Sequence[float] = ()):
-        super().__init__(message)
-        self.singular_values = tuple(float(s) for s in singular_values)
-
-
-def _null_count(svals: np.ndarray, width: int) -> int:
-    """Number of null directions of a matrix with ``width`` columns.
-
-    ``svals`` are its singular values in descending order; values at most
-    ``NULL_SPACE_REL_THRESHOLD`` times the largest count as null, and a zero matrix is
-    null in every column.  Raises :class:`AmbiguousKernelError` when a
-    singular value lands between the threshold and ten times the threshold.
-    """
-    smax = float(svals[0])
-    if smax == 0.0:
-        return width
-    threshold = NULL_SPACE_REL_THRESHOLD * smax
-    gray = [float(s) for s in svals if threshold < s < _NULL_GAP_FACTOR * threshold]
-    if gray:
-        raise AmbiguousKernelError(
-            f"singular values {gray} within a factor {_NULL_GAP_FACTOR:g} of the "
-            f"null threshold {threshold:.3e}",
-            sorted(float(s) for s in svals),
-        )
-    return int(np.count_nonzero(svals <= threshold))
-
-
-def _null_space(matrix: np.ndarray):
-    """Orthonormal null basis of a tall matrix with gap-checked thresholding.
-
-    Returns (columns, singular_values_ascending).  The null count, the
-    gray-zone refusal of :func:`_null_count` and the returned values all come
-    from a values-only SVD; the full SVD runs only for a positive count of a
-    nonzero matrix, and its last ``count`` right singular vectors are the basis.
-    """
-    if matrix.size == 0:
-        raise ValueError("empty matrix")
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    count = _null_count(svals, matrix.shape[1])
-    if count and svals[0]:
-        columns = np.linalg.svd(matrix, full_matrices=False)[2][len(svals) - count :].conj().T
-    else:
-        # no null columns, or a zero matrix, null in every column
-        columns = np.eye(matrix.shape[1], count, dtype=complex)
-    return columns, sorted(float(s) for s in svals)
+    """A kernel the library cannot decide: a common root left open, or an element failing the membership rule."""
 
 
 def _relative(residual: LaurentPoly, *terms: LaurentPoly) -> float:
@@ -213,30 +156,13 @@ def _certify(residual: float, what: str, error: Callable[[str], Exception]) -> f
     return residual
 
 
-def _certified_null_space(
-    matrix: np.ndarray, kmin: int, pair: SymbolPair, kind: str, what: str
-) -> tuple[list[LaurentPoly], list[float]]:
-    """:func:`_null_space` as vectors from exponent ``kmin``, each in the ``kind`` kernel of ``pair``.
-
-    A vector that fails :func:`_certify` raises :class:`AmbiguousKernelError`,
-    which names it by ``what``.
-    """
-    columns, svals = _null_space(matrix)
-    refuse = partial(AmbiguousKernelError, singular_values=svals)
-    vectors = [LaurentPoly.from_dense(columns[:, j], kmin) for j in range(columns.shape[1])]
-    for v in vectors:
-        _certify(_residual(pair, v, kind), what, refuse)
-    return vectors, svals
-
-
 @dataclass(frozen=True)
 class KernelBasis:
-    """Orthonormal basis of the band-limited kernel plus its diagnostics."""
+    """Basis of the band-limited kernel: exact, and not orthonormal."""
 
     pair: SymbolPair
     band: int
     basis: tuple[CoeffVector, ...]
-    singular_values: tuple[float, ...]
     transposed: bool = False
 
     @property
@@ -249,9 +175,16 @@ class KernelBasis:
             "N": self.band,
             "dim": self.dim,
             "transposed": self.transposed,
-            "singular_values": list(self.singular_values),
             "basis": [v.to_json_dict() for v in self.basis],
         }
+
+
+def _disks(symbol: LaurentPoly) -> tuple | None:
+    """``symbols._root_disks`` of a nonzero symbol; None when its root solve fails."""
+    try:
+        return _root_disks(symbol)
+    except ArithmeticError:
+        return None
 
 
 def _certified_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tuple, tuple] | None:
@@ -261,37 +194,100 @@ def _certified_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tupl
     the circle: the symbol is then not invertible on the circle, or its
     winding number cannot be certified.
     """
-    if symbol.is_zero:
+    return None if symbol.is_zero else _sides(_disks(symbol), margin)
+
+
+def _sides(disks: tuple | None, margin: float = CIRCLE_MARGIN) -> tuple[tuple, tuple] | None:
+    """:func:`_certified_split` from a symbol's :func:`_disks`."""
+    if disks is None:
         return None
-    try:
-        inside, near, outside = _root_split(symbol, margin)
-    except ArithmeticError:
-        return None
+    inside, near, outside = _split_disks(disks, margin)
     return None if near else (inside, outside)
 
 
-def kernel_basis(pair: SymbolPair, band: int, *, kind: str = "paired") -> KernelBasis:
-    """Orthonormal basis of {v with band in [-N, N] : Op v = 0}, exact action.
+def _meet(first, second) -> bool:
+    """Whether an inclusion disk of ``first`` meets one of ``second`` (:func:`_disks`; None meets all)."""
+    if first is None or second is None:
+        return True
+    return any(abs(r - s) <= rho + sigma for r, rho in zip(*first) for s, sigma in zip(*second))
 
-    The dimension and the reported singular values come from a values-only
-    SVD; only a nontrivial kernel takes a full SVD for its vectors.  Every
-    returned vector passes the membership rule (:func:`_certify`), or
-    :class:`AmbiguousKernelError` is raised.  The basis spans a subspace of
-    the L2 kernel; :func:`l2_kernel` gives the whole of it where a and b are
-    invertible on the circle.
+
+def _degree(symbol: LaurentPoly) -> int:
+    return symbol.kmax - symbol.kmin
+
+
+def _paired_range(a: LaurentPoly, b: LaurentPoly, lo: int, hi: int, common: int) -> range:
+    """The exponents j of the paired kernel's basis on the window [lo, hi], for deg g = ``common``.
+
+    Write a = z^k_a a~ and b = z^k_b b~ with a~(0), b~(0) nonzero, and
+    g = gcd(a~, b~), a~ = g alpha, b~ = g beta.  As alpha and beta are
+    coprime, a f+ = -b f- holds exactly when z^k_a f+ = beta u and
+    z^k_b f- = -alpha u for a Laurent polynomial u.  With f+ on [0, hi] and
+    f- on [lo, -1], u has its support in this range, and u = z^j gives the
+    element f_j = z^(j - k_a) beta - z^(j - k_b) alpha.
+    """
+    deg_alpha, deg_beta = _degree(a) - common, _degree(b) - common
+    return range(max(a.kmin, b.kmin + lo), min(hi + a.kmin - deg_beta, b.kmin - 1 - deg_alpha) + 1)
+
+
+def _transposed_range(pair: SymbolPair, band: int) -> range:
+    """The exponents j of the monomials z^j that span the band-``band`` transposed kernel: P+(a f) = P-(b f) = 0."""
+    return range(max(-band, -pair.b.kmin), min(band, -1 - pair.a.kmax) + 1)
+
+
+def _cofactors(
+    a: LaurentPoly, b: LaurentPoly, windows: Sequence[tuple], disks: tuple | None = None
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """(alpha, beta): a~ and b~ with their gcd g divided out where deg g changes a paired kernel.
+
+    ``windows`` are the (a, b, lo, hi) of :func:`_paired_range` in question.
+    Its upper end grows by exactly deg g, so deg g matters only where the
+    range at the largest deg g is nonempty.  g = 1 when no inclusion disk of
+    a~ meets one of b~ (``disks``, the caller's :func:`_disks` of a and b, or
+    two new solves).  Where they meet, g is the exact gcd over Q(i)
+    (``symbols._exact_cofactors``), and :class:`AmbiguousKernelError` is
+    raised when the disks of alpha and beta still meet: the input does not
+    decide a common root there.
+    """
+    a_t, b_t = a.shift(-a.kmin), b.shift(-b.kmin)
+    top = min(_degree(a), _degree(b))
+    if not any(_paired_range(*w, top) for w in windows) or not _meet(*(disks or (_disks(a), _disks(b)))):
+        return a_t, b_t
+    alpha, beta = _exact_cofactors(a_t, b_t)
+    if _degree(alpha) == _degree(a_t) or _meet(_disks(alpha), _disks(beta)):
+        raise AmbiguousKernelError(
+            f"a common root of a and b is not decided: their root disks meet, and still meet "
+            f"after the exact common factor of degree {_degree(a_t) - _degree(alpha)} is divided out"
+        )
+    return alpha, beta
+
+
+def kernel_basis(pair: SymbolPair, band: int, *, kind: str = "paired") -> KernelBasis:
+    """Basis of {v with band in [-N, N] : Op v = 0}, in closed form (see the module docstring).
+
+    The paired kernel's elements are f_j = z^(j - k_a) beta - z^(j - k_b)
+    alpha, and the transposed kernel's are monomials.  Element j is z^j
+    times element 0, so the first and the last pass the membership rule
+    (:func:`_certify`) for all, or :class:`AmbiguousKernelError` is raised,
+    as it is where deg gcd(a~, b~) is not decided (:func:`_cofactors`).  The
+    basis spans a subspace of the L2 kernel; :func:`l2_kernel` gives the
+    whole of it where a and b are invertible on the circle.
     """
     pair.require_nondegenerate()
     if band < 1:
         raise ValueError("band must be at least 1")
-    matrix = exact_action_matrix(pair, band, kind=kind)
-    vectors, svals = _certified_null_space(matrix, -band, pair, kind, "null candidate")
-    return KernelBasis(
-        pair=pair,
-        band=band,
-        basis=tuple(vectors),
-        singular_values=tuple(svals),
-        transposed=(kind == "transposed"),
-    )
+    if kind not in ("paired", "transposed"):
+        raise ValueError("kind must be 'paired' or 'transposed'")
+    if kind == "paired":
+        a, b = pair.a, pair.b
+        alpha, beta = _cofactors(a, b, [(a, b, -band, band)])
+        exponents = _paired_range(a, b, -band, band, _degree(a) - _degree(alpha))
+        vectors = [beta.shift(j - a.kmin) - alpha.shift(j - b.kmin) for j in exponents]
+    else:
+        vectors = [LaurentPoly.monomial(j) for j in _transposed_range(pair, band)]
+    for v in vectors[:1] + vectors[1:][-1:]:
+        _certify(_residual(pair, v, kind), "kernel element", AmbiguousKernelError)
+    return KernelBasis(pair=pair, band=band, basis=tuple(vectors), transposed=(kind == "transposed"))
 
 
 def adjoint_kernel_basis(pair: SymbolPair, band: int) -> KernelBasis:
@@ -475,27 +471,23 @@ class BridgeReport:
 def toeplitz_kernel_bridge(symbol: LaurentPoly, band: int) -> BridgeReport:
     """Compare ker of the analytic compression of M_G with P+ ker of (G, 1).
 
-    The Toeplitz null vectors come from the coefficient window.  An analytic
-    v has P+(G v) = 0 exactly when it lies in the transposed kernel of
-    (G, 1), which certifies each of them; the report carries the largest
-    principal angle between the two null spaces, which the bridge identity
-    forces to zero (tested at 1e-8).
+    An analytic v has P+(G v) = 0 exactly when it lies in the transposed
+    kernel of (G, 1), so the band-N Toeplitz kernel is that kernel: the span
+    of 1, ..., z^min(N, -kmax G - 1).  The report carries the largest
+    principal angle between it and the projected paired kernel, which the
+    bridge identity forces to zero (tested at 1e-8).
     """
     if symbol.is_zero:
         raise ValueError("bridge requires a nonzero symbol")
-    top = band + max(0, symbol.kmax)
-    window = toeplitz_window(symbol, range(top + 1), range(band + 1))
     pair = SymbolPair(symbol, LaurentPoly.one())
-    toeplitz_null, _ = _certified_null_space(window, 0, pair, "transposed", "Toeplitz null candidate")
-    kernel = kernel_basis(pair, band)
-    projected = [riesz_plus(v) for v in kernel.basis]
-    angle = subspace_angle(toeplitz_null, projected)
+    toeplitz = kernel_basis(pair, band, kind="transposed").basis
+    projected = [riesz_plus(v) for v in kernel_basis(pair, band).basis]
     return BridgeReport(
         symbol=symbol,
         band=band,
-        dim_toeplitz=len(toeplitz_null),
+        dim_toeplitz=len(toeplitz),
         dim_projected=len(projected),
-        angle=angle,
+        angle=subspace_angle(toeplitz, projected),
     )
 
 
@@ -693,11 +685,6 @@ def invertible_on_circle(symbol: LaurentPoly, min_distance: float = CIRCLE_MARGI
     return _certified_split(symbol, min_distance) is not None
 
 
-def reciprocal_symbol(symbol: LaurentPoly) -> RationalSymbol:
-    """1/symbol as a rational symbol; :class:`ConditioningError` unless :func:`invertible_on_circle`."""
-    return RationalSymbol(LaurentPoly.monomial(-symbol.kmin), symbol.shift(-symbol.kmin))
-
-
 def adjoint_kernel_map(psi: CoeffVector, pair: SymbolPair) -> CoeffVector:
     """Transfer  psi -> (conj a - conj b) * psi  from ker of the adjoint.
 
@@ -803,7 +790,7 @@ class CoburnReport:
     """Kernel dimensions of the four associated operators and the dichotomy.
 
     ``route`` is "index" when the dimensions come from the closed-form L2
-    kernels, "band-limited" when they are band-N null counts.
+    kernels, "band-limited" when they are the dimensions of the band-N kernels.
     """
 
     pair: SymbolPair
@@ -853,13 +840,17 @@ def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
     max(0, -k) for the swapped pair and for (conj a, conj b).  The adjoint
     kernel is (1/conj b) * P+ of the conjugated pair's kernel (g = f+/conj b,
     with inverse f = conj b * g - conj a * g), so its dimension is that
-    kernel's; ``band`` is only reported.  Otherwise (route
-    "band-limited") the four dimensions are band-N null counts of
-    :func:`kernel_basis`.
+    kernel's; ``band`` is only reported.  Otherwise (route "band-limited")
+    the dimensions are the lengths of the ranges of :func:`kernel_basis`,
+    with no basis built.  f -> zbar * conj(f) maps the band [-N, N] onto
+    [-N-1, N-1], so the conjugated dimension is taken there.  The swapped
+    and conjugated pairs have gcds of the degree of gcd(a~, b~): one
+    :func:`_cofactors`, on the disks of the solves of a and b, serves all.
     """
     if pair.a.is_zero or pair.b.is_zero:
         raise DegeneratePairError(is_nondegenerate(pair.a, pair.b))
-    split_a, split_b = _certified_split(pair.a), _certified_split(pair.b)
+    disks = _disks(pair.a), _disks(pair.b)
+    split_a, split_b = _sides(disks[0]), _sides(disks[1])
     difference = pair.a - pair.b
     invertible = tuple(
         case
@@ -879,8 +870,9 @@ def coburn_check(pair: SymbolPair, band: int) -> CoburnReport:
         dims = (max(0, k),) + (max(0, -k),) * 3  # swapped, conjugated and adjoint
     else:
         conj = pair.conjugated()
-        variants = ((pair, "paired"), (pair.swapped(), "paired"), (conj, "paired"), (conj, "transposed"))
-        dims = [kernel_basis(p, band, kind=kind).dim for p, kind in variants]
+        windows = ((pair.a, pair.b, -band, band), (pair.b, pair.a, -band, band), (conj.a, conj.b, -band - 1, band - 1))
+        common = _degree(pair.a) - _degree(_cofactors(pair.a, pair.b, windows, disks)[0])
+        dims = [len(_paired_range(*w, common)) for w in windows] + [len(_transposed_range(conj, band))]
     dim_kernel, dim_swapped, dim_conjugated, dim_adjoint = dims
     return CoburnReport(
         pair=pair,

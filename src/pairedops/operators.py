@@ -215,7 +215,9 @@ def exact_action_matrix(pair: SymbolPair, band: int, kind: str = "paired") -> np
 
     Rows run over exponents -(N+d)..(N+d) where d is the band radius of the
     symbols, so null vectors of this matrix are genuine kernel elements of
-    the operator restricted to trigonometric polynomials.
+    the operator restricted to trigonometric polynomials.  Its entries are
+    the symbols' coefficients, so the tests' exact-rank oracle for
+    ``kernels.kernel_basis`` reads it over Q(i).
     """
     if band < 1:
         raise ValueError("band must be at least 1")

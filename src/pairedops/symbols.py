@@ -20,6 +20,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -806,34 +807,23 @@ def _dense_horner_terms(rev: list[complex]) -> list[tuple[int, complex]]:
 
 
 def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tuple, tuple, tuple]:
-    """(inside, near, outside): the roots of p = symbol * z^-kmin by side of the circle.
+    """:func:`_split_disks` of :func:`_root_disks`, whose :class:`FactorizationError` propagates."""
+    return _split_disks(_root_disks(symbol), margin)
 
-    The one place that solves for roots (:func:`poly_roots`, whose
-    :class:`FactorizationError` propagates); every decision about a root's
-    side of the circle reads this split.  A root is inside or outside when
-    the component of its inclusion disk stays more than ``margin`` from the
-    circle on that side, and near when the component reaches within
-    ``margin`` of it or a disk in it cannot be computed.
 
-    The disks: p has degree n, leading coefficient c and distinct computed
-    roots r_i, and W_i = p(r_i) / (c prod_{j != i} (r_i - r_j)).  The matrix
-    diag(r) - W 1^T has characteristic polynomial p / c, since both are monic
-    and agree at every r_i.  Its Gerschgorin disks, centre r_i - W_i and
-    radius (n - 1)|W_i|, lie inside |z - r_i| <= n |W_i|.  So a connected
-    component of k of these disks holds exactly k roots of p (Carstensen,
-    Numer. Math. 59, 1991), and one that stays clear of the circle lies on
-    one side of it together with its computed roots.  |p(r_i)| is taken as
-    its computed value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.
-    A root cluster, which a solve scatters over a disk of radius about
-    eps^(1/multiplicity), gives disks of about that radius, so near the
-    circle it is near rather than split.  Coincident computed roots and a
-    certificate that cannot be computed, even in logarithms
-    (:func:`_disk_radius`), give a disk of infinite radius.
+def _split_disks(disks: tuple, margin: float = CIRCLE_MARGIN) -> tuple[tuple, tuple, tuple]:
+    """(inside, near, outside): the roots of :func:`_root_disks` ``disks`` by side of the circle.
+
+    Every decision about a root's side of the circle reads this split.  A
+    root is inside or outside when the component of its inclusion disk stays
+    more than ``margin`` from the circle on that side, and near when the
+    component reaches within ``margin`` of it or a disk in it cannot be
+    computed.  A connected component of k disks holds exactly k roots, so one
+    that stays clear of the circle lies on one side of it together with its
+    computed roots.
     """
-    lifted = symbol.shift(-symbol.kmin)
-    roots = poly_roots(lifted).roots if lifted.kmax else ()
+    roots, radii = disks
     n = len(roots)
-    radii = [_disk_radius(lifted, r, [r - s for j, s in enumerate(roots) if j != i]) for i, r in enumerate(roots)]
     # `not x > margin` also makes a NaN distance near
     near = {i for i, r in enumerate(roots) if not abs(abs(r) - 1.0) - radii[i] > margin}
     grown = near
@@ -848,8 +838,34 @@ def _root_split(symbol: LaurentPoly, margin: float = CIRCLE_MARGIN) -> tuple[tup
     )
 
 
+def _root_disks(symbol: LaurentPoly) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """(roots, radii): the computed roots of p = symbol * z^-kmin and the radii of their inclusion disks.
+
+    The one place that solves for roots (:func:`poly_roots`, whose
+    :class:`FactorizationError` propagates).  Every root of p lies in the
+    union of the disks |z - r_i| <= radii[i], and a connected component of k
+    of them holds exactly k roots.
+
+    The disks: p has degree n, leading coefficient c and distinct computed
+    roots r_i, and W_i = p(r_i) / (c prod_{j != i} (r_i - r_j)).  The matrix
+    diag(r) - W 1^T has characteristic polynomial p / c, since both are monic
+    and agree at every r_i.  Its Gerschgorin disks, centre r_i - W_i and
+    radius (n - 1)|W_i|, lie inside |z - r_i| <= n |W_i|, which gives the
+    counts (Carstensen, Numer. Math. 59, 1991).  |p(r_i)| is taken as its
+    computed value plus the rounding bound 2(n + 1) eps sum |c_k| |r_i|^k.
+    A root cluster, which a solve scatters over a disk of radius about
+    eps^(1/multiplicity), gives disks of about that radius.  Coincident
+    computed roots and a certificate that cannot be computed, even in
+    logarithms (:func:`_disk_radius`), give a disk of infinite radius.
+    """
+    lifted = symbol.shift(-symbol.kmin)
+    roots = poly_roots(lifted).roots if lifted.kmax else ()
+    radii = tuple(_disk_radius(lifted, r, [r - s for j, s in enumerate(roots) if j != i]) for i, r in enumerate(roots))
+    return roots, radii
+
+
 def _disk_radius(lifted: LaurentPoly, r: complex, gaps: list[complex]) -> float:
-    """n |W_i| of :func:`_root_split` for the root r of ``lifted``, whose differences to the other roots are ``gaps``.
+    """n |W_i| of :func:`_root_disks` for the root r of ``lifted``, whose differences to the other roots are ``gaps``.
 
     Where a power |r|^k or the gap product is above the largest float, the
     radius is formed in logarithms (a huge root's disk stays finite); inf
@@ -880,6 +896,56 @@ def _disk_radius(lifted: LaurentPoly, r: complex, gaps: list[complex]) -> float:
     except (ValueError, OverflowError):
         return math.inf
     return math.inf if math.isnan(radius) else radius
+
+
+# Exact polynomial arithmetic over Q(i).  A float is a dyadic rational, so
+# the coefficients of a parsed or drawn symbol are exact Gaussian rationals,
+# kept as (re, im) pairs of Fractions in ascending order of exponent.
+
+
+def _gaussian(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
+    """The coefficients of z^0 .. z^kmax of the analytic ``p``, exactly."""
+    return [(Fraction(c.real), Fraction(c.imag)) for c in map(p.coeff, range(p.kmax + 1))]
+
+
+def _gaussian_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of ``num`` by ``den``, whose last coefficient is nonzero; the remainder is stripped."""
+    (lead_re, lead_im), shift = den[-1], len(den) - 1
+    norm = lead_re * lead_re + lead_im * lead_im
+    rem, quot = list(num), [(Fraction(0), Fraction(0))] * max(0, len(num) - shift)
+    for k in range(len(quot) - 1, -1, -1):
+        re, im = rem[k + shift]
+        c_re, c_im = (re * lead_re + im * lead_im) / norm, (im * lead_re - re * lead_im) / norm
+        quot[k] = (c_re, c_im)
+        for i, (d_re, d_im) in enumerate(den):
+            r_re, r_im = rem[k + i]
+            rem[k + i] = (r_re - (c_re * d_re - c_im * d_im), r_im - (c_re * d_im + c_im * d_re))
+    rem = rem[:shift]
+    while rem and rem[-1] == (0, 0):
+        rem.pop()
+    return quot, rem
+
+
+def _exact_cofactors(p: LaurentPoly, q: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(p / g, q / g) for g = gcd(p, q) of two nonzero analytic polynomials, exact over Q(i).
+
+    Euclid's algorithm on the exact coefficients, each remainder made monic,
+    which keeps the Fractions small; the quotients by the monic gcd leave no
+    remainder, and each of their coefficients is then rounded once to the
+    nearest float.  So
+    deg p - deg(p / g) is the exact degree of the gcd of the polynomials the
+    floats are.
+    """
+    first, second = _gaussian(q), _gaussian(p)
+    while second:
+        second = _gaussian_divmod(second, second[-1:])[0]
+        first, second = second, _gaussian_divmod(first, second)[1]
+
+    def reduced(poly: LaurentPoly) -> LaurentPoly:
+        quot = _gaussian_divmod(_gaussian(poly), first)[0]
+        return LaurentPoly({k: complex(float(re), float(im)) for k, (re, im) in enumerate(quot)})
+
+    return reduced(p), reduced(q)
 
 
 def poly_from_roots(roots: Sequence[complex], leading: complex = 1.0, shift: int = 0) -> LaurentPoly:

@@ -190,20 +190,28 @@ def test_coburn_report(capsys):
 
 
 @pytest.mark.parametrize("command", ["kernel", "coburn"])
-def test_null_threshold_reaches_every_band_limited_kernel(command, capsys, monkeypatch):
-    # b vanishes at 1, so the band-limited route answers: at band 6 and a
-    # 1e-3 threshold a null candidate of (z^-1, (1 - z)(z - 0.3)) fails
-    # certification, and both commands must refuse
-    argv = (command, "--a", "z^-1", "--b", "(1 - z)*(z - 0.3)", "--N", "6")
-    assert run_cli(capsys, *argv)[0] == 0
-    fredholm = (command, "--a", "z^-1", "--b", "z - 0.3", "--N", "6", "--format", "json")
-    default = json.loads(run_cli(capsys, *fredholm)[1])["result"]
-    monkeypatch.setattr(kernels, "NULL_SPACE_REL_THRESHOLD", 1e-3)
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and err.startswith("ambiguous:")
-    # a Fredholm pair takes the index route, which has no null threshold
-    code, out, _ = run_cli(capsys, *fredholm)
-    assert code == 0 and json.loads(out)["result"] == default
+def test_an_undecided_common_root_is_refused_by_both_commands(command, capsys):
+    # a and b vanish at -1, so the band-limited route answers, and its band-6
+    # dimension depends on deg gcd(a~, b~).  The parser expands (1 + z)(z - 0.25)
+    # exactly, so the exact gcd z + 1 decides it; (1 + z)(z - 0.3) leaves
+    # p(-1) = 2^-54, whose exact gcd is 1 while the root disks still meet
+    shared = ("--b", "(1+z)*(z+2)", "--N", "6", "--format", "json")
+    code, out, _ = run_cli(capsys, command, "--a", "z^-2*(1+z)*(z-0.25)", *shared)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["route"] == "band-limited"
+    assert result.get("dim", result.get("dims", {}).get("kernel")) == 1
+    code, out, err = run_cli(capsys, command, "--a", "z^-2*(1+z)*(z-0.3)", *shared)
+    assert code == 2 and out == "" and err.startswith("ambiguous:")
+
+
+def test_coburn_conjugated_dimension_takes_the_shifted_window(capsys):
+    # f -> zbar conj(f) maps the band [-8, 8] onto [-9, 7]: there the conjugated kernel has the swapped dimension
+    argv = ("coburn", "--a", "z*(1-z)*(z-0.5)", "--b", "z^-6", "--N", "8", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["route"] == "band-limited"
+    assert result["dims"] == {"kernel": 0, "swapped": 7, "conjugated": 7, "adjoint": 7}
+    assert result["conjugate_dims_match"] and result["adjoint_dim_matches"]
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +412,8 @@ def test_subnormal_coefficients_solve_quietly(argv):
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["circle_roots"] == [[-1.0, 0.0]]
     else:
-        # no index, so the band-limited route: the band-8 SVD counts all nine
-        # analytic columns null beside b = 1, and none of them is a kernel
-        # element (a*f+ + b*f- = 0 has only the zero solution here)
-        assert proc.returncode == 2 and proc.stderr.startswith("ambiguous:"), proc.stderr
+        # no index, so the band-limited route: a*f+ + b*f- = 0 has only the zero solution here
+        assert proc.returncode == 0 and json.loads(proc.stdout)["result"]["dim"] == 0, proc.stderr
 
 
 _SCALED = [
@@ -415,9 +421,9 @@ _SCALED = [
     (["kernel", "--a", "z^-2", "--b", "1 - z", "--N", "8"], 2),
     (["kernel", "--a", "1e12*z^-2", "--b", "1e12*(1 - z)", "--N", "8"], 2),
     (["kernel", "--a", "1e-12*z^-2", "--b", "1e-12*(1 - z)", "--N", "8"], 2),
-    # the SVD counts the columns of the tiny symbol null; none is a kernel element
-    (["kernel", "--a", "1e-320*z+1e-320", "--b", "1", "--N", "8"], "ambiguous:"),
-    (["kernel", "--a", "1e300*z^-1", "--b", "1e-300*(1 - z)", "--N", "8"], "ambiguous:"),
+    # the closed form reads degrees and exponents, whatever the scale: (1 + z, 1) and (z^-1, 1 - z)
+    (["kernel", "--a", "1e-320*z+1e-320", "--b", "1", "--N", "8"], 0),
+    (["kernel", "--a", "1e300*z^-1", "--b", "1e-300*(1 - z)", "--N", "8"], 1),
     # normalized to a = z^-1, b underflows to 0, which annihilates nothing
     (["pair-from", "--f", "1e300*z^-1+1e-300*z"], "error:"),
 ]

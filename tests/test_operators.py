@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pairedops import kernels, operators
+from pairedops import operators
 from pairedops.operators import (
     CommutatorResidual,
     CompositionResidual,
@@ -272,23 +272,7 @@ _ORACLE_SYMBOLS = (
 _ORACLE_PAIRS = tuple(SymbolPair(a, b) for a in _ORACLE_SYMBOLS for b in _ORACLE_SYMBOLS)
 
 
-def _bridge_matrix(monkeypatch, symbol: LaurentPoly, band: int) -> np.ndarray:
-    """The matrix toeplitz_kernel_bridge hands to its first null-space call."""
-
-    class Captured(Exception):
-        pass
-
-    def capture(matrix, *args, **kwargs):
-        raise Captured(matrix)
-
-    monkeypatch.setattr(kernels, "_null_space", capture)
-    with pytest.raises(Captured) as info:
-        kernels.toeplitz_kernel_bridge(symbol, band)
-    monkeypatch.undo()
-    return info.value.args[0]
-
-
-def _builder_cases(builder: str, n: int, monkeypatch):
+def _builder_cases(builder: str, n: int):
     """(library matrix, oracle matrix) for every oracle symbol or pair."""
     full, plus, minus = range(-n, n + 1), range(0, n + 1), range(-n, 0)
     windows = {
@@ -310,7 +294,7 @@ def _builder_cases(builder: str, n: int, monkeypatch):
         # the windows the paired and transposed sections are built from
         for g in _ORACLE_SYMBOLS:
             yield toeplitz_window(g, rows, cols), _column_oracle(lambda e: apply(g, e), rows, cols)
-    elif builder.startswith("exact_"):
+    else:
         kind = builder[len("exact_"):]
         apply = apply_paired if kind == "paired" else apply_transposed
         for p in _ORACLE_PAIRS:
@@ -318,10 +302,6 @@ def _builder_cases(builder: str, n: int, monkeypatch):
             rows = range(-(n + d), n + d + 1)
             oracle = _column_oracle(lambda e: apply(p, e), rows, full, exact=True)
             yield exact_action_matrix(p, n, kind), oracle
-    else:
-        for g in _ORACLE_SYMBOLS[1:]:
-            rows = range(0, n + max(0, g.kmax) + 1)
-            yield _bridge_matrix(monkeypatch, g, n), _column_oracle(lambda e: riesz_plus(g * e), rows, plus)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
@@ -336,11 +316,10 @@ def _builder_cases(builder: str, n: int, monkeypatch):
         "hankel_plus",
         "exact_paired",
         "exact_transposed",
-        "bridge",
     ],
 )
-def test_builders_match_column_oracle(builder, n, monkeypatch):
-    cases = list(_builder_cases(builder, n, monkeypatch))
+def test_builders_match_column_oracle(builder, n):
+    cases = list(_builder_cases(builder, n))
     assert cases
     for matrix, oracle in cases:
         assert matrix.shape == oracle.shape

@@ -354,9 +354,8 @@ def test_replay_unknown_check_rejected():
         replay_violation({"check": "nonsense", "inputs": {}})
 
 
-# Every suite threshold set so that each check it guards fails.  With the
-# membership certificate off, a null threshold of 1 counts every band-limited
-# direction null, so the pinned (1, 1 - z) and the coburn dichotomy fail too.
+# Every suite threshold set so that each check it guards fails, with the
+# membership certificate off.
 _FORCING = {
     (properties, "_EXACT_TOL"): -1.0,
     (properties, "_WITNESS_FLOOR"): math.inf,
@@ -365,7 +364,6 @@ _FORCING = {
     (properties, "_TRUNCATION_TOL"): -1.0,
     (properties, "_MEMBERSHIP_TOL"): math.inf,
     (kernels, "_MEMBERSHIP_TOL"): math.inf,
-    (kernels, "NULL_SPACE_REL_THRESHOLD"): 1.0,
 }
 
 
@@ -376,9 +374,6 @@ def test_forced_violations_replay_exactly(name, monkeypatch):
     cfg = GeneratorConfig(seed=0, trials=3)
     report = SUITES[name](cfg)
     assert report.violations
-    if name in ("kernels", "coburn"):
-        # the null threshold shows through a wrong band-limited dimension
-        assert {v.check for v in report.violations} & {"kernel_dimension", "coburn"}
     if name == "kernels":
         # an infinite membership tolerance keeps zbar*f of every element in the kernel
         assert "multiplier_invariance" in {v.check for v in report.violations}
@@ -390,12 +385,15 @@ def test_forced_violations_replay_exactly(name, monkeypatch):
 
 
 def test_refused_pinned_kernel_is_an_ambiguity(monkeypatch):
-    # a null threshold of 1e-2 puts section singular values of (1, 1 - z) in the gray zone
-    monkeypatch.setattr(kernels, "NULL_SPACE_REL_THRESHOLD", 1e-2)
+    # a membership tolerance below every residual refuses each certified kernel element: the two
+    # nontrivial pinned kernels are refused, and (1, 1 - z), with no element, still answers 0.
+    # The trials' structure maps then refuse their inputs, which are violations of their own
+    monkeypatch.setattr(kernels, "_MEMBERSHIP_TOL", -1.0)
     report = SUITES["kernels"](GeneratorConfig(seed=0, trials=3))
-    assert report.verdict == "ambiguous" and not report.violations
-    assert report.ambiguities[0]["context"] == "pinned kernel (1, 1 - z)"
-    assert report.ambiguities[0]["singular_values"]
+    pinned = [a for a in report.ambiguities if a["trial"] == -1]
+    assert [a["context"] for a in pinned] == ["pinned kernel (z^-1, z)", "pinned kernel (z^-1, 1)"]
+    assert set(pinned[0]) == {"trial", "context", "error"}
+    assert not any(v.trial == -1 for v in report.violations)
 
 
 def test_kernels_suite_counts_both_invariance_outcomes():

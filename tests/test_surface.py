@@ -82,10 +82,10 @@ _ALL = {
     ],
     "kernels": [
         "AdjointInverseReport", "AmbiguousKernelError", "BridgeReport", "CoburnReport", "KernelBasis",
-        "KernelPair", "L2Kernel", "NULL_SPACE_REL_THRESHOLD", "adjoint_kernel_basis", "adjoint_kernel_map",
+        "KernelPair", "L2Kernel", "adjoint_kernel_basis", "adjoint_kernel_map",
         "adjoint_kernel_map_inverse", "adjoint_inverse_report", "coburn_check", "invertible_on_circle",
         "kernel_basis", "kernel_conjugate", "kernel_element_direct", "kernel_element_from_inner_factor",
-        "l2_kernel", "pair_from_function", "reciprocal_symbol", "same_kernel_test", "subspace_angle",
+        "l2_kernel", "pair_from_function", "same_kernel_test", "subspace_angle",
         "toeplitz_kernel_bridge",
     ],
     "properties": [
@@ -108,7 +108,7 @@ _REEXPORTS = {
     "in_hardy", "inner_outer_factor", "inner_product", "invertible_on_circle", "is_nondegenerate",
     "kernel_basis", "kernel_conjugate", "kernel_element_direct", "kernel_element_from_inner_factor",
     "l2_kernel", "main", "op_norm", "pair_from_function", "parse_symbol", "poly_from_roots", "poly_roots",
-    "rational_to_coeffs", "rational_to_coeffs_auto", "reciprocal_symbol", "replay_violation", "riesz_minus",
+    "rational_to_coeffs", "rational_to_coeffs_auto", "replay_violation", "riesz_minus",
     "riesz_plus", "run_all", "same_kernel_test", "subspace_angle", "toeplitz_kernel_bridge", "unit_grid",
 }
 
@@ -191,7 +191,6 @@ def test_settable_surface_is_pinned():
     # of these, only invertible_on_circle(min_distance) is a tolerance: callers pass 1e-8, 1e-3 and 1e-2
     assert _defaulted_parameters() == {
         "cli.main(argv)",
-        "kernels.AmbiguousKernelError.__init__(singular_values)",
         "kernels.invertible_on_circle(min_distance)",
         "kernels.kernel_basis(kind)",
         "operators.composition_residual(kind)",
@@ -223,6 +222,6 @@ def _poly_roots_call_sites() -> list[tuple[str, str]]:
 
 
 def test_one_root_split_solves_for_roots():
-    # every decision about a root's side of the circle reads symbols._root_split;
+    # every decision about a root's side of the circle reads the disks of symbols._root_disks;
     # a second caller of poly_roots would be a second root classifier
-    assert _poly_roots_call_sites() == [("symbols", "_root_split")]
+    assert _poly_roots_call_sites() == [("symbols", "_root_disks")]

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairedops import symbols
-from pairedops.kernels import reciprocal_symbol
 from pairedops.operators import riesz_minus, riesz_plus
 from pairedops.symbols import (
     ConditioningError,
@@ -278,6 +277,20 @@ def test_a_root_above_1e154_keeps_a_finite_residual_and_disk():
     assert symbols._root_split(lp("1e-307*z^2 + z + 0.5"))[0] == (-0.5 + 0j,)
 
 
+def test_exact_cofactors_divide_out_the_exact_gcd():
+    # the parser expands (1 + z)(z - 0.25) exactly, and (1 + z)(z - 0.3) with rounding
+    alpha, beta = symbols._exact_cofactors(lp("(1 + z)*(z - 0.25)"), lp("(1 + z)*(z + 2)"))
+    assert (alpha, beta) == (lp("z - 0.25"), lp("z + 2"))
+    p, q = lp("(1 + z)*(z - 0.3)"), lp("(1 + z)*(z + 2)")
+    assert symbols._exact_cofactors(p, q) == (p, q)
+    # a common Gaussian factor of degree 2, a constant and a monomial; the cofactors keep their scale
+    common = lp("(z - 0.5i)*(z + 1)")
+    alpha, beta = symbols._exact_cofactors(common * lp("2i*(z - 3)"), common * lp("z*z + 0.75"))
+    assert (alpha, beta) == (lp("2i*(z - 3)"), lp("z*z + 0.75"))
+    assert symbols._exact_cofactors(lp("3"), lp("z + 2")) == (lp("3"), lp("z + 2"))
+    assert symbols._exact_cofactors(lp("2i*z + 2i"), lp("4*z*z + 4*z")) == (lp("2i"), lp("4*z"))
+
+
 def test_poly_roots_rejects_non_analytic():
     with pytest.raises(ValueError):
         poly_roots(lp("z^-1"))
@@ -475,7 +488,7 @@ def _pole_cases() -> dict[str, RationalSymbol]:
         "conj_reflect_blaschke": theta.conj_reflect(),
         "composed": blaschke([0.2j]) * theta.conj_reflect() * (kernel + outside),
         "inner": inner_outer_factor(lp("(z - 0.5)*(z + 0.25i)*(z - 3)*z")).inner,
-        "reciprocal": reciprocal_symbol(lp("z^-2 * (z - 0.4) * (z + 1.7 - 0.3i)")),
+        "reciprocal": RationalSymbol(lp("z^2"), lp("(z - 0.4) * (z + 1.7 - 0.3i)")),
         "from_json": RationalSymbol.from_json_dict(json.loads(json.dumps((theta * outside).to_json_dict()))),
     }
 
@@ -524,7 +537,7 @@ def test_rational_arithmetic_and_truncation_solve_no_roots(monkeypatch):
         rational_to_coeffs(r, 32)
         rational_to_coeffs_auto(r)
     assert calls == [1]
-    reciprocal_symbol(lp("z^-1 * (z - 0.4) * (z - 2)"))
+    RationalSymbol(lp("z"), lp("(z - 0.4) * (z - 2)"))  # the reciprocal of z^-1 (z - 0.4)(z - 2)
     assert calls == [2]
 
 
