@@ -233,8 +233,8 @@ def op_norm(pair: SymbolPair, band: int) -> float:
     The section M of symbols of band radius d is banded, so G = M^H M has
     half-bandwidth 2d and is built from the symbols' coefficients alone
     (:func:`_gram_band`).  Plain Lanczos on G from a fixed start vector gives
-    a top Ritz value theta <= lambda_max(G); once theta stops moving it is
-    accepted only if a Cholesky factorization shows mu I - G positive
+    a top Ritz value theta <= lambda_max(G); once theta has converged it is
+    accepted only if a block Cholesky factorization shows mu I - G positive
     definite for mu = theta (1 + 1e-13), which certifies lambda_max within
     1e-13 relative of theta, and sqrt(theta) is returned.  A section of
     n = 2N + 1 rows too small or too wide for the band to pay (see
@@ -256,9 +256,12 @@ def op_norm(pair: SymbolPair, band: int) -> float:
 
 
 # Measured on a 2-core x86 VM with one OpenBLAS thread, against the dense
-# values-only SVD of the same section: the band path breaks even at about
-# n = 2N+1 = 113-161 rows for band radius d = 1..16 (2.3x slower at n = 65,
-# d = 4), and at about n = 7.5 d for d = 32..64, where the Gram band is wide.
+# values-only SVD of the same section.  These thresholds were set where the
+# band path broke even at n = 2N+1 = 113-161 rows for band radius d = 1..16,
+# and at about n = 7.5 d for d = 32..64, where the Gram band is wide.  With
+# the Lanczos matvec on block rows and the certificate by cyclic reduction
+# it breaks even at about n = 85-115 for d = 1..4 (1.5-2.6x slower at
+# n = 65) and still near n = 129 for d = 16.
 _LANCZOS_MIN_ROWS = 129
 _LANCZOS_ROWS_PER_RADIUS = 8
 _CERTIFY_SLACK = 1e-13
@@ -314,50 +317,70 @@ def _gram_band(pair: SymbolPair, band: int) -> tuple[np.ndarray, int]:
 def _lanczos_sigma(gram: np.ndarray, start: np.ndarray) -> float | None:
     """Certified sqrt(lambda_max) of the Hermitian band ``gram``, or None.
 
-    Three-term Lanczos without reorthogonalization.  The coefficients are
-    kept as Python floats, and the top eigenvalue theta of the real
-    tridiagonal T_k is found every ``_RITZ_EVERY`` steps (less often past
-    64) by :func:`_tridiagonal_top` in O(k), bracketed below by the
-    previous check's theta (eigenvalues of T_k interlace those of T_k+1).
-    Once theta moves by at most ``_RITZ_STALL`` relative it is certified by
-    :func:`_dominates`; if the certificate fails, iteration goes on.  None
-    after ``2n`` steps, or at an invariant subspace whose Ritz value fails
-    the certificate.  A section whose top singular values cluster within
-    O(1/n^2), such as that of (1 - z, 1 - z), needs about n steps; random
-    bands need at most about 0.6 n.
+    Three-term Lanczos without reorthogonalization.  The vectors live in
+    work arrays allocated once per call, the coefficients are kept as
+    Python floats, and the top eigenvalue theta of the real tridiagonal T_k
+    is found every ``_RITZ_EVERY`` steps (less often past 64) by
+    :func:`_tridiagonal_top` in O(k), bracketed below by the previous
+    check's theta (eigenvalues of T_k interlace those of T_k+1) and above by
+    the rise the last two rises predict.  theta is certified by
+    :func:`_dominates` once the rise still ahead, extrapolated geometrically
+    as rise^2 / (previous rise - rise), or the last rise itself, is at most
+    ``_RITZ_STALL`` relative; if the certificate fails, iteration goes on.
+    None after ``2n`` steps, or at an invariant subspace whose Ritz value
+    fails the certificate.  A section whose top singular values cluster
+    within O(1/n^2), such as that of (1 - z, 1 - z), needs about n steps;
+    random bands need at most about 0.6 n.
     """
     if not gram.any():
         return 0.0
     n, w = gram.shape[0], gram.shape[1] // 2
     # Gershgorin: no eigenvalue of G exceeds the largest absolute row sum
     tiny = np.finfo(float).eps * float(np.abs(gram).sum(axis=1).max())
-    padded = np.zeros(n + 2 * w, dtype=complex)
-    step = padded.strides[0]
-    window = np.lib.stride_tricks.as_strided(padded, (n, 2 * w + 1), (step, step), writeable=False)
-    q, q_prev = start / np.linalg.norm(start), np.zeros(n, dtype=complex)
+    # the matvec is one batched product of G's block rows with overlapping
+    # windows of q: 8 rows per block beat 4 and 16 at n = 513
+    size = max(w, 8)
+    blocks = np.ascontiguousarray(_block_rows(gram, size, 3))
+    count = len(blocks)
+    # q and the previous q, zero past n, sit in two rows padded by a block of
+    # zeros at each end; the rows swap roles every step
+    padded = np.zeros((2, (count + 2) * size), dtype=complex)
+    step = padded.strides[1]
+    window, window_prev = (
+        np.lib.stride_tricks.as_strided(row, (count, 3 * size, 1), (size * step, step, step), writeable=False)
+        for row in padded
+    )
+    q, q_prev = padded[:, size : (count + 1) * size]
+    np.divide(start, np.linalg.norm(start), out=q[:n])
+    product = np.empty((count, size, 1), dtype=complex)
+    v = product.reshape(-1)
     # beta2s[j] couples row j of T to row j - 1; the leading 0.0 stands for row 0
-    alphas, beta2s, beta, theta_prev, rise, check = [], [0.0], 0.0, None, 0.0, _RITZ_EVERY
+    alphas, beta2s, beta, theta, rise, prev, check = [], [0.0], 0.0, None, 0.0, 0.0, _RITZ_EVERY
     for k in range(1, 2 * n + 1):
-        padded[w : n + w] = q
-        v = np.einsum("js,js->j", gram, window)
-        v -= beta * q_prev
+        np.matmul(blocks, window, out=product)
+        q_prev *= beta
+        v -= q_prev
         alpha = float(np.vdot(q, v).real)
-        v -= alpha * q
+        np.multiply(q, alpha, out=q_prev)
+        v -= q_prev
         beta = float(np.vdot(v, v).real) ** 0.5
         alphas.append(alpha)
         invariant = beta <= tiny
         if invariant or k == check:
             check += max(_RITZ_EVERY, k // 8)
-            lower = max(alphas) if theta_prev is None else theta_prev
-            theta = _tridiagonal_top(alphas, beta2s, lower, rise)
-            stalled = theta_prev is not None and abs(theta - theta_prev) <= _RITZ_STALL * theta
-            if (invariant or stalled) and _dominates(gram, theta * (1 + _CERTIFY_SLACK)):
+            lower = max(alphas) if theta is None else theta
+            top = _tridiagonal_top(alphas, beta2s, lower, rise * rise / prev if prev > rise else rise)
+            prev, rise = rise, top - lower
+            ahead = rise * rise / (prev - rise) if prev > rise else rise
+            converged = theta is not None and min(rise, ahead) <= _RITZ_STALL * top
+            theta = top
+            if (invariant or converged) and _dominates(gram, theta * (1 + _CERTIFY_SLACK)):
                 return theta**0.5
             if invariant:
                 return None
-            rise, theta_prev = theta - lower, theta
         beta2s.append(beta * beta)
-        q_prev, q = q, v / beta
+        np.multiply(v, 1.0 / beta, out=q_prev)
+        q, q_prev, window, window_prev = q_prev, q, window_prev, window
     return None
 
 
@@ -375,11 +398,12 @@ def _sturm(alphas: list[float], beta2s: list[float], x: float) -> tuple[int, flo
     """
     p, r, count, ratio = 1.0, 0.0, 0, 0.0
     for a, b2 in zip(alphas, beta2s):
-        dp = 1.0 + b2 * r / p
-        p = x - a - b2 / p
+        quotient = b2 / p
+        p = x - a - quotient
         if not p:
             p = math.ulp(0.0)
-        r = dp / p
+        # p_j' = 1 + (beta2_j / p_(j-1)) p_(j-1)' / p_(j-1)
+        r = (1.0 + quotient * r) / p
         ratio += r
         count += p < 0
     return count, ratio
@@ -389,37 +413,56 @@ def _tridiagonal_top(alphas: list[float], beta2s: list[float], lower: float, ris
     """Largest eigenvalue of the tridiagonal T of :func:`_sturm`, in O(k).
 
     ``lower`` is at most that eigenvalue (up to rounding), and ``rise`` the
-    amount the last estimate rose by.  An upper bracket is tried at
-    lower + 2 |rise| (at the Gershgorin cap max alpha + 2 max beta when
-    ``rise`` is 0) and widened 4x until no eigenvalue lies above it; each
-    failed try raises the lower end.  Newton on det(x I - T) then descends
-    monotonically from there, since the determinant is convex right of its
-    largest root.  A point that lands below it by rounding, with exactly
-    one eigenvalue above and f'/f < 0, steps up by Newton as well; a step
-    from anywhere else, or one that leaves the bracket, is replaced by
-    bisection.  The search stops at one ulp or when Newton makes no
-    progress.
+    amount it is predicted to lie above ``lower``.  The first upper try is
+    lower + rise (the Gershgorin cap max alpha + 2 max beta when ``rise``
+    is 0).  A try with eigenvalues above it becomes the lower end, and the
+    next try is the Newton step up from it when exactly one lies above and
+    f'/f < 0, else a gap 4x wider.  From the first try with none above,
+    Newton on det(x I - T) descends monotonically, since the determinant is
+    convex right of its largest root.  Above a cluster of m close
+    eigenvalues, such as the ghost copies of the top value that Lanczos
+    without reorthogonalization leaves, Newton moves 1/m of the way, so its
+    steps shrink by 1 - 1/m: a step above 0.4 of the one before is scaled
+    by that m, capped by the count above the last point below the top.  A
+    point below the top steps up by Newton as well when exactly one
+    eigenvalue lies above it and f'/f < 0.  The first step that would land
+    at or below the lower end tries two ulps above it instead, which ends
+    the search when the top is the lower end to rounding, as at a converged
+    check; any other step that leaves the bracket is replaced by bisection.
+    The search stops at one ulp or when Newton makes no progress.
     """
     cap = max(alphas) + 2.0 * max(beta2s) ** 0.5
-    lo, gap = lower, 2.0 * abs(rise) if rise else max(cap - lower, 0.0)
+    lo, gap = lower, rise if rise > 0 else max(cap - lower, 0.0)
+    hi = min(lo + gap, cap)
     while True:
-        hi = min(lo + gap, cap)
         count, ratio = _sturm(alphas, beta2s, hi)
         if not count or hi == cap:
             break
         lo, gap = hi, 4.0 * gap
-    x = hi
+        up = hi - 1.0 / ratio if count == 1 and ratio < 0 else math.nan
+        hi = min(up if up > hi else lo + gap, cap)
+    # ``many`` eigenvalues lie in (lo, hi] once a point below the top is seen
+    x, last, many, probed = hi, math.inf, math.inf, False
     while True:
-        y = x - 1.0 / ratio if ratio else math.nan
+        step = 1.0 / ratio if ratio else math.nan
+        if 0.4 * last < step < last:
+            step, last = step * min(last / (last - step), many), math.inf
+        else:
+            last = step if step > 0 else math.inf
+        y = x - step
         if y == x:
             return x
         if not lo < y < hi:
-            y = 0.5 * (lo + hi)
+            if y <= lo and not probed:
+                y, probed = lo + 2.0 * math.ulp(lo), True
+            else:
+                y = 0.5 * (lo + hi)
             if not lo < y < hi:
                 return hi
+            last = math.inf
         count, ratio = _sturm(alphas, beta2s, y)
         if count:
-            lo = y
+            lo, last, many = y, math.inf, count
             if count > 1 or ratio > 0:
                 ratio = math.nan
         else:
@@ -427,33 +470,64 @@ def _tridiagonal_top(alphas: list[float], beta2s: list[float], lower: float, ris
         x = y
 
 
+def _block_rows(band: np.ndarray, size: int, span: int) -> np.ndarray:
+    """Block rows of the matrix A given by its band, as a strided view.
+
+    Row j, column s of ``band`` is A[j, j - w + s].  Entry [k, r, c] of the
+    view is A[k size + r, (k - 1) size + c] for c < span size, with span 2
+    or 3 and size >= w, and zero off A.  The view reads a zero-padded copy
+    whose row i holds A[i, j] at column j - i + w and then zeros, so a row
+    stride one entry short of the row length keeps the column j.
+    """
+    n, w = band.shape[0], band.shape[1] // 2
+    count, width = -(-n // size), 2 * size + w
+    # a leading block of zeros stands in for the row before the first
+    flat = np.zeros(size + count * size * width, dtype=band.dtype)
+    flat[size:].reshape(count * size, width)[:n, : 2 * w + 1] = band
+    step = flat.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        flat[w:], (count, size, span * size), (size * width * step, (width - 1) * step, step), writeable=False
+    )
+
+
 def _dominates(gram: np.ndarray, mu: float) -> bool:
     """Whether mu I - G is positive definite, for G given by its band.
 
-    Blocks of at least the half-bandwidth make mu I - G block tridiagonal;
-    it is positive definite exactly when every Schur complement
-    S_k = D_k - E_k S_(k-1)^-1 E_k^H of its block LDL^H factorization is,
-    which one batched Cholesky decides.
+    Blocks of s >= w rows, w the half-bandwidth, make mu I - G block
+    tridiagonal, and :func:`_block_rows` reads its blocks off the band.
+    Cyclic reduction decides it: the matrix is positive definite exactly
+    when its odd-numbered diagonal blocks are and the Schur complement onto
+    the even-numbered ones is, and that complement is block tridiagonal
+    again.  Each level is one batched Cholesky (the test), one batched
+    solve and one batched product, and halves the number of blocks.
+    Identity rows pad n up to a whole number of blocks.
     """
     n, w = gram.shape[0], gram.shape[1] // 2
-    # 16 rows per block beat 8 and 32 at n = 513: the loop runs n / size times
-    size = max(w, 16)
-    count = -(-n // size)
-    # blocks[k, r, c] is entry (k size + r, (k - 1) size + c) of mu I - G,
-    # with identity rows and columns padding n up to count * size
-    rows = np.arange(count * size).reshape(count, size, 1)
-    cols = rows[:, :1] - size + np.arange(2 * size)
-    offset = cols - rows + w
-    inside = (offset >= 0) & (offset <= 2 * w) & (cols >= 0) & (cols < n) & (rows < n)
-    blocks = np.where(inside, -gram[rows.clip(max=n - 1), offset.clip(0, 2 * w)], 0)
-    diagonal = np.arange(size)
-    blocks[:, diagonal, size + diagonal] += np.where(rows[:, :, 0] < n, mu, 1.0)
-    schur = blocks[:, :, size:]
+    # 4 rows per block beat 8 and 16 at n = 513: below that the LAPACK calls
+    # on tiny blocks, not flops, set the cost of each level
+    size = max(w, 4)
+    band = -gram
+    band[:, w] += mu
+    blocks = _block_rows(band, size, 2)
+    # diagonal[k] is block (k, k) and lower[k] block (k + 1, k)
+    diagonal, lower = blocks[:, :, size:].copy(), blocks[1:, :, :size]
+    padding = np.arange(n - (len(blocks) - 1) * size, size)
+    diagonal[-1, padding, padding] = 1.0
     try:
-        for k in range(1, count):
-            below = blocks[k, :, :size]
-            schur[k] -= below @ np.linalg.solve(schur[k - 1], below.conj().T)
-        np.linalg.cholesky(schur)
+        while len(diagonal) > 1:
+            half = len(diagonal) // 2
+            odd, left, right = diagonal[1::2], lower[0::2], lower[1::2]
+            # odd block j couples to j - 1 by left[j] and to j + 1 by right[j]^H
+            coupling = np.zeros((half, size, 2 * size), dtype=complex)
+            coupling[:, :, :size] = left
+            coupling[: len(right), :, size:] = right.conj().transpose(0, 2, 1)
+            np.linalg.cholesky(odd)
+            schur = coupling.conj().transpose(0, 2, 1) @ np.linalg.solve(odd, coupling)
+            diagonal = diagonal[0::2].copy()
+            diagonal[:half] -= schur[:, :size, :size]
+            diagonal[1 : len(right) + 1] -= schur[: len(right), size:, size:]
+            lower = -schur[: len(right), size:, :size]
+        np.linalg.cholesky(diagonal)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -412,9 +412,18 @@ class LaurentPoly:
         On the circle every Horner partial sum is at most sum |c_k|.  When
         that may overflow, the table is scaled first (:func:`_unit_scaled`);
         an unrepresentable sup norm raises :class:`OverflowError`.
+        :meth:`_sup_norm_enclosure` returns this value together with G + B.
+        """
+        return self._sup_norm_enclosure()[0]
+
+    def _sup_norm_enclosure(self) -> tuple[float, float]:
+        """:meth:`sup_norm`, and G + B from its grid, which bounds the sup norm above.
+
+        G is the grid value at the grid argmax, in Python arithmetic.  The
+        upper end is infinite when it is not representable.
         """
         if self.is_zero:
-            return 0.0
+            return 0.0, 0.0
         n = max(256, 16 * (self._kmax - self._kmin + 1))
         try:
             weights = [(k, abs(v)) for k, v in self._coeffs.items()]
@@ -423,7 +432,12 @@ class LaurentPoly:
             total = math.inf
         if not total <= _HORNER_UNSCALED_MAX:
             scaled, e = _unit_scaled(self)
-            return _scaled_back(scaled.sup_norm(), e, "sup norm")
+            lower, upper = scaled._sup_norm_enclosure()
+            lower = _scaled_back(lower, e, "sup norm")
+            try:
+                return lower, math.ldexp(upper, e)
+            except OverflowError:
+                return lower, math.inf
         terms = self._horner_terms()
         grid = unit_grid(n)
         values = _cabs(_horner_array(terms, grid))
@@ -443,7 +457,7 @@ class LaurentPoly:
             theta = 2 * math.pi * i / n
             refined = _golden_max(objective, theta - h, theta + h)
             best = max(best, abs(_horner(terms, complex(grid[i]))), refined)
-        return best
+        return best, max(best, abs(_horner(terms, complex(grid[j]))) + slack)
 
     # -- serialization -----------------------------------------------------------
 

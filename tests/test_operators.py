@@ -467,6 +467,33 @@ def test_certificate_brackets_the_top_eigenvalue():
         assert not operators._dominates(gram, top * (1 - 1e-10) * (1 + 1e-13))
 
 
+def _band_of(dense: np.ndarray, w: int) -> np.ndarray:
+    """Row j, column s is dense[j, j - w + s], zero off the matrix."""
+    n = len(dense)
+    band = np.zeros((n, 2 * w + 1), dtype=complex)
+    for s in range(2 * w + 1):
+        rows = np.arange(max(0, w - s), min(n, n + w - s))
+        band[rows, s] = dense[rows, rows - w + s]
+    return band
+
+
+# (n, d): G = M^H M for an n x n M of half-bandwidth d, so G has w = 2d.
+# Blocks of max(w, 4) rows: n below one block, multiples of the block with
+# power-of-two and other block counts, odd n with both, and a wide band
+@pytest.mark.parametrize("n, d", [(3, 1), (32, 2), (48, 2), (37, 1), (129, 4), (256, 4), (201, 32), (513, 32)])
+def test_certificate_matches_a_dense_eigvalsh_on_every_block_layout(n, d):
+    rng = np.random.default_rng(71 + n + d)
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    m = np.where(np.abs(offsets) <= d, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0)
+    dense = m.conj().T @ m
+    gram = _band_of(dense, 2 * d)
+    assert np.array_equal(np.abs(offsets) <= 2 * d, dense != 0)
+    top = float(np.linalg.eigvalsh(dense)[-1])
+    for rel in (1e-12, 1e-10):
+        assert operators._dominates(gram, top * (1 + rel)), (n, d, rel)
+        assert not operators._dominates(gram, top * (1 - rel)), (n, d, rel)
+
+
 def test_start_vector_orthogonal_to_the_top_singular_vector(monkeypatch):
     # a = 2z, b = 1 + z/2: columns of negative exponent and the others hit
     # disjoint rows, so G = M^H M is exactly block diagonal.  The top value
@@ -609,6 +636,18 @@ def test_op_norm_band_path_calls_no_eigvalsh():
 
 def test_op_norm_band_path_builds_no_dense_section():
     assert _band_path_calls("finite_section", operators) == 0
+
+
+def test_op_norm_tries_one_certificate_and_settles_each_check_in_few_passes():
+    # the certificate is tried once the Ritz value has converged, and succeeds
+    # there: one attempt per case whose Gram band is not zero
+    nonzero = [p for p, band in _oracle_cases() if operators._band_path_pays(2 * band + 1, p.band_radius())]
+    nonzero = [p for p in nonzero if not (p.a.is_zero and p.b.is_zero)]
+    assert _band_path_calls("_dominates", operators) == len(nonzero)
+    # a check takes one bracketing pass and a few Newton steps, even over the
+    # ghost copies of the clustered and partial-isometry cases: 6.5 a check
+    passes, checks = _band_path_calls("_sturm", operators), _band_path_calls("_tridiagonal_top", operators)
+    assert passes < 8 * checks, (passes, checks)
 
 
 def test_op_norm_is_bitwise_repeatable():

@@ -22,6 +22,7 @@ from pairedops.properties import (
     Violation,
     _draw_pair,
     _SuiteRun,
+    check_norm_bounds,
     gen_symbol,
     replay_violation,
     run_all,
@@ -211,6 +212,22 @@ def test_inner_factor_elements_are_exact_on_the_suite_draws(monkeypatch):
 def test_violations_imply_not_passed():
     report = SUITES["kernels"](SMALL)
     assert report.passed == (not report.violations and not report.ambiguities)
+
+
+def test_norm_bounds_upper_check_reads_the_sup_norm_enclosures(monkeypatch):
+    # |1 + c z| peaks at 1.5 half a step between two grid points of
+    # sup_norm, and G + B from the grid lies above the peak.  A section norm
+    # up to sqrt 2 (G + B) is consistent with sup norms inside their
+    # enclosures, though it exceeds sqrt 2 times the estimate from below
+    c = 0.5 * np.exp(-1j * np.pi / 256)
+    a, b = LaurentPoly({0: 1.0, 1: c}), LaurentPoly({1: 1.0, 2: c})
+    (lower_a, upper_a), (lower_b, upper_b) = a._sup_norm_enclosure(), b._sup_norm_enclosure()
+    assert lower_a == lower_b == a.sup_norm() and lower_a <= 1.5 < upper_a == upper_b
+    monkeypatch.setattr(properties, "op_norm", lambda pair, band: math.sqrt(2.0) * upper_a)
+    result = check_norm_bounds(a, b)
+    assert result["norm"] - math.sqrt(2.0) * lower_a > 1e-5
+    assert result["upper_violation"] == 0.0
+    assert result["gap"] == 2 * lower_a - result["norm"]
 
 
 def test_report_runtime_field_toggle():

@@ -233,6 +233,24 @@ def test_sup_norm_refines_every_peak_near_the_top():
     assert _TIED_PEAKS.sup_norm() >= fine - 1e-12
 
 
+# |1 + c z| peaks at 1 + |c| = 1.5 where c z > 0: half a step between two
+# points of sup_norm's 256-point grid
+_OFF_GRID_PEAK = LaurentPoly({0: 1.0, 1: 0.5 * np.exp(-1j * np.pi / 256)})
+
+
+def test_sup_norm_enclosure_holds_a_peak_between_grid_points():
+    lower, upper = _OFF_GRID_PEAK._sup_norm_enclosure()
+    grid = float(np.max(np.abs(_OFF_GRID_PEAK(unit_grid(256)))))
+    assert grid < 1.5 - 2e-5
+    assert lower == _OFF_GRID_PEAK.sup_norm() == pytest.approx(1.5, abs=1e-15)
+    # B = (h^2 / 2) sum (k - kbar)^2 |c_k| = (2 pi / 256)^2 / 6 for kbar = 1/3
+    assert upper == pytest.approx(grid + (2 * math.pi / 256) ** 2 / 6, rel=1e-14)
+    assert 1.5 < upper
+    # a table too large for unscaled Horner scales both ends back exactly
+    big = LaurentPoly({k: 2.0**1022 * c for k, c in _OFF_GRID_PEAK.items()})
+    assert big._sup_norm_enclosure() == (2.0**1022 * lower, 2.0**1022 * upper)
+
+
 # ---------------------------------------------------------------------------
 # roots and inner-outer factorization
 # ---------------------------------------------------------------------------
