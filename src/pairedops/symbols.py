@@ -251,9 +251,8 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         table = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            table[k] = table.get(k, 0j) + v
-        return LaurentPoly(table)
+        _accumulate(table, other._coeffs, False)
+        return LaurentPoly._trusted(table)
 
     __radd__ = __add__
 
@@ -264,7 +263,9 @@ class LaurentPoly:
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        table = dict(self._coeffs)
+        _accumulate(table, other._coeffs, True)
+        return LaurentPoly._trusted(table)
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = _lift(other)
@@ -289,19 +290,8 @@ class LaurentPoly:
         return LaurentPoly.from_dense(np.convolve(a, b), self._kmin + other._kmin)
 
     def _times_term(self, e: int, c: complex) -> "LaurentPoly":
-        """Product with the single term c*z^e, entry for entry as ``np.convolve`` gives it.
-
-        ``0j + v * c`` is the convolution sum of one product (signed zeros
-        included); exact zeros are dropped and keys ascend, as in :meth:`from_dense`.
-        """
-        table = {}
-        for k, v in sorted(self._coeffs.items()):
-            p = 0j + v * c
-            if not cmath.isfinite(p):
-                raise ValueError(f"non-finite coefficient at exponent {k + e}")
-            if p:
-                table[k + e] = p
-        return LaurentPoly._trusted(table)
+        """Product with the single term c*z^e (see :func:`_term_product`)."""
+        return LaurentPoly._trusted(_term_product(self._coeffs, e, c))
 
     def __rmul__(self, other) -> "LaurentPoly":
         if isinstance(other, _Scalar):
@@ -469,6 +459,44 @@ class LaurentPoly:
         return cls({int(k): complex(re_, im) for k, re_, im in data["coeffs"]})
 
 
+def _term_product(table: dict[int, complex], e: int, c: complex) -> dict[int, complex]:
+    """The table of table * c*z^e, entry for entry as ``np.convolve`` gives it.
+
+    ``0j + v * c`` is the convolution sum of one product (signed zeros
+    included); exact zeros are dropped and keys ascend, as in
+    :meth:`LaurentPoly.from_dense`.
+    """
+    out = {}
+    for k, v in sorted(table.items()):
+        p = 0j + v * c
+        if not cmath.isfinite(p):
+            raise ValueError(f"non-finite coefficient at exponent {k + e}")
+        if p:
+            out[k + e] = p
+    return out
+
+
+def _accumulate(table: dict[int, complex], terms: Mapping[int, complex], subtract: bool) -> None:
+    """table -= terms if subtract else table += terms, in place, for canonical tables.
+
+    Only the touched entries are checked, and exact zeros are popped, so keys,
+    key order and values are those the validating constructor leaves of
+    ``table.get(k, 0j) + v`` (or ``+ (-v)``, which IEEE subtraction equals).
+    An overflow names the first non-finite exponent in table order, as it does.
+    """
+    finite = True
+    for k, v in terms.items():
+        s = table.get(k, 0j) - v if subtract else table.get(k, 0j) + v
+        if s:
+            table[k] = s
+            finite = finite and cmath.isfinite(s)
+        else:
+            del table[k]  # only an existing entry can cancel: v != 0
+    if not finite:
+        k = next(k for k, v in table.items() if not cmath.isfinite(v))
+        raise ValueError(f"non-finite coefficient at exponent {k}")
+
+
 def _lift(value) -> "LaurentPoly":
     if isinstance(value, LaurentPoly):
         return value
@@ -594,130 +622,11 @@ def is_nondegenerate(a: LaurentPoly, b: LaurentPoly) -> NondegeneracyReport:
 # expression parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-      | (?P<unit>[ij])
-      | (?P<z>z)
-      | (?P<op>[-+*^()])
-      | (?P<div>/)
-    """,
-    re.VERBOSE,
-)
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SymbolParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind == "div":
-            raise SymbolParseError("division is not part of the symbol grammar", pos)
-        if kind == "num":
-            tok = _Token("num", m.group("num"), pos)
-            tokens.append(tok)
-            end = m.end("num")
-            # a number directly followed by i/j is an imaginary literal
-            if end < len(text) and text[end] in "ij":
-                tokens.append(_Token("unit", text[end], end))
-                pos = end + 1
-                continue
-            pos = end
-            continue
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for +, -, *, parentheses, z^k and literals."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def parse(self) -> LaurentPoly:
-        value = self.expression()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise SymbolParseError(f"unexpected {tok.text!r}", tok.pos)
-        return value
-
-    def expression(self) -> LaurentPoly:
-        value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> LaurentPoly:
-        value = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> LaurentPoly:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            value = self.factor()
-            return value if tok.text == "+" else -value
-        return self.atom()
-
-    def atom(self) -> LaurentPoly:
-        tok = self.advance()
-        if tok.kind == "num":
-            imag_mark = self.peek()
-            if imag_mark.kind == "unit" and imag_mark.pos == tok.pos + len(tok.text):
-                self.advance()
-                return LaurentPoly({0: complex(0.0, float(tok.text))})
-            return LaurentPoly({0: float(tok.text)})
-        if tok.kind == "unit":
-            return LaurentPoly({0: 1j})
-        if tok.kind == "z":
-            if self.peek().kind == "op" and self.peek().text == "^":
-                self.advance()
-                return LaurentPoly.monomial(self.exponent())
-            return LaurentPoly.monomial(1)
-        if tok.kind == "op" and tok.text == "(":
-            value = self.expression()
-            closing = self.advance()
-            if not (closing.kind == "op" and closing.text == ")"):
-                raise SymbolParseError("expected ')'", closing.pos)
-            return value
-        raise SymbolParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
-
-    def exponent(self) -> int:
-        sign = 1
-        tok = self.advance()
-        if tok.kind == "op" and tok.text in "+-":
-            sign = -1 if tok.text == "-" else 1
-            tok = self.advance()
-        if tok.kind != "num" or any(ch in tok.text for ch in ".eE"):
-            raise SymbolParseError("exponent must be an integer", tok.pos)
-        return sign * int(tok.text)
+# A number with its glued imaginary unit, or any other non-space character.
+_TOKEN_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[ij]?|\S")
+# tuples, not strings: the end-of-input token "" is in every string
+_SIGNS = ("+", "-")
+_UNITS = ("i", "j")
 
 
 def parse_symbol(text: str) -> LaurentPoly:
@@ -725,9 +634,106 @@ def parse_symbol(text: str) -> LaurentPoly:
 
     Negative powers are written ``z^-2``.  Division is rejected with a
     position-carrying :class:`SymbolParseError`, as is any other malformed
-    input.  Parsing is exact over the given literals.
+    input.  Parsing is exact over the given literals, and linear in the
+    length of the text: sums accumulate into one coefficient table in place,
+    and runs of unary signs fold into one parity.  Parentheses nested deeper
+    than the interpreter's stack allows are a :class:`SymbolParseError`.
     """
-    return _Parser(text).parse()
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end of input
+    i = 0  # index of the next token
+
+    def error_at(message: str, index: int) -> SymbolParseError:
+        # positions only on this path: a unit split off its number sits at the number's end
+        matches = list(_TOKEN_RE.finditer(text))
+        at = matches[index].end() - len(tokens[index]) if index < len(matches) else len(text)
+        return SymbolParseError(message, at)
+
+    def total() -> dict[int, complex]:
+        nonlocal i
+        table = product()
+        while tokens[i] in _SIGNS:
+            subtract = tokens[i] == "-"
+            i += 1
+            _accumulate(table, product(), subtract)
+        return table
+
+    def product() -> dict[int, complex]:
+        nonlocal i
+        table = None
+        while True:
+            negate = False
+            while tokens[i] in _SIGNS:
+                negate ^= tokens[i] == "-"
+                i += 1
+            tok = tokens[i]
+            i += 1
+            if tok == "(":
+                factor = total()
+                if tokens[i] != ")":
+                    raise error_at("expected ')'", i)
+                i += 1
+            elif tok == "z":
+                factor = {exponent() if tokens[i] == "^" else 1: 1 + 0j}
+            elif tok in _UNITS:
+                factor = {0: 1j}
+            elif tok[:1].isdecimal() or tok[:1] == ".":
+                c = complex(0.0, float(tok[:-1])) if tok[-1] in _UNITS else complex(float(tok))
+                if not cmath.isfinite(c):
+                    raise ValueError("non-finite coefficient at exponent 0")
+                factor = {0: c} if c else {}
+            else:
+                raise error_at(f"unexpected {tok!r}" if tok else "unexpected end of input", i - 1)
+            if negate:
+                factor = {k: -v for k, v in factor.items()}
+            if table is None:
+                table = factor
+            elif len(factor) == 1:
+                table = _term_product(table, *next(iter(factor.items())))
+            elif len(table) == 1:
+                table = _term_product(factor, *next(iter(table.items())))
+            else:  # as LaurentPoly.__mul__: zero, or the dense product
+                table = (LaurentPoly._trusted(table) * LaurentPoly._trusted(factor))._coeffs
+            if tokens[i] != "*":
+                return table
+            i += 1
+
+    def exponent() -> int:
+        nonlocal i
+        sign = -1 if tokens[i + 1] == "-" else 1
+        i += 2 if tokens[i + 1] in _SIGNS else 1
+        tok = tokens[i]
+        digits = tok[:-1] if tok[-1:] in _UNITS else tok
+        if not digits.isdecimal():
+            raise error_at("exponent must be an integer", i)
+        if digits is tok:
+            i += 1
+        else:
+            tokens[i] = tok[-1]  # a glued unit is the next token
+        return sign * int(digits)
+
+    try:
+        table = total()
+        if tokens[i]:
+            tok = tokens[i]
+            raise error_at(f"unexpected {tok[:-1] if len(tok) > 1 and tok[-1] in _UNITS else tok!r}", i)
+    except (ValueError, RecursionError) as error:
+        # a character outside the grammar is reported first, wherever it is
+        for m in _TOKEN_RE.finditer(text):
+            tok = m.group()
+            if tok == "/":
+                raise SymbolParseError("division is not part of the symbol grammar", m.start()) from None
+            if len(tok) == 1 and tok not in "+-*^()ijz" and not tok.isdecimal():
+                raise SymbolParseError(f"unexpected character {tok!r}", m.start()) from None
+        if isinstance(error, RecursionError):
+            depth = deepest = at = 0
+            for index, tok in enumerate(tokens):
+                depth += (tok == "(") - (tok == ")")
+                if depth > deepest:
+                    deepest, at = depth, index
+            raise error_at(f"parentheses nested {deepest} deep exceed the recursion limit", at) from None
+        raise
+    return LaurentPoly._trusted(table)
 
 
 # ---------------------------------------------------------------------------

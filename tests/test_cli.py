@@ -398,6 +398,25 @@ def test_extreme_coefficients_exit_0_or_2_without_a_traceback(argv):
 
 
 @pytest.mark.parametrize(
+    "a, code",
+    [("(" * 3000 + "1" + ")" * 3000, 2), ("-" * 3000 + "1", 0)],
+    ids=["3000 parentheses", "3000 minus signs"],
+)
+def test_deep_nesting_and_long_sign_runs_never_give_a_traceback(a, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(pairedops.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairedops", "kernel", f"--a={a}", "--b", "z^2", "--N", "4", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error:") and "parentheses nested 3000 deep" in proc.stderr
+    else:  # the kernel of (1, z^2)
+        assert json.loads(proc.stdout)["result"]["dim"] == 2
+
+
+@pytest.mark.parametrize(
     "argv",
     [["factor", "--p", "1e-320*z+1e-320"], ["kernel", "--a", "1e-320*z+1e-320", "--b", "1", "--N", "8"]],
     ids=" ".join,
