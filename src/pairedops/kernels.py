@@ -27,8 +27,8 @@ a*f+ + b*f- (denominators cleared) over the larger of its two terms for the
 paired kernel, and of P+(a*f) + P-(b*f) over the larger of a*f and b*f for
 the transposed one (:func:`_paired_residual`, :func:`_residual`).  It must
 be at most ``_MEMBERSHIP_TOL`` (1e-10); the zero element has residual 0.
-Band-limited and closed-form elements, explicit elements and the inputs and
-outputs of the structure maps all pass through it.
+Band-limited and closed-form elements, explicit elements, the structure maps'
+inputs and outputs and the adjoint inverse's remainder all pass through it.
 
 Every winding number, Fredholm index and invertibility test reads one rule,
 ``symbols._root_split``: one root solve per symbol, whose inclusion disks
@@ -56,6 +56,7 @@ from .operators import (
     apply_transposed,
     riesz_minus,
     riesz_plus,
+    toeplitz_window,
 )
 from .symbols import (
     CIRCLE_MARGIN,
@@ -72,7 +73,6 @@ from .symbols import (
     inner_outer_factor,
     is_nondegenerate,
     poly_from_roots,
-    rational_to_coeffs_auto,
 )
 
 __all__ = [
@@ -100,7 +100,7 @@ __all__ = [
     "toeplitz_kernel_bridge",
 ]
 
-_MEMBERSHIP_TOL = 1e-10  # relative residual: rounding, plus the adjoint inverse's truncation (symbols._CONVERSION_TOL)
+_MEMBERSHIP_TOL = 1e-10  # relative residual of an exact cancellation, which leaves only rounding
 _RANK_CUT = 1e-12  # _orthonormal drops a QR direction with |R_jj| below this share of max |R|: rounding leaves ~n eps
 
 
@@ -715,8 +715,12 @@ def adjoint_kernel_map_inverse(
     * ``"a"``: returns  (P- phi) / conj a
     * ``"b"``: returns  -(P+ phi) / conj b
 
-    The requested symbol is root-checked; the division is realized through a
-    rational reciprocal truncated at an automatically grown band.
+    The requested symbol is root-checked: a :class:`ConditioningError` if it
+    is not invertible on the circle, which bounds the condition number of the
+    division by sup/inf of |divisor| on the circle.  QR solves the convolution
+    system on the quotient's band, and the remainder must pass :func:`_certify`:
+    a ``phi`` whose preimage is no Laurent polynomial (a and b share a root off
+    the circle) is a ``ValueError``.
     """
     pair.require_nondegenerate()
     if case not in _INVERSE_CASES:
@@ -732,23 +736,19 @@ def adjoint_kernel_map_inverse(
     else:
         divisor_source = pair.b
         numerator = -riesz_plus(phi)
-    split = _certified_split(divisor_source)
-    if split is None:
+    if not invertible_on_circle(divisor_source):
         raise ConditioningError(f"case {case!r}: symbol is not invertible on the circle")
-    if numerator.is_zero:
-        return LaurentPoly.zero()
-    # the reciprocal of the reflection, from the source's one solve: each
-    # nonzero root r of the source is a pole 1/conj(r) of 1/conj_reflect(source)
     divisor = divisor_source.conj_reflect()
-    reciprocal = RationalSymbol._from_poles(
-        LaurentPoly.monomial(-divisor.kmin),
-        divisor.shift(-divisor.kmin),
-        tuple(1.0 / r.conjugate() for r in split[0] + split[1]),
-    )
-    quotient = RationalSymbol(LaurentPoly.one()) * numerator * reciprocal
-    result = rational_to_coeffs_auto(quotient).coeffs
-    _check_membership(conj_pair, result, "transposed")
-    return result
+    cols = range(numerator.kmin - divisor.kmin, numerator.kmax - divisor.kmax + 1)
+    quotient = LaurentPoly.zero()
+    if cols:  # else the numerator is shorter than the divisor, so no multiple of it
+        q, r = np.linalg.qr(toeplitz_window(divisor, range(numerator.kmin, numerator.kmax + 1), cols))
+        solved = np.linalg.solve(r, q.conj().T @ numerator.to_dense(*numerator.band))
+        quotient = LaurentPoly.from_dense(solved, cols.start)
+    product = divisor * quotient
+    _certify(_relative(product - numerator, product, numerator), "the quotient", ValueError)
+    _check_membership(conj_pair, quotient, "transposed")
+    return quotient
 
 
 @dataclass(frozen=True)
@@ -761,17 +761,14 @@ class AdjointInverseReport:
 
 
 def adjoint_inverse_report(phi: CoeffVector, pair: SymbolPair) -> AdjointInverseReport:
-    """Evaluate every applicable inverse formula and report their agreement."""
-    applicable = tuple(
-        case
-        for case, source in (
-            ("difference", pair.a - pair.b),
-            ("a", pair.a),
-            ("b", pair.b),
-        )
-        if invertible_on_circle(source)
-    )
-    results = {case: adjoint_kernel_map_inverse(phi, pair, case) for case in applicable}
+    """Every inverse case whose symbol is invertible on the circle, and their agreement."""
+    results = {}
+    for case in _INVERSE_CASES:
+        try:
+            results[case] = adjoint_kernel_map_inverse(phi, pair, case)
+        except ConditioningError:
+            pass  # the case does not apply
+    applicable = tuple(results)
     values = list(results.values())
     max_disc = 0.0
     for i in range(len(values)):

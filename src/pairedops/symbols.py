@@ -706,11 +706,15 @@ def parse_symbol(text: str) -> LaurentPoly:
         digits = tok[:-1] if tok[-1:] in _UNITS else tok
         if not digits.isdecimal():
             raise error_at("exponent must be an integer", i)
+        try:
+            value = int(digits)
+        except ValueError:  # past the interpreter's integer-conversion digit limit
+            raise error_at("exponent is too large", i) from None
         if digits is tok:
             i += 1
         else:
             tokens[i] = tok[-1]  # a glued unit is the next token
-        return sign * int(digits)
+        return sign * value
 
     try:
         table = total()

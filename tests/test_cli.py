@@ -416,6 +416,12 @@ def test_deep_nesting_and_long_sign_runs_never_give_a_traceback(a, code):
         assert json.loads(proc.stdout)["result"]["dim"] == 2
 
 
+def test_an_exponent_past_the_digit_limit_exits_2_at_its_position(capsys):
+    code, out, err = run_cli(capsys, "kernel", "--a", "z^" + "9" * 5000, "--b", "1", "--N", "4")
+    assert code == 2 and out == ""
+    assert err == "error: exponent is too large (at position 2)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["factor", "--p", "1e-320*z+1e-320"], ["kernel", "--a", "1e-320*z+1e-320", "--b", "1", "--N", "8"]],

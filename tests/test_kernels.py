@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairedops import kernels, symbols
+from pairedops import kernels, properties, symbols
 from pairedops.kernels import (
     AmbiguousKernelError,
     _disks,
@@ -339,12 +339,12 @@ def test_one_root_solve_per_symbol(monkeypatch, call, solves):
     "call, solved",
     [
         (lambda phi, p: adjoint_kernel_map_inverse(phi, p, "difference"), ["-0.5 + 1.0*z"]),
-        (adjoint_inverse_report, ["-0.5 + 1.0*z", "-0.5 + 1.0*z"]),
+        (adjoint_inverse_report, ["-0.5 + 1.0*z"]),
     ],
     ids=["adjoint_kernel_map_inverse", "adjoint_inverse_report"],
 )
 def test_adjoint_inverse_solves_each_divisor_once(monkeypatch, call, solved):
-    # the reciprocal of conj(a - b) takes its poles from the solve of a - b
+    # the invertibility check of a - b is its one solve; the report does not check it again
     calls = []
     solve = symbols.poly_roots
     monkeypatch.setattr(symbols, "poly_roots", lambda p: calls.append(p) or solve(p))
@@ -770,6 +770,77 @@ def test_adjoint_round_trip():
         for case in ("a", "b"):
             back = adjoint_kernel_map_inverse(phi, p, case)
             assert (back - psi).l2_norm() <= 1e-9
+
+
+def _criterion_6_pairs() -> list[SymbolPair]:
+    """The constructed pairs of acceptance criterion 6: nontrivial adjoint kernels and invertible cases."""
+    rng = np.random.default_rng(20240806)
+
+    def off_circle_root(lo: float, hi: float) -> complex:
+        return complex(rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform()))
+
+    pairs = []
+    for _ in range(20):
+        roots = [off_circle_root(0.2, 0.7) for _ in range(int(rng.integers(0, 2)))]
+        roots += [off_circle_root(1.4, 2.4) for _ in range(int(rng.integers(0, 2)))]
+        a = poly_from_roots(roots, leading=1.0, shift=int(rng.integers(1, 3)))
+        q = poly_from_roots([off_circle_root(1.4, 2.4) for _ in range(int(rng.integers(1, 3)))], leading=1.0)
+        p = SymbolPair(a, q.conj_reflect())
+        if p.nondegenerate:
+            pairs.append(p)
+    return pairs
+
+
+@pytest.mark.parametrize("band", [4, 8, 16])
+def test_random_adjoint_combinations_round_trip_through_every_case(band):
+    rng = np.random.default_rng(band)
+    trips = 0
+    for p in _criterion_6_pairs():
+        basis = adjoint_kernel_basis(p, band).basis
+        if not basis:
+            continue
+        weights = rng.standard_normal((len(basis), 2)) @ (1, 1j)
+        psi = sum((w * v for w, v in zip(weights, basis)), LaurentPoly.zero())
+        report = adjoint_inverse_report(adjoint_kernel_map(psi, p), p)
+        assert report.applicable == tuple(c for c in ("difference", "a", "b") if c in report.results)
+        for back in report.results.values():
+            assert (back - psi).l2_norm() <= 1e-13 * psi.l2_norm()
+            trips += 1
+    assert trips >= 10
+
+
+def test_adjoint_inverse_refuses_a_preimage_that_is_no_laurent_polynomial():
+    # a and b share the root 0.5 off the circle, so the conjugated pair's band-6 kernel
+    # holds elements phi whose preimage phi / (conj a - conj b) is rational, not a polynomial
+    conj_pair = pair("z^-2*(z - 0.5)", "(z - 0.5)*(z + 3)")
+    p = conj_pair.conjugated()
+    basis = kernel_basis(conj_pair, 6).basis
+    assert len(basis) == 2
+    for phi in basis:
+        for case in ("difference", "a", "b"):
+            with pytest.raises(ValueError, match="the quotient has membership residual"):
+                adjoint_kernel_map_inverse(phi, p, case)
+        with pytest.raises(ValueError, match="the quotient has membership residual"):
+            adjoint_inverse_report(phi, p)
+
+
+def test_no_adjoint_path_truncates_a_rational_symbol(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational truncation on a kernel path")
+
+    for module in (symbols, kernels, properties):
+        for name in ("rational_to_coeffs", "rational_to_coeffs_auto"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    trips = 0
+    for p in _criterion_6_pairs():
+        report = coburn_check(p, 16)
+        if report.dim_adjoint and report.invertible_cases:
+            psi = adjoint_kernel_basis(p, 16).basis[-1]
+            trips += len(adjoint_inverse_report(adjoint_kernel_map(psi, p), p).applicable)
+    assert trips > 0
+    assert coburn_check(pair("z*(1 - z)*(z - 0.5)", "z^-6"), 8).route == "band-limited"
+    assert SUITES["coburn"](GeneratorConfig(seed=0, trials=50)).passed
 
 
 def test_adjoint_inverse_rejects_non_invertible_case():

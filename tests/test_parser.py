@@ -147,7 +147,10 @@ class _Parser:
             tok = self.advance()
         if tok.kind != "num" or any(ch in tok.text for ch in ".eE"):
             raise SymbolParseError("exponent must be an integer", tok.pos)
-        return sign * int(tok.text)
+        try:
+            return sign * int(tok.text)
+        except ValueError:  # past the interpreter's integer-conversion digit limit
+            raise SymbolParseError("exponent is too large", tok.pos) from None
 
 
 def oracle_parse(text: str) -> LaurentPoly:
@@ -294,6 +297,15 @@ def test_sign_runs_of_any_length_parse():
     assert _table(parse_symbol("-" * 3001 + "2.5*z")) == _table(oracle_parse("-2.5*z"))
     assert _table(parse_symbol("-" * 3001 + "2.5")) == [(0, "(-2.5-0j)")]
     assert _table(parse_symbol("z^-2 -" + "+-" * 5000 + "z")) == _table(oracle_parse("z^-2 - z"))
+
+
+def test_an_exponent_past_the_digit_limit_is_a_parse_error():
+    digits = "9" * 5000
+    for text in (f"z^{digits}", f"1 + z^-{digits}", f"z^{digits}i"):
+        _assert_agrees(text)
+        with pytest.raises(SymbolParseError, match="exponent is too large") as error:
+            parse_symbol(text)
+        assert error.value.position == text.index(digits)
 
 
 def test_deep_nesting_parses_or_is_a_parse_error():

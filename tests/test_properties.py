@@ -378,7 +378,6 @@ _FORCING = {
     (properties, "_WITNESS_FLOOR"): math.inf,
     (properties, "_MODEL_SPACE_TOL"): -1.0,
     (properties, "_PINNED_NORM_TOL"): -1.0,
-    (properties, "_TRUNCATION_TOL"): -1.0,
     (properties, "_MEMBERSHIP_TOL"): math.inf,
     (kernels, "_MEMBERSHIP_TOL"): math.inf,
 }
